@@ -93,23 +93,23 @@ class Crossing:
     partner_starts_inside: bool  # partner's low slot lies under this arc
 
 
-def arc_crossings(arcs: List[Arc]) -> Tuple[Dict[int, List[Crossing]], int]:
+def arc_crossings(arcs: List[Arc]) -> Tuple[Dict[int, List[Crossing]], List[Tuple[int, int]]]:
     """Crossings of each arc, ordered from its low end to its high end.
 
-    Returns a map arc index -> ordered crossing list, plus the total number
-    of crossing pairs.
+    Returns a map arc index -> ordered crossing list, plus every crossing
+    pair (i, j), i < j, in lexicographic order.
     """
     for lo, hi in arcs:
         if lo >= hi:
             raise ValidationError(f"arc ({lo},{hi}) is not in low-high form")
     partners: Dict[int, List[int]] = {i: [] for i in range(len(arcs))}
-    pair_count = 0
+    pairs: List[Tuple[int, int]] = []
     for i in range(len(arcs)):
         for j in range(i + 1, len(arcs)):
             if interleave(arcs[i], arcs[j]):
                 partners[i].append(j)
                 partners[j].append(i)
-                pair_count += 1
+                pairs.append((i, j))
 
     out: Dict[int, List[Crossing]] = {}
     for i, js in partners.items():
@@ -132,13 +132,5 @@ def arc_crossings(arcs: List[Arc]) -> Tuple[Dict[int, List[Crossing]], int]:
             Crossing(partner=j, partner_starts_inside=arcs[i][0] < arcs[j][0] < arcs[i][1])
             for j in ordered
         ]
-    return out, pair_count
+    return out, pairs
 
-
-def crossing_pairs(arcs: List[Arc]) -> List[Tuple[int, int]]:
-    return [
-        (i, j)
-        for i in range(len(arcs))
-        for j in range(i + 1, len(arcs))
-        if interleave(arcs[i], arcs[j])
-    ]

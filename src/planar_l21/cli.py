@@ -14,7 +14,7 @@ import sys
 from typing import List, Optional
 
 from . import gadgets, pipeline
-from .errors import CapacityError, FormulaParseError, L21Error
+from .errors import L21Error
 from .graphs import from_json, to_dot
 from .labelling import (
     SAT,
@@ -56,24 +56,15 @@ def cmd_reduce(args) -> int:
     except OSError as exc:
         _note(f"reduce: cannot read {args.input}: {exc}")
         return EXIT_INPUT
-    except FormulaParseError as exc:
-        _note(f"reduce: {exc}")
-        return EXIT_INPUT
     try:
         trace = pipeline.run_reduction(formula, args.k, stop_at=args.stop_at)
         written = pipeline.write_trace(trace, args.out)
     except AssertionError as exc:
         _note(f"reduce: internal invariant violated: {exc}")
         return EXIT_INTERNAL
-    except L21Error as exc:
-        _note(f"reduce: {exc}")
-        return EXIT_INPUT
     _report({"command": "reduce", "k": args.k, "stop_at": args.stop_at, "files": written})
     _note(f"reduce: wrote {len(written)} files to {args.out}")
     return EXIT_OK
-
-
-_CERTIFIER_ORDER = ("H", "ClauseK", "UncrossU", "Hprime", "Gk")
 
 
 def _certify_tasks(lo: int, hi: int) -> List[tuple]:
@@ -109,19 +100,19 @@ def cmd_certify(args) -> int:
     if lo < 4 or hi < lo:
         _note(f"certify: k range must satisfy 4 <= lo <= hi, got {args.k}")
         return EXIT_INPUT
-    tasks = _certify_tasks(lo, hi)
-    workers = int(os.environ.get("L21_WORKERS", "1"))
-    try:
-        if workers > 1:
-            import multiprocessing
-
-            with multiprocessing.Pool(workers) as pool:
-                docs = pool.map(_run_certifier, tasks)
-        else:
-            docs = [_run_certifier(t) for t in tasks]
-    except CapacityError as exc:
-        _note(f"certify: {exc}")
+    raw_workers = os.environ.get("L21_WORKERS", "1")
+    if not raw_workers.isdecimal() or int(raw_workers) < 1:
+        _note(f"certify: L21_WORKERS must be a positive integer, got {raw_workers!r}")
         return EXIT_INPUT
+    workers = int(raw_workers)
+    tasks = _certify_tasks(lo, hi)
+    if workers > 1:
+        import multiprocessing
+
+        with multiprocessing.Pool(workers) as pool:
+            docs = pool.map(_run_certifier, tasks)
+    else:
+        docs = [_run_certifier(t) for t in tasks]
     failed = None
     for doc in docs:
         _report(doc)
@@ -157,11 +148,7 @@ def cmd_verify(args) -> int:
     except OSError as exc:
         _note(f"verify: cannot read input: {exc}")
         return EXIT_INPUT
-    try:
-        ok = verify_labelling(graph, labelling)
-    except L21Error as exc:
-        _note(f"verify: {exc}")
-        return EXIT_INPUT
+    ok = verify_labelling(graph, labelling)
     _report({"command": "verify", "valid": ok})
     return EXIT_OK if ok else EXIT_FAIL
 
@@ -174,9 +161,6 @@ def cmd_roundtrip(args) -> int:
         formula = parse_formula(open(args.formula).read())
     except OSError as exc:
         _note(f"roundtrip: cannot read {args.formula}: {exc}")
-        return EXIT_INPUT
-    except FormulaParseError as exc:
-        _note(f"roundtrip: {exc}")
         return EXIT_INPUT
     assignment = solve_nae_bruteforce(formula)
     trace = pipeline.run_reduction(formula, args.k)
@@ -281,7 +265,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except json.JSONDecodeError as exc:
+        _note(f"{args.command}: malformed JSON: {exc}")
+    except L21Error as exc:
+        _note(f"{args.command}: {exc}")
+    return EXIT_INPUT
 
 
 if __name__ == "__main__":

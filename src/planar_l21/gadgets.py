@@ -11,7 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Set, Tuple
+from functools import cached_property
+from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from .colouring import (
     BLACK,
@@ -31,6 +32,7 @@ from .graphs import (
     GraphBuilder,
     PortMap,
     RotationSystem,
+    Template,
     rotation_from_coordinates,
     verify_planar,
 )
@@ -52,6 +54,11 @@ class GadgetInstance:
 
     def port(self, name: str) -> int:
         return self.ports[name]
+
+    @cached_property
+    def template(self) -> Template:
+        """The gadget in vertex-name space, built once, for `GraphBuilder.embed`."""
+        return Template.of(self.graph, self.rot)
 
 
 @dataclass(frozen=True)
@@ -127,6 +134,7 @@ _H_EDGES = [
 
 _H_PORTS = ["a", "b", "m", "n", "i", "l", "o", "p", "q", "r"]
 _H_PENDANTS = {"a", "m", "n", "q", "r"}
+_H_ROLES = {name: (PORT if name in _H_PENDANTS else GADGET_INTERNAL) for name in _H_COORDS}
 
 _U_COORDS = {
     "z4": (F(4), F("0.5")),
@@ -202,6 +210,8 @@ _U_EDGES = [
 
 _U_PENDANTS = {"a", "w", "z2", "z4"}
 _U_GATES = {"b", "v", "z1", "z3"}
+
+_EDGE_PATH = ("u", "a_u", "a_v", "v")
 
 _G5_COORDS = {
     "u": (F("0.5"), F("3.5")),
@@ -290,21 +300,7 @@ def _build_from_figure(coords, edges, roles, port_names, kind, k=None) -> Gadget
 
 def build_H() -> GadgetInstance:
     """The 18-vertex base gadget whose almost-matchings carry one bit."""
-    roles = {name: (PORT if name in _H_PENDANTS else GADGET_INTERNAL) for name in _H_COORDS}
-    return _build_from_figure(_H_COORDS, _H_EDGES, roles, _H_PORTS, "H")
-
-
-def h_rotation_names() -> Dict[str, List[str]]:
-    """Rotation of H in vertex-name space; the clause builder splices it."""
-    inst = build_H()
-    id_to_name = {v.id: v.name for v in inst.graph.vertices}
-    return {
-        id_to_name[v]: [id_to_name[u] for u in ns]
-        for v, ns in inst.rot.rotation.items()
-    }
-
-
-_COPY_LETTERS = ["b", "c", "d", "e", "f", "g", "h", "i", "j", "k", "l", "o", "p", "q", "r"]
+    return _build_from_figure(_H_COORDS, _H_EDGES, _H_ROLES, _H_PORTS, "H")
 
 
 def build_clause_gadget() -> GadgetInstance:
@@ -313,46 +309,20 @@ def build_clause_gadget() -> GadgetInstance:
     The copies lose their m/n pendants; a ring of three edges
     l1-i2, l2-i3, l3-i1 replaces them.
     """
+    # H straight from the atlas: the clause lemma is about the figure, and a
+    # substituted build_H must not change it.
+    h = _build_from_figure(_H_COORDS, _H_EDGES, _H_ROLES, _H_PORTS, "H").template
     builder = GraphBuilder()
-    ids: Dict[str, int] = {"a": builder.add_vertex(GADGET_INTERNAL, "a")}
-    for t in (1, 2, 3):
-        for letter in _COPY_LETTERS:
-            role = PORT if letter in ("q", "r") else GADGET_INTERNAL
-            ids[f"{letter}{t}"] = builder.add_vertex(role, f"{letter}{t}")
-    for t in (1, 2, 3):
-        for x, y in _H_EDGES:
-            if "m" in (x, y) or "n" in (x, y):
-                continue
-            xc = "a" if x == "a" else f"{x}{t}"
-            yc = "a" if y == "a" else f"{y}{t}"
-            builder.add_edge(ids[xc], ids[yc])
-    ring = {1: 2, 2: 3, 3: 1}
-    for t in (1, 2, 3):
-        builder.add_edge(ids[f"l{t}"], ids[f"i{ring[t]}"])
-    graph = builder.freeze()
+    hub = builder.add_vertex(GADGET_INTERNAL, "a")
+    copies = [builder.embed(h, "{}" + str(t), {"a": hub}, ("m", "n")) for t in (1, 2, 3)]
+    for t, nxt in ((1, 2), (2, 3), (3, 1)):
+        builder.link(copies[t - 1]["l"], f"n{t}", copies[nxt - 1]["i"], f"m{nxt}")
+    graph, rot = builder.freeze_with_rotation()
 
-    h_rot = h_rotation_names()
-    rotation: Dict[int, List[int]] = {ids["a"]: [ids["b1"], ids["b2"], ids["b3"]]}
-    back = {2: 1, 3: 2, 1: 3}
-    for t in (1, 2, 3):
-        for letter in _COPY_LETTERS:
-            subst = []
-            for nbr in h_rot[letter]:
-                if nbr == "a":
-                    subst.append("a")
-                elif nbr == "m":
-                    subst.append(f"l{back[t]}")  # ring edge into this copy's i
-                elif nbr == "n":
-                    subst.append(f"i{ring[t]}")  # ring edge out of this copy's l
-                else:
-                    subst.append(f"{nbr}{t}")
-            rotation[ids[f"{letter}{t}"]] = [ids[s] for s in subst]
-    rot = RotationSystem(rotation)
-
-    port_names = {"a": ids["a"]}
-    for t in (1, 2, 3):
+    port_names = {"a": hub}
+    for t, ids in enumerate(copies, 1):
         for letter in ("o", "p", "q", "r"):
-            port_names[f"{letter}{t}"] = ids[f"{letter}{t}"]
+            port_names[f"{letter}{t}"] = ids[letter]
     instance = GadgetInstance(graph, rot, PortMap(port_names), "ClauseK")
     if not verify_planar(graph, rot):
         raise AssertionError("clause gadget embedding is not planar")
@@ -421,70 +391,38 @@ def build_edge_gadget(k: int) -> GadgetInstance:
     """
     if k < 4:
         raise ValidationError(f"edge gadget needs k >= 4, got {k}")
-    if k == 4:
-        builder = GraphBuilder()
-        ids = {name: builder.add_vertex(PORT, name) for name in ("u", "a_u", "a_v", "v")}
-        builder.add_edge(ids["u"], ids["a_u"])
-        builder.add_edge(ids["a_u"], ids["a_v"])
-        builder.add_edge(ids["a_v"], ids["v"])
-        graph = builder.freeze()
-        rot = RotationSystem(
-            {
-                ids["u"]: [ids["a_u"]],
-                ids["a_u"]: [ids["u"], ids["a_v"]],
-                ids["a_v"]: [ids["a_u"], ids["v"]],
-                ids["v"]: [ids["a_v"]],
-            }
-        )
-        ports = PortMap({name: ids[name] for name in ("u", "v", "a_u", "a_v")})
-        return GadgetInstance(graph, rot, ports, "G4", 4)
-    if k == 5:
-        roles = {name: (PORT if name in ("u", "v", "a_u", "a_v") else GADGET_INTERNAL) for name in _G5_COORDS}
-        return _build_from_figure(_G5_COORDS, _G5_EDGES, roles, ["u", "v", "a_u", "a_v"], "G5", 5)
+    if k <= 5:
+        coords = _G5_COORDS if k == 5 else {name: _G5_COORDS[name] for name in _EDGE_PATH}
+        edges = _G5_EDGES if k == 5 else list(zip(_EDGE_PATH, _EDGE_PATH[1:]))
+        roles = {name: (PORT if name in _EDGE_PATH else GADGET_INTERNAL) for name in coords}
+        return _build_from_figure(coords, edges, roles, _EDGE_PATH, f"G{k}", k)
 
     builder = GraphBuilder()
-    ids = {}
-    for name in ("u", "a_u", "a_v", "v"):
-        ids[name] = builder.add_vertex(PORT, name)
-    m = k - 5
-    for i in range(1, m + 1):
-        ids[f"b{i}"] = builder.add_vertex(GADGET_INTERNAL, f"b{i}")
-    hp = build_Hprime(k)
-    hp_names = [v.name for v in hp.graph.vertices]
-    for i in range(1, m + 1):
-        for side in ("l", "r"):
-            for name in hp_names:
-                ids[f"{name}.{side}{i}"] = builder.add_vertex(GADGET_INTERNAL, f"{name}.{side}{i}")
-    builder.add_edge(ids["u"], ids["a_u"])
-    builder.add_edge(ids["a_u"], ids["a_v"])
-    builder.add_edge(ids["a_v"], ids["v"])
-    hp_name_of = {v.id: v.name for v in hp.graph.vertices}
-    for i in range(1, m + 1):
-        builder.add_edge(ids[f"b{i}"], ids["a_u"])
-        builder.add_edge(ids[f"b{i}"], ids["a_v"])
-        for side in ("l", "r"):
-            builder.add_edge(ids[f"b{i}"], ids[f"c.{side}{i}"])
-            for x, y in hp.graph.sorted_edges():
-                builder.add_edge(ids[f"{hp_name_of[x]}.{side}{i}"], ids[f"{hp_name_of[y]}.{side}{i}"])
-    graph = builder.freeze()
-
-    rotation = {
-        ids["u"]: [ids["a_u"]],
-        ids["v"]: [ids["a_v"]],
-        ids["a_u"]: [ids["a_v"], ids["u"]] + [ids[f"b{i}"] for i in range(m, 0, -1)],
-        ids["a_v"]: [ids["v"], ids["a_u"]] + [ids[f"b{i}"] for i in range(1, m + 1)],
-    }
-    for i in range(1, m + 1):
-        rotation[ids[f"b{i}"]] = [ids["a_v"], ids["a_u"], ids[f"c.l{i}"], ids[f"c.r{i}"]]
-        for side in ("l", "r"):
-            for hv, ns in hp.rot.rotation.items():
-                name = hp_name_of[hv]
-                local = [ids[f"{hp_name_of[u]}.{side}{i}"] for u in ns]
-                if name == "c":
-                    local = local + [ids[f"b{i}"]]
-                rotation[ids[f"{name}.{side}{i}"]] = local
-    rot = RotationSystem(rotation)
-    ports = PortMap({name: ids[name] for name in ("u", "v", "a_u", "a_v")})
+    ids = {name: builder.add_vertex(PORT, name) for name in _EDGE_PATH}
+    middles = [builder.add_vertex(GADGET_INTERNAL, f"b{i}") for i in range(1, k - 4)]
+    hp = build_Hprime(k).template
+    hangers = [
+        [builder.embed(hp, "{}." + side + str(i), {}, (), GADGET_INTERNAL)["c"] for side in "lr"]
+        for i in range(1, k - 4)
+    ]
+    for x, y in zip(_EDGE_PATH, _EDGE_PATH[1:]):
+        builder.add_edge(ids[x], ids[y])
+    builder.rotation.update(
+        {
+            ids["u"]: [ids["a_u"]],
+            ids["v"]: [ids["a_v"]],
+            ids["a_u"]: [ids["a_v"], ids["u"]] + middles[::-1],
+            ids["a_v"]: [ids["v"], ids["a_u"]] + middles,
+        }
+    )
+    for b, cs in zip(middles, hangers):
+        builder.rotation[b] = [ids["a_v"], ids["a_u"]] + cs
+        for w in [ids["a_u"], ids["a_v"]] + cs:
+            builder.add_edge(b, w)
+        for c in cs:
+            builder.rotation[c].append(b)
+    graph, rot = builder.freeze_with_rotation()
+    ports = PortMap({name: ids[name] for name in _EDGE_PATH})
     instance = GadgetInstance(graph, rot, ports, "Gk", k)
     if not verify_planar(graph, rot):
         raise AssertionError(f"G_{k} embedding is not planar")
@@ -557,30 +495,29 @@ def clause_boundary_condition(pattern: Dict[str, str]) -> bool:
     return sum(1 for c in arm_colours if c == pattern["a"]) == 2
 
 
-def certify_clause_gadget() -> CertReport:
-    """Classify all 2^13 boundary colourings of the clause gadget."""
-    inst = build_clause_gadget()
+def _classify_boundary(
+    inst: GadgetInstance, boundary: List[str], extends: Callable[[Dict[str, str]], bool]
+) -> CertReport:
+    """Classify all 2^len(boundary) boundary colourings of a gadget: those
+    that extend to an almost-matching against those `extends` predicts."""
     ids = _names(inst)
-    boundary = _CLAUSE_BOUNDARY
-    observed_extendable = []
-    expected_extendable = []
+    observed = []
+    expected = []
     for bits in range(1 << len(boundary)):
         pattern = {
             name: WHITE if (bits >> i) & 1 else BLACK for i, name in enumerate(boundary)
         }
         pins = {ids[name]: colour for name, colour in pattern.items()}
         if solve_almost_2cpm(inst.graph, pins) is not None:
-            observed_extendable.append(bits)
-        if clause_boundary_condition(pattern):
-            expected_extendable.append(bits)
-    return CertReport(
-        "ClauseK",
-        None,
-        observed_extendable,
-        expected_extendable,
-        observed_extendable == expected_extendable,
-        1 << len(boundary),
-    )
+            observed.append(bits)
+        if extends(pattern):
+            expected.append(bits)
+    return CertReport(inst.kind, None, observed, expected, observed == expected, 1 << len(boundary))
+
+
+def certify_clause_gadget() -> CertReport:
+    """Classify all 2^13 boundary colourings of the clause gadget."""
+    return _classify_boundary(build_clause_gadget(), _CLAUSE_BOUNDARY, clause_boundary_condition)
 
 
 _U_BOUNDARY = ["a", "b", "w", "v", "z1", "z2", "z3", "z4"]
@@ -595,20 +532,7 @@ def uncross_boundary_condition(pattern: Dict[str, str]) -> bool:
 
 def certify_uncrossing() -> CertReport:
     """Classify all 2^8 boundary colourings of the uncrossing gadget."""
-    inst = build_uncrossing()
-    ids = _names(inst)
-    observed = []
-    expected = []
-    for bits in range(1 << len(_U_BOUNDARY)):
-        pattern = {
-            name: WHITE if (bits >> i) & 1 else BLACK for i, name in enumerate(_U_BOUNDARY)
-        }
-        pins = {ids[name]: colour for name, colour in pattern.items()}
-        if solve_almost_2cpm(inst.graph, pins) is not None:
-            observed.append(bits)
-        if uncross_boundary_condition(pattern):
-            expected.append(bits)
-    return CertReport("UncrossU", None, observed, expected, observed == expected, 256)
+    return _classify_boundary(build_uncrossing(), _U_BOUNDARY, uncross_boundary_condition)
 
 
 def certify_Hprime(k: int) -> CertReport:

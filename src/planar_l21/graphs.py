@@ -12,7 +12,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Collection, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .errors import ValidationError
 
@@ -180,13 +180,46 @@ class PortMap:
         return f"PortMap({self.ports})"
 
 
+@dataclass(frozen=True)
+class Template:
+    """A graph and its rotation in vertex-name space: the form in which
+    `GraphBuilder.embed` copies a gadget."""
+
+    vertices: Tuple[Tuple[str, str], ...]  # (name, role) in vertex-id order
+    edges: Tuple[Tuple[str, str], ...]
+    rotation: Dict[str, Tuple[str, ...]]
+
+    @classmethod
+    def of(cls, graph: Graph, rot: RotationSystem) -> "Template":
+        name = [v.name for v in graph.vertices]
+        return cls(
+            tuple((v.name, v.role) for v in graph.vertices),
+            tuple((name[u], name[v]) for u, v in graph.sorted_edges()),
+            {name[v]: tuple(name[u] for u in ns) for v, ns in rot.rotation.items()},
+        )
+
+
+@dataclass(frozen=True)
+class Unfilled:
+    """Rotation entry left where a dropped gadget vertex was a neighbour.
+
+    `name` is the name the dropped vertex would have had in the copy.
+    """
+
+    name: str
+
+
 class GraphBuilder:
-    """Mutable helper used by the constructions; `freeze` yields the graph."""
+    """Mutable helper used by the constructions; `freeze` yields the graph.
+
+    `rotation` holds the rotation under construction; its entries are vertex
+    ids or `Unfilled` markers that `link` replaces.
+    """
 
     def __init__(self):
         self._vertices: List[Vertex] = []
         self._edges: List[Edge] = []
-        self.rotation: Dict[int, List[int]] = {}
+        self.rotation: Dict[int, List[object]] = {}
 
     def add_vertex(self, role: str, name: str) -> int:
         vid = len(self._vertices)
@@ -204,10 +237,63 @@ class GraphBuilder:
         old = self._vertices[vid]
         self._vertices[vid] = Vertex(vid, role, old.name)
 
+    def embed(
+        self,
+        gadget: Template,
+        names: str,
+        glue: Dict[str, int],
+        drop: Collection[str],
+        role: Optional[str] = None,
+    ) -> Dict[str, int]:
+        """Copy `gadget` in, returning its name -> id map (glued names included).
+
+        Every vertex that is neither glued nor dropped is added in the
+        gadget's vertex order, named `names.format(name)`, with the gadget's
+        role or `role`.  A glued name is the host vertex `glue[name]`; it must
+        be a pendant of the gadget.  Its host rotation entry for the other
+        glued vertex, the host edge the gadget replaces, becomes the gadget
+        neighbour, which is appended when there is no such entry.  Edges to
+        dropped vertices are left out, and the rotation keeps an `Unfilled`
+        marker in their place.
+        """
+        ids = dict(glue)
+        copied = [
+            (name, r) for name, r in gadget.vertices if name not in glue and name not in drop
+        ]
+        for name, r in copied:
+            ids[name] = self.add_vertex(role or r, names.format(name))
+        for x, y in gadget.edges:
+            if x in ids and y in ids:
+                self.add_edge(ids[x], ids[y])
+        for name, _ in copied:
+            self.rotation[ids[name]] = [
+                ids[u] if u in ids else Unfilled(names.format(u)) for u in gadget.rotation[name]
+            ]
+        for name, host in glue.items():
+            (inner,) = gadget.rotation[name]
+            entries = self.rotation.setdefault(host, [])
+            replaced = [i for i, u in enumerate(entries) if u in glue.values()]
+            if replaced:
+                entries[replaced[0]] = ids[inner]
+            else:
+                entries.append(ids[inner])
+        return ids
+
+    def link(self, u: int, u_marker: str, v: int, v_marker: str) -> None:
+        """Add edge u-v where the rotations of u and v hold the `Unfilled`
+        markers named `u_marker` and `v_marker`."""
+        self.add_edge(u, v)
+        for x, marker, y in ((u, u_marker, v), (v, v_marker, u)):
+            entries = self.rotation[x]
+            entries[entries.index(Unfilled(marker))] = y
+
     def freeze(self) -> Graph:
         return Graph(self._vertices, self._edges)
 
     def freeze_with_rotation(self) -> Tuple[Graph, RotationSystem]:
+        for vid, entries in self.rotation.items():
+            if any(isinstance(entry, Unfilled) for entry in entries):
+                raise AssertionError(f"unfilled rotation slot at vertex {vid}")
         return self.freeze(), RotationSystem(self.rotation)
 
 

@@ -33,7 +33,6 @@ from .colouring import (
 from .errors import InconsistencyError, ValidationError
 from .gadgets import GadgetInstance, build_aux_edge, build_clause_gadget, build_edge_gadget, build_uncrossing
 from .graphs import (
-    CYCLE_VERTEX,
     GADGET_INTERNAL,
     GATE,
     IN_VERTEX,
@@ -85,14 +84,11 @@ class ChordSystem:
         return [(ch.slot_lo, ch.slot_hi) for ch in self.chords]
 
 
-_SLOT_MARKER = "slot"
-
-
 @dataclass
 class CubicStage:
     graph: Graph
     chords: ChordSystem
-    # rotation with consumed-port positions holding ("slot", index) markers
+    # rotation with an Unfilled marker, named c<clause>.<port>, per consumed port
     rotation_template: Dict[int, List[object]]
     literal_vertices: Dict[int, List[int]]  # literal -> port vertices labelled with it
     arm_vertices: Dict[Tuple[int, int], Dict[str, int]]  # (clause, arm) -> {"o","p"}
@@ -160,24 +156,11 @@ def nae_to_cubic(formula: Nae3SatFormula) -> CubicStage:
     """
     if not formula.clauses:
         raise ValidationError("reduction needs at least one clause")
-    src = build_clause_gadget()
-    src_name = {v.id: v.name for v in src.graph.vertices}
-    consumed = set(PORT_SLOT_ORDER)
-
+    src = build_clause_gadget().template
     builder = GraphBuilder()
-    maps: List[Dict[str, int]] = []
-    for c in range(len(formula.clauses)):
-        m = {}
-        for v in src.graph.vertices:
-            if v.name in consumed:
-                continue
-            m[v.name] = builder.add_vertex(GADGET_INTERNAL, f"c{c}.{v.name}")
-        maps.append(m)
-        for x, y in src.graph.sorted_edges():
-            nx, ny = src_name[x], src_name[y]
-            if nx in consumed or ny in consumed:
-                continue
-            builder.add_edge(m[nx], m[ny])
+    maps = [
+        builder.embed(src, f"c{c}.{{}}", {}, PORT_SLOT_ORDER) for c in range(len(formula.clauses))
+    ]
 
     slots: List[SlotRecord] = []
     for c in range(len(formula.clauses)):
@@ -206,21 +189,6 @@ def nae_to_cubic(formula: Nae3SatFormula) -> CubicStage:
     chord_system = ChordSystem(slots, chords)
     chord_system.validate()
 
-    slot_of = {}
-    for s in slots:
-        slot_of[(s.clause, s.port)] = s.index
-    h_rot = {src_name[v]: [src_name[u] for u in ns] for v, ns in src.rot.rotation.items()}
-    template: Dict[int, List[object]] = {}
-    for c, m in enumerate(maps):
-        for name, vid in m.items():
-            entries: List[object] = []
-            for nbr in h_rot[name]:
-                if nbr in consumed:
-                    entries.append((_SLOT_MARKER, slot_of[(c, nbr)]))
-                else:
-                    entries.append(m[nbr])
-            template[vid] = entries
-
     graph = builder.freeze()
     if not check_regular(graph, 3):
         raise AssertionError("the linked clause gadgets must form a cubic graph")
@@ -236,7 +204,7 @@ def nae_to_cubic(formula: Nae3SatFormula) -> CubicStage:
     return CubicStage(
         graph=graph,
         chords=chord_system,
-        rotation_template=template,
+        rotation_template=builder.rotation,
         literal_vertices={lit: sorted(vs) for lit, vs in literal_vertices.items()},
         arm_vertices=arm_vertices,
         a_vertices=[m["a"] for m in maps],
@@ -259,60 +227,31 @@ def planarize(stage: CubicStage) -> PlanarStage:
     the resulting graph is cubic, planar, and certified by the Euler check.
     """
     stage.chords.validate()
-    arcs = stage.chords.arcs()
-    per_arc, pair_count = chordgeo.arc_crossings(arcs)
+    per_arc, pairs = chordgeo.arc_crossings(stage.chords.arcs())
 
     builder = GraphBuilder()
     for v in stage.graph.vertices:
         builder.add_vertex(v.role, v.name)
-    rotation: Dict[int, List[object]] = {v: list(ns) for v, ns in stage.rotation_template.items()}
-
+    builder.rotation = {v: list(ns) for v, ns in stage.rotation_template.items()}
     id_edge_set = set(stage.identifying_edges)
     for e in stage.graph.sorted_edges():
         if e not in id_edge_set:
             builder.add_edge(*e)
 
-    u_src = build_uncrossing()
-    u_name = {v.id: v.name for v in u_src.graph.vertices}
-    u_pendants = {"a", "w", "z2", "z4"}
-    ucopy: Dict[Tuple[int, int], Dict[str, int]] = {}
-    uncross_maps: List[Dict[str, int]] = []
-    for i, j in chordgeo.crossing_pairs(arcs):
-        m = {}
-        for v in u_src.graph.vertices:
-            if v.name in u_pendants:
-                continue
-            m[v.name] = builder.add_vertex(v.role, f"u{len(uncross_maps)}.{v.name}")
-        for x, y in u_src.graph.sorted_edges():
-            nx, ny = u_name[x], u_name[y]
-            if nx in u_pendants or ny in u_pendants:
-                continue
-            builder.add_edge(m[nx], m[ny])
-        for uv, ns in u_src.rot.rotation.items():
-            name = u_name[uv]
-            if name in u_pendants:
-                continue
-            rotation[m[name]] = [
-                (_SLOT_MARKER, (i, j, u_name[nb])) if u_name[nb] in u_pendants else m[u_name[nb]]
-                for nb in ns
-            ]
-        ucopy[(i, j)] = m
-        uncross_maps.append(m)
+    u_src = build_uncrossing().template
+    u_pendants = set(_U_PENDANT_OF_GATE.values())
+    uncross_maps = [builder.embed(u_src, f"u{g}.{{}}", {}, u_pendants) for g in range(len(pairs))]
+    gadget_of_pair = {pair: g for g, pair in enumerate(pairs)}
 
-    def fill_marker(vid: int, marker: object, partner: int) -> None:
-        entries = rotation[vid]
-        entries[entries.index(marker)] = partner
-
+    # nae_to_cubic left a marker named after the consumed port in each slot
+    slot_marker = {s.index: f"c{s.clause}.{s.port}" for s in stage.chords.slots}
     slot_attach = {s.index: s.attach for s in stage.chords.slots}
     identifying: List[Edge] = []
     for ci, chord in enumerate(stage.chords.chords):
-        lo_vertex = slot_attach[chord.slot_lo]
-        hi_vertex = slot_attach[chord.slot_hi]
-        prev_vertex, prev_marker = lo_vertex, (_SLOT_MARKER, chord.slot_lo)
+        prev_vertex, prev_marker = slot_attach[chord.slot_lo], slot_marker[chord.slot_lo]
         for crossing in per_arc.get(ci, []):
             cj = crossing.partner
-            pair = (min(ci, cj), max(ci, cj))
-            m = ucopy[pair]
+            g = gadget_of_pair[(min(ci, cj), max(ci, cj))]
             if ci < cj:
                 entry_gate, exit_gate = "v", "z1"
             elif not crossing.partner_starts_inside:
@@ -320,24 +259,16 @@ def planarize(stage: CubicStage) -> PlanarStage:
                 entry_gate, exit_gate = "b", "z3"
             else:
                 entry_gate, exit_gate = "z3", "b"
-            entry, exit_ = m[entry_gate], m[exit_gate]
-            builder.add_edge(prev_vertex, entry)
+            entry = uncross_maps[g][entry_gate]
+            builder.link(prev_vertex, prev_marker, entry, f"u{g}.{_U_PENDANT_OF_GATE[entry_gate]}")
             identifying.append(edge_key(prev_vertex, entry))
-            fill_marker(prev_vertex, prev_marker, entry)
-            fill_marker(entry, (_SLOT_MARKER, (pair[0], pair[1], _U_PENDANT_OF_GATE[entry_gate])), prev_vertex)
-            prev_vertex = exit_
-            prev_marker = (_SLOT_MARKER, (pair[0], pair[1], _U_PENDANT_OF_GATE[exit_gate]))
-        builder.add_edge(prev_vertex, hi_vertex)
+            prev_vertex = uncross_maps[g][exit_gate]
+            prev_marker = f"u{g}.{_U_PENDANT_OF_GATE[exit_gate]}"
+        hi_vertex = slot_attach[chord.slot_hi]
+        builder.link(prev_vertex, prev_marker, hi_vertex, slot_marker[chord.slot_hi])
         identifying.append(edge_key(prev_vertex, hi_vertex))
-        fill_marker(prev_vertex, prev_marker, hi_vertex)
-        fill_marker(hi_vertex, (_SLOT_MARKER, chord.slot_hi), prev_vertex)
 
-    graph = builder.freeze()
-    for vid, entries in rotation.items():
-        for entry in entries:
-            if isinstance(entry, tuple):
-                raise AssertionError(f"unfilled rotation slot at vertex {vid}")
-    rot = RotationSystem({v: ns for v, ns in rotation.items()})
+    graph, rot = builder.freeze_with_rotation()
     if not check_regular(graph, 3):
         raise AssertionError("planarization must preserve 3-regularity")
     if not verify_planar(graph, rot):
@@ -349,7 +280,7 @@ def planarize(stage: CubicStage) -> PlanarStage:
         a_vertices=stage.a_vertices,
         arm_literals=stage.arm_literals,
         identifying_edges=sorted(identifying),
-        crossing_count=pair_count,
+        crossing_count=len(pairs),
         uncross_maps=uncross_maps,
     )
 
@@ -380,40 +311,16 @@ def build_auxiliary(stage: PlanarStage) -> AuxStage:
     if not check_regular(stage.graph, 3):
         raise ValidationError("auxiliary construction expects a cubic graph")
     input_planar = verify_planar(stage.graph, stage.rot)
-    aux_src = build_aux_edge()
-    aux_name = {v.id: v.name for v in aux_src.graph.vertices}
-
+    aux_src = build_aux_edge().template
     builder = GraphBuilder()
     for v in stage.graph.vertices:
         builder.add_vertex(ORIGINAL, v.name)
-    rotation: Dict[int, List[int]] = {
-        v: list(ns) for v, ns in stage.rot.rotation.items()
+    builder.rotation = {v: list(ns) for v, ns in stage.rot.rotation.items()}
+    aux_records: Dict[Edge, Dict[str, int]] = {
+        (x, y): builder.embed(aux_src, f"e{x}-{y}.{{}}", {"u": x, "v": y}, ())
+        for x, y in stage.graph.sorted_edges()
     }
-
-    roles = {"cu": CYCLE_VERTEX, "cin": CYCLE_VERTEX, "cout": CYCLE_VERTEX, "cv": CYCLE_VERTEX,
-             "in": IN_VERTEX, "out": OUT_VERTEX}
-    aux_records: Dict[Edge, Dict[str, int]] = {}
-    for x, y in stage.graph.sorted_edges():
-        m = {"u": x, "v": y}
-        for name in ("cu", "cin", "cout", "cv", "in", "out"):
-            m[name] = builder.add_vertex(roles[name], f"e{x}-{y}.{name}")
-        for a, b in aux_src.graph.sorted_edges():
-            na, nb = aux_name[a], aux_name[b]
-            if (na, nb) in (("u", "cu"), ("cu", "u")):
-                continue  # the two attachment edges are added via the map
-            builder.add_edge(m[na], m[nb])
-        builder.add_edge(x, m["cu"])
-        rotation[x][rotation[x].index(y)] = m["cu"]
-        rotation[y][rotation[y].index(x)] = m["cv"]
-        for av, ns in aux_src.rot.rotation.items():
-            name = aux_name[av]
-            if name in ("u", "v"):
-                continue
-            rotation[m[name]] = [m[aux_name[nb]] for nb in ns]
-        aux_records[(x, y)] = m
-
-    graph = builder.freeze()
-    rot = RotationSystem(rotation)
+    graph, rot = builder.freeze_with_rotation()
     n, mm = stage.graph.n, stage.graph.m
     if graph.n != n + 6 * mm or graph.m != 8 * mm:
         raise AssertionError("auxiliary graph census mismatch")
@@ -440,7 +347,8 @@ def build_instance(stage: AuxStage, k: int) -> InstanceStage:
     builder = GraphBuilder()
     for v in h.vertices:
         builder.add_vertex(v.role, v.name)
-    rotation: Dict[int, List[int]] = {v: list(ns) for v, ns in stage.rot.rotation.items()}
+    builder.rotation = {v: list(ns) for v, ns in stage.rot.rotation.items()}
+    rotation = builder.rotation
 
     pendant_map: Dict[int, List[int]] = {}
     for v in range(h.n):
@@ -455,33 +363,12 @@ def build_instance(stage: AuxStage, k: int) -> InstanceStage:
         if leaves:
             pendant_map[v] = leaves
 
-    gadget_src = build_edge_gadget(k)
-    g_name = {v.id: v.name for v in gadget_src.graph.vertices}
+    gadget_src = build_edge_gadget(k).template
     gadget_records: Dict[Edge, Dict[str, object]] = {}
     for x, y in h.sorted_edges():
-        m: Dict[str, int] = {"u": x, "v": y}
-        for v in gadget_src.graph.vertices:
-            if v.name in ("u", "v"):
-                continue
-            m[v.name] = builder.add_vertex(GADGET_INTERNAL, f"e{x}-{y}.{v.name}")
-        for a, b in gadget_src.graph.sorted_edges():
-            na, nb = g_name[a], g_name[b]
-            if (na, nb) in (("u", "a_u"), ("a_u", "u")) or (na, nb) in (("a_v", "v"), ("v", "a_v")):
-                continue
-            builder.add_edge(m[na], m[nb])
-        builder.add_edge(x, m["a_u"])
-        builder.add_edge(m["a_v"], y)
-        rotation[x][rotation[x].index(y)] = m["a_u"]
-        rotation[y][rotation[y].index(x)] = m["a_v"]
-        for gv, ns in gadget_src.rot.rotation.items():
-            name = g_name[gv]
-            if name in ("u", "v"):
-                continue
-            rotation[m[name]] = [
-                x if g_name[nb] == "u" else y if g_name[nb] == "v" else m[g_name[nb]]
-                for nb in ns
-            ]
-        interior = {name: vid for name, vid in m.items() if name not in ("u", "v")}
+        glue = {"u": x, "v": y}
+        m = builder.embed(gadget_src, f"e{x}-{y}.{{}}", glue, (), GADGET_INTERNAL)
+        interior = {name: vid for name, vid in m.items() if name not in glue}
         gadget_records[(x, y)] = {"a_u": m["a_u"], "a_v": m["a_v"], "interior": interior}
 
     w_map: Dict[int, int] = {}
@@ -498,8 +385,7 @@ def build_instance(stage: AuxStage, k: int) -> InstanceStage:
             leaves.append(leaf)
         pendant_map[w] = leaves
 
-    graph = builder.freeze()
-    rot = RotationSystem(rotation)
+    graph, rot = builder.freeze_with_rotation()
     for v in range(h.n):
         if graph.degree(v) != k - 1:
             raise AssertionError("every former vertex must reach degree k-1")

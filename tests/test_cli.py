@@ -176,3 +176,54 @@ def test_export_dot(tmp_path, formula_file, capsys):
     assert captured.out.startswith("graph g {")
     code = cli.main(["export", "--format", "svg", "--input", str(out / "cubic.json")])
     assert code == 2
+
+
+def assert_bad_input(code, err):
+    assert code == 2
+    assert len(err.strip().splitlines()) == 1
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["solve", "verify", "export"])
+def test_malformed_json_exits_2(tmp_path, capsys, command):
+    broken = tmp_path / "broken.json"
+    broken.write_text('{"vertices": [')
+    argv = {
+        "solve": ["solve", "--instance", str(broken)],
+        "verify": ["verify", "--instance", str(broken), "--labelling", str(broken)],
+        "export": ["export", "--input", str(broken)],
+    }[command]
+    code, _, err = run_cli(capsys, argv)
+    assert_bad_input(code, err)
+    assert "malformed JSON" in err
+
+
+def test_verify_out_of_range_label_exits_2(tmp_path, capsys):
+    from conftest import cycle_graph
+    from planar_l21.graphs import to_json
+
+    instance = tmp_path / "c5.json"
+    instance.write_text(to_json(cycle_graph(5), k=4))
+    lab = tmp_path / "lab.json"
+    lab.write_text(json.dumps({"k": 4, "labels": {"0": 9}}))
+    code, _, err = run_cli(capsys, ["verify", "--instance", str(instance), "--labelling", str(lab)])
+    assert_bad_input(code, err)
+    assert "outside [0,4]" in err
+
+
+@pytest.mark.parametrize("value", ["abc", "0"])
+def test_certify_rejects_bad_worker_count(capsys, monkeypatch, value):
+    monkeypatch.setenv("L21_WORKERS", value)
+    code, reports, err = run_cli(capsys, ["certify", "--k", "4..4"])
+    assert_bad_input(code, err)
+    assert reports == []
+    assert "L21_WORKERS" in err
+
+
+def test_roundtrip_over_capacity_exits_2(tmp_path, capsys):
+    path = tmp_path / "wide.cnf"
+    path.write_text("p cnf 31 1\n1 2 31 0\n")
+    code, reports, err = run_cli(capsys, ["roundtrip", "--formula", str(path)])
+    assert_bad_input(code, err)
+    assert reports == []
+    assert "brute-force limit" in err
