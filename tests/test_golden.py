@@ -155,3 +155,61 @@ def test_trace_files_golden(index, k, tmp_path):
     observed = {f"f{index}k{k}/{name}": _sha256((tmp_path / name).read_text()) for name in written}
     expected = {key: h for key, h in TRACE_HASHES.items() if key.startswith(f"f{index}k{k}/")}
     assert observed == expected
+
+
+# ---------------------------------------------------------------------------
+# Solver golden outputs: every solve_labelling call that `l21 certify --k 4..8`
+# makes (certify_Hprime(6..8) and certify_edge_gadget(4..8)), and the
+# command's stdout.  Both solvers propagate to a unique fixpoint, so a faster
+# propagator must reproduce outcomes, node counts and witnesses exactly.
+# ---------------------------------------------------------------------------
+
+SOLVER_CALLS = 1490
+SOLVER_NODES = 41670
+SOLVER_HASH = "7b7f8e84efe8dd4b3130a291636b9ec2458f305e0aeecf7809fe8deb6998dc8a"
+CERTIFY_STDOUT_HASH = "2fb2dd7e5596fab51d4cea9ee94ee172282145c812958ecc8adc38639b87ddac"
+
+
+@pytest.fixture(scope="module")
+def certify_run():
+    """Run `l21 certify --k 4..8` once, logging every solve_labelling call as
+    (k, sorted pins, outcome, nodes, sorted labels)."""
+    import contextlib
+    import io
+    import json
+
+    from planar_l21 import cli, labelling
+
+    original = labelling.solve_labelling
+    calls = []
+
+    def logged(graph, k, pinned=None, budget=None):
+        result = original(graph, k, pinned, budget)
+        labels = None if result.labelling is None else sorted(result.labelling.labels.items())
+        calls.append([k, sorted((pinned or {}).items()), result.outcome, result.nodes, labels])
+        return result
+
+    patched = [labelling, gadgets]
+    for module in patched:
+        module.solve_labelling = logged
+    out = io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            code = cli.main(["certify", "--k", "4..8"])
+    finally:
+        for module in patched:
+            module.solve_labelling = original
+    return code, out.getvalue(), calls, _sha256(json.dumps(calls, separators=(",", ":")))
+
+
+def test_certify_solver_calls_golden(certify_run):
+    _, _, calls, digest = certify_run
+    assert len(calls) == SOLVER_CALLS
+    assert sum(call[3] for call in calls) == SOLVER_NODES
+    assert digest == SOLVER_HASH
+
+
+def test_certify_stdout_golden(certify_run):
+    code, stdout, _, _ = certify_run
+    assert code == 0
+    assert _sha256(stdout) == CERTIFY_STDOUT_HASH

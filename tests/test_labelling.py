@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -19,6 +20,7 @@ from planar_l21.labelling import (
     solve_labelling,
     solve_labelling_bruteforce,
     verify_labelling,
+    _LabelSearch,
 )
 from planar_l21.graphs import PortMap
 
@@ -195,3 +197,25 @@ def test_oracle_equivalence_sample():
 def test_labelling_serialization_round_trip():
     lab = Labelling(4, {0: 0, 1: 2})
     assert labelling_from_json(labelling_to_json(lab)) == lab
+
+
+def _has_sdr(masks):
+    """Brute force: some choice of one label per mask is pairwise distinct."""
+    choices = [[x for x in range(mask.bit_length()) if mask >> x & 1] for mask in masks]
+    return any(len(set(pick)) == len(pick) for pick in itertools.product(*choices))
+
+
+def test_hall_check_matches_bruteforce_sdr():
+    rng = random.Random(11)
+    seen = set()
+    for _ in range(400):
+        leaves = rng.randint(3, 6)
+        k = rng.randint(4, 7)
+        search = _LabelSearch(star_graph(leaves), k)
+        # the AND of two random masks keeps domains small enough to fail often
+        masks = [(rng.randint(1, search.full) & rng.randint(1, search.full)) or 1 for _ in range(leaves)]
+        search.domains = [search.full] + masks
+        expected = _has_sdr(masks)
+        assert search._hall_check(set(range(1, leaves + 1))) == expected, (k, masks)
+        seen.add(expected)
+    assert seen == {True, False}
