@@ -58,10 +58,14 @@ def cmd_reduce(args) -> int:
         return EXIT_INPUT
     try:
         trace = pipeline.run_reduction(formula, args.k, stop_at=args.stop_at)
-        written = pipeline.write_trace(trace, args.out)
     except AssertionError as exc:
         _note(f"reduce: internal invariant violated: {exc}")
         return EXIT_INTERNAL
+    try:
+        written = pipeline.write_trace(trace, args.out)
+    except OSError as exc:
+        _note(f"reduce: cannot write to {args.out}: {exc}")
+        return EXIT_INPUT
     _report({"command": "reduce", "k": args.k, "stop_at": args.stop_at, "files": written})
     _note(f"reduce: wrote {len(written)} files to {args.out}")
     return EXIT_OK

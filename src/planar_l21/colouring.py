@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from .errors import CapacityError, ValidationError
 from .graphs import Edge, Graph, edge_key
@@ -73,6 +73,9 @@ class _MatchingSearch:
     def __init__(self, graph: Graph, almost: bool):
         self.graph = graph
         self.almost = almost
+        self.adj = [graph.neighbours(v) for v in range(graph.n)]
+        # vertices that must end with exactly one same-coloured neighbour
+        self.constrained = [len(ns) >= 2 or not almost for ns in self.adj]
         self.order = self._bfs_order()
         self.colour: List[Optional[int]] = [None] * graph.n
         self.counts = [[0] * graph.n, [0] * graph.n]  # decided neighbours by colour
@@ -92,14 +95,11 @@ class _MatchingSearch:
                 u = queue[head]
                 head += 1
                 order.append(u)
-                for w in self.graph.neighbours(u):
+                for w in self.adj[u]:
                     if not seen[w]:
                         seen[w] = True
                         queue.append(w)
         return order
-
-    def _constrained(self, v: int) -> bool:
-        return self.graph.degree(v) >= 2 or not self.almost
 
     def _dead_choice(self, v: int, c: int) -> bool:
         # colour c at v can no longer end up with exactly one same-coloured
@@ -109,7 +109,7 @@ class _MatchingSearch:
     def _examine(self, w: int, queue: List[Tuple[int, int]]) -> bool:
         cw = self.colour[w]
         if cw is not None:
-            if not self._constrained(w):
+            if not self.constrained[w]:
                 return True
             same = self.counts[cw][w]
             if same > 1:
@@ -118,15 +118,15 @@ class _MatchingSearch:
                 return False
             if self.undec[w] > 0:
                 if same == 1:
-                    for u in self.graph.neighbours(w):
+                    for u in self.adj[w]:
                         if self.colour[u] is None:
                             queue.append((u, 1 - cw))
                 elif same == 0 and self.undec[w] == 1:
-                    for u in self.graph.neighbours(w):
+                    for u in self.adj[w]:
                         if self.colour[u] is None:
                             queue.append((u, cw))
             return True
-        if not self._constrained(w):
+        if not self.constrained[w]:
             return True
         dead0 = self._dead_choice(w, 0)
         dead1 = self._dead_choice(w, 1)
@@ -148,12 +148,12 @@ class _MatchingSearch:
                 continue
             self.colour[v] = c
             self.trail.append(v)
-            for u in self.graph.neighbours(v):
+            for u in self.adj[v]:
                 self.counts[c][u] += 1
                 self.undec[u] -= 1
             if not self._examine(v, queue):
                 return False
-            for u in self.graph.neighbours(v):
+            for u in self.adj[v]:
                 if not self._examine(u, queue):
                     return False
         return True
@@ -163,36 +163,41 @@ class _MatchingSearch:
             v = self.trail.pop()
             c = self.colour[v]
             self.colour[v] = None
-            for u in self.graph.neighbours(v):
+            for u in self.adj[v]:
                 self.counts[c][u] -= 1
                 self.undec[u] += 1
 
-    def solutions(self, first_only: bool) -> Iterable[Tuple[int, ...]]:
+    def solutions(self) -> Iterator[Tuple[int, ...]]:
+        """Every completion of the current partial colouring, in branch order.
+
+        Iterative over an explicit decision stack, so long BFS orders cannot
+        exhaust the interpreter's recursion limit.  A consumer that stops
+        early leaves the trail extended; undo to a mark taken before.
+        """
         if not self.almost and any(self.graph.degree(v) == 0 for v in range(self.graph.n)):
             return  # a vertex with no neighbours can never be matched
-        yield from self._search(0, first_only)
-
-    def _search(self, pos: int, first_only: bool):
-        n = self.graph.n
-        while pos < n and self.colour[self.order[pos]] is not None:
-            pos += 1
-        if pos == n:
-            yield tuple(self.colour)  # fully decided and violation-free
-            return
-        v = self.order[pos]
-        for c in (0, 1):
-            mark = len(self.trail)
-            if self.assign(v, c):
-                found = False
-                for sol in self._search(pos + 1, first_only):
-                    found = True
-                    yield sol
-                    if first_only:
-                        break
-                if first_only and found:
-                    self.undo_to(mark)
+        order, colour, n = self.order, self.colour, self.graph.n
+        decisions: List[Tuple[int, int, int]] = []  # (order position, colour, trail mark)
+        pos, c = 0, 0
+        while True:
+            while pos < n and colour[order[pos]] is not None:
+                pos += 1
+            if pos == n:
+                yield tuple(colour)  # fully decided and violation-free
+                c = 2
+            while c == 2:  # both colours tried: revise the latest decision
+                if not decisions:
                     return
-            self.undo_to(mark)
+                pos, c, mark = decisions.pop()
+                self.undo_to(mark)
+                c += 1
+            mark = len(self.trail)
+            if self.assign(order[pos], c):
+                decisions.append((pos, c, mark))
+                pos, c = pos + 1, 0
+            else:
+                self.undo_to(mark)
+                c += 1
 
 
 def _bits_to_colouring(bits: Tuple[int, ...]) -> TwoColouring:
@@ -227,9 +232,35 @@ def _solve_matching(graph: Graph, pinned: Optional[TwoColouring], almost: bool):
                 raise ValidationError(f"bad pinned colour {c!r} at {v}")
             if not search.assign(v, 0 if c == BLACK else 1):
                 return None
-    for bits in search.solutions(first_only=True):
-        return _bits_to_colouring(bits)
-    return None
+    bits = next(search.solutions(), None)
+    return None if bits is None else _bits_to_colouring(bits)
+
+
+def extendable_boundary_patterns(graph: Graph, boundary: Sequence[int]) -> List[int]:
+    """Boundary colourings that extend to an almost-2CPM, ascending.
+
+    A pattern is an int whose bit i is set when ``boundary[i]`` is white.
+    One search serves all 2^len(boundary) patterns: the boundary is pinned
+    depth-first from its last vertex, on one trail, so a pin that fails
+    propagation rules out every pattern below it at once.
+    """
+    search = _MatchingSearch(graph, almost=True)
+    out: List[int] = []
+
+    def walk(i: int, bits: int) -> None:
+        mark = len(search.trail)
+        if i < 0:
+            if next(search.solutions(), None) is not None:
+                out.append(bits)
+            search.undo_to(mark)
+            return
+        for c in (0, 1):
+            if search.assign(boundary[i], c):
+                walk(i - 1, bits | c << i)
+            search.undo_to(mark)
+
+    walk(len(boundary) - 1, 0)
+    return out
 
 
 def enumerate_almost_2cpm(graph: Graph) -> List[TwoColouring]:
@@ -239,7 +270,7 @@ def enumerate_almost_2cpm(graph: Graph) -> List[TwoColouring]:
             f"{graph.n} vertices exceed enumeration limit {ENUMERATION_VERTEX_LIMIT}"
         )
     search = _MatchingSearch(graph, almost=True)
-    found = sorted(search.solutions(first_only=False), key=_colouring_key)
+    found = sorted(search.solutions(), key=_colouring_key)
     return [_bits_to_colouring(bits) for bits in found]
 
 

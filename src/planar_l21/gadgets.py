@@ -18,7 +18,7 @@ from .colouring import (
     BLACK,
     WHITE,
     enumerate_almost_2cpm,
-    solve_almost_2cpm,
+    extendable_boundary_patterns,
 )
 from .errors import CapacityError, ValidationError
 from .graphs import (
@@ -501,17 +501,12 @@ def _classify_boundary(
     """Classify all 2^len(boundary) boundary colourings of a gadget: those
     that extend to an almost-matching against those `extends` predicts."""
     ids = _names(inst)
-    observed = []
-    expected = []
-    for bits in range(1 << len(boundary)):
-        pattern = {
-            name: WHITE if (bits >> i) & 1 else BLACK for i, name in enumerate(boundary)
-        }
-        pins = {ids[name]: colour for name, colour in pattern.items()}
-        if solve_almost_2cpm(inst.graph, pins) is not None:
-            observed.append(bits)
-        if extends(pattern):
-            expected.append(bits)
+    observed = extendable_boundary_patterns(inst.graph, [ids[name] for name in boundary])
+    expected = [
+        bits
+        for bits in range(1 << len(boundary))
+        if extends({name: WHITE if (bits >> i) & 1 else BLACK for i, name in enumerate(boundary)})
+    ]
     return CertReport(inst.kind, None, observed, expected, observed == expected, 1 << len(boundary))
 
 

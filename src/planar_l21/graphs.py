@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cmp_to_key
+from functools import cached_property, cmp_to_key
 from typing import Collection, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .errors import ValidationError
@@ -87,6 +87,16 @@ class Graph:
 
     def has_edge(self, u: int, v: int) -> bool:
         return edge_key(u, v) in self.edges
+
+    @cached_property
+    def distance2(self) -> Tuple[Tuple[int, ...], ...]:
+        """Per vertex, the sorted vertices at distance exactly two."""
+        out = []
+        for v, ns in enumerate(self._adj):
+            near = set(ns)
+            near.add(v)
+            out.append(tuple(sorted({w for u in ns for w in self._adj[u] if w not in near})))
+        return tuple(out)
 
     def sorted_edges(self) -> List[Edge]:
         return sorted(self.edges)
@@ -434,24 +444,45 @@ def _canonical_cycle(ns: Sequence[int]) -> Tuple[int, ...]:
     return tuple(ns[i:]) + tuple(ns[:i])
 
 
-def from_json(text: str) -> Tuple[Graph, Optional[RotationSystem], PortMap, Optional[int]]:
+def json_object(text: str, keys: Sequence[str], what: str) -> dict:
+    """Parse ``text`` as a JSON object that holds every key in ``keys``."""
     doc = json.loads(text)
-    vertices = [Vertex(d["id"], d["role"], d["name"]) for d in doc["vertices"]]
-    graph = Graph(vertices, [tuple(e) for e in doc["edges"]])
-    rot = None
-    if doc.get("rotation") is not None:
-        rotation = {}
-        for vs, pairs in doc["rotation"].items():
-            v = int(vs)
-            ns = []
-            for a, b in pairs:
-                if v not in (a, b):
-                    raise ValidationError(f"rotation entry for {v} lists foreign edge ({a},{b})")
-                ns.append(b if a == v else a)
-            rotation[v] = ns
-        rot = RotationSystem(rotation)
-    ports = PortMap(doc.get("ports") or {})
-    return graph, rot, ports, doc.get("k")
+    if not isinstance(doc, dict):
+        raise ValidationError(f"{what} JSON must be an object, not {type(doc).__name__}")
+    missing = [key for key in keys if key not in doc]
+    if missing:
+        raise ValidationError(f"{what} JSON lacks {', '.join(map(repr, missing))}")
+    return doc
+
+
+# what indexing a JSON value of the wrong type raises
+JSON_SHAPE_ERRORS = (AttributeError, KeyError, TypeError, ValueError)
+
+
+def from_json(text: str) -> Tuple[Graph, Optional[RotationSystem], PortMap, Optional[int]]:
+    doc = json_object(text, ("vertices", "edges"), "graph")
+    try:
+        vertices = [Vertex(d["id"], d["role"], d["name"]) for d in doc["vertices"]]
+        graph = Graph(vertices, [tuple(e) for e in doc["edges"]])
+        rot = None
+        if doc.get("rotation") is not None:
+            rotation = {}
+            for vs, pairs in doc["rotation"].items():
+                v = int(vs)
+                ns = []
+                for a, b in pairs:
+                    if v not in (a, b):
+                        raise ValidationError(f"rotation entry for {v} lists foreign edge ({a},{b})")
+                    ns.append(b if a == v else a)
+                rotation[v] = ns
+            rot = RotationSystem(rotation)
+        ports = PortMap(doc.get("ports") or {})
+    except JSON_SHAPE_ERRORS as exc:
+        raise ValidationError(f"graph JSON has the wrong shape: {exc!r}") from exc
+    k = doc.get("k")
+    if k is not None and type(k) is not int:
+        raise ValidationError(f"graph JSON has a non-integer k: {k!r}")
+    return graph, rot, ports, k
 
 
 def to_dot(graph: Graph, ports: Optional[PortMap] = None) -> str:

@@ -11,10 +11,10 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from .errors import CapacityError, ValidationError
-from .graphs import Graph, PortMap
+from .graphs import JSON_SHAPE_ERRORS, Graph, PortMap, json_object
 
 BRUTE_FORCE_STATE_LIMIT = 10**9
 
@@ -50,19 +50,16 @@ class SolveResult:
 
 def distance2_pairs(graph: Graph) -> Set[Tuple[int, int]]:
     """Pairs of non-adjacent vertices with a common neighbour."""
-    pairs = set()
-    for w in range(graph.n):
-        ns = graph.neighbours(w)
-        for i in range(len(ns)):
-            for j in range(i + 1, len(ns)):
-                u, v = ns[i], ns[j]
-                if not graph.has_edge(u, v):
-                    pairs.add((u, v) if u < v else (v, u))
-    return pairs
+    return {(u, v) for u, ws in enumerate(graph.distance2) for v in ws if u < v}
 
 
 def verify_labelling(graph: Graph, labelling: Labelling) -> bool:
-    """Check both constraint kinds; raises if the labelling is not total."""
+    """Check both constraint kinds; raises if the labelling is not total.
+
+    Given the gap rule on edges, the distance-two rule is equivalent to the
+    neighbours of every vertex carrying pairwise distinct labels: two
+    neighbours are either adjacent (gap) or at distance two.
+    """
     for v in range(graph.n):
         if v not in labelling.labels:
             raise ValidationError(f"labelling misses vertex {v}")
@@ -70,8 +67,54 @@ def verify_labelling(graph: Graph, labelling: Labelling) -> bool:
     for u, v in graph.edges:
         if abs(lab[u] - lab[v]) < 2:
             return False
-    for u, v in distance2_pairs(graph):
-        if lab[u] == lab[v]:
+    for w in range(graph.n):
+        ns = graph.neighbours(w)
+        if len(ns) > 1 and len({lab[u] for u in ns}) < len(ns):
+            return False
+    return True
+
+
+def _has_distinct_representatives(masks: Sequence[int]) -> bool:
+    """Whether label bitmasks admit pairwise distinct representatives.
+
+    A greedy pass places every set that still has a free label; each set
+    left over then looks for an augmenting path (Kuhn), visiting each label
+    at most once per augmentation.
+    """
+    holder: Dict[int, int] = {}  # label bit -> index of the set using it
+    used = 0
+    pending = []
+    for i, mask in enumerate(masks):
+        free = mask & ~used
+        if free:
+            low = free & -free
+            used |= low
+            holder[low] = i
+        else:
+            pending.append(i)
+    seen = 0
+
+    def augment(i: int) -> bool:
+        nonlocal used, seen
+        cands = masks[i] & ~seen
+        free = cands & ~used
+        if free:
+            low = free & -free
+            used |= low
+            holder[low] = i
+            return True
+        seen |= cands
+        while cands:
+            low = cands & -cands
+            cands ^= low
+            if augment(holder[low]):
+                holder[low] = i
+                return True
+        return False
+
+    for i in pending:
+        seen = 0
+        if not augment(i):
             return False
     return True
 
@@ -88,10 +131,12 @@ class _LabelSearch:
         self.graph = graph
         self.k = k
         self.full = (1 << (k + 1)) - 1
-        self.d2 = {}
-        for u, v in distance2_pairs(graph):
-            self.d2.setdefault(u, []).append(v)
-            self.d2.setdefault(v, []).append(u)
+        self.adj = [graph.neighbours(v) for v in range(graph.n)]
+        # per vertex, its neighbours of degree >= 3: the Hall check's centres
+        self.hubs = [[u for u in ns if len(self.adj[u]) >= 3] for ns in self.adj]
+        self.d2 = graph.distance2
+        self.gap: Dict[int, int] = {}  # domain -> labels a neighbour may keep
+        self.sdr: Dict[Tuple[int, ...], bool] = {}  # neighbour domains -> Hall verdict
         self.order = sorted(range(graph.n), key=lambda v: (-graph.degree(v), v))
         self.domains: List[int] = []
         self.trail: List[Tuple[int, int]] = []  # (vertex, previous mask)
@@ -109,95 +154,89 @@ class _LabelSearch:
                 self.domains.append(self.full)
         return True
 
-    def _banned_by(self, dv: int) -> int:
-        # labels within distance 1 of every candidate in dv
+    def _gap_mask(self, dv: int) -> int:
+        # all labels except those within distance 1 of every candidate in dv
         lo = (dv & -dv).bit_length() - 1
         hi = dv.bit_length() - 1
         band_lo = max(0, hi - 1)
         band_hi = min(self.k, lo + 1)
         if band_lo > band_hi:
-            return 0
-        return ((1 << (band_hi + 1)) - 1) ^ ((1 << band_lo) - 1)
-
-    def _narrow(self, u: int, new: int, queue: List[int], in_queue: Set[int]) -> bool:
-        if new == self.domains[u]:
-            return True
-        if new == 0:
-            return False
-        self.trail.append((u, self.domains[u]))
-        self.domains[u] = new
-        if u not in in_queue:
-            in_queue.add(u)
-            queue.append(u)
-        return True
+            return self.full
+        return self.full & ~(((1 << (band_hi + 1)) - 1) ^ ((1 << band_lo) - 1))
 
     def propagate(self, seeds: Iterable[int]) -> bool:
+        domains, trail, adj, d2, gap = self.domains, self.trail, self.adj, self.d2, self.gap
+        full = self.full
         queue = list(seeds)
         in_queue = set(queue)
         touched = set(queue)
         while queue:
             v = queue.pop()
             in_queue.discard(v)
-            touched.add(v)
-            dv = self.domains[v]
-            if dv == 0:
-                return False
-            banned = self._banned_by(dv)
-            if banned:
-                allowed = self.full & ~banned
-                for u in self.graph.neighbours(v):
-                    if not self._narrow(u, self.domains[u] & allowed, queue, in_queue):
-                        return False
+            dv = domains[v]
+            allowed = gap.get(dv)
+            if allowed is None:
+                allowed = gap[dv] = self._gap_mask(dv)
+            if allowed != full:
+                for u in adj[v]:
+                    du = domains[u]
+                    new = du & allowed
+                    if new != du:
+                        if not new:
+                            return False
+                        trail.append((u, du))
+                        domains[u] = new
+                        touched.add(u)
+                        if u not in in_queue:
+                            in_queue.add(u)
+                            queue.append(u)
             if dv & (dv - 1) == 0:
-                for u in self.d2.get(v, ()):
-                    if not self._narrow(u, self.domains[u] & ~dv, queue, in_queue):
-                        return False
+                for u in d2[v]:
+                    du = domains[u]
+                    if du & dv:
+                        new = du ^ dv
+                        if not new:
+                            return False
+                        trail.append((u, du))
+                        domains[u] = new
+                        touched.add(u)
+                        if u not in in_queue:
+                            in_queue.add(u)
+                            queue.append(u)
         return self._hall_check(touched)
 
     def _hall_check(self, touched: Set[int]) -> bool:
         # A vertex's neighbours take pairwise distinct labels (gap >= 2 when
         # adjacent, distance two otherwise), so their domains must admit a
-        # system of distinct representatives.  A greedy matching with
-        # augmenting paths decides that exactly; checking it at every
-        # fixpoint kills pigeonhole dead-ends that arc pruning cannot see.
+        # system of distinct representatives.  Checking it at every fixpoint
+        # kills pigeonhole dead-ends that arc pruning cannot see.  A hub whose
+        # neighbours all keep at least deg(w) labels passes by counting.
+        domains, adj = self.domains, self.adj
         dirty = set()
         for v in touched:
-            for u in self.graph.neighbours(v):
-                if self.graph.degree(u) >= 3:
-                    dirty.add(u)
+            dirty.update(self.hubs[v])
         for w in dirty:
-            ns = self.graph.neighbours(w)
-            holder: Dict[int, int] = {}  # label -> neighbour currently using it
-
-            def place(u: int, forbidden: int) -> bool:
-                cands = self.domains[u] & ~forbidden
-                while cands:
-                    low = cands & -cands
-                    cands ^= low
-                    x = low.bit_length() - 1
-                    if x not in holder:
-                        holder[x] = u
-                        return True
-                # all candidate labels taken: try to relocate one holder
-                cands = self.domains[u] & ~forbidden
-                while cands:
-                    low = cands & -cands
-                    cands ^= low
-                    x = low.bit_length() - 1
-                    if place(holder[x], forbidden | (1 << x)):
-                        holder[x] = u
-                        return True
-                return False
-
+            ns = adj[w]
+            deg = len(ns)
             for u in ns:
-                if not place(u, 0):
-                    return False
+                if domains[u].bit_count() < deg:
+                    break
+            else:
+                continue
+            masks = tuple([domains[u] for u in ns])
+            ok = self.sdr.get(masks)
+            if ok is None:
+                ok = self.sdr[masks] = _has_distinct_representatives(masks)
+            if not ok:
+                return False
         return True
 
     def undo_to(self, mark: int) -> None:
-        while len(self.trail) > mark:
-            v, old = self.trail.pop()
-            self.domains[v] = old
+        trail, domains = self.trail, self.domains
+        for i in range(len(trail) - 1, mark - 1, -1):
+            v, old = trail[i]
+            domains[v] = old
+        del trail[mark:]
 
     def _select(self) -> Optional[int]:
         # smallest remaining domain; ties fall back to descending degree then
@@ -261,14 +300,12 @@ def _apply_pins(graph: Graph, k: int, pinned: Optional[Dict[int, int]]):
 
 def _pins_conflict(graph: Graph, pins: Dict[int, int]) -> Optional[str]:
     items = sorted(pins.items())
-    d2 = distance2_pairs(graph)
     for i in range(len(items)):
         for j in range(i + 1, len(items)):
             (u, xu), (v, xv) = items[i], items[j]
             if graph.has_edge(u, v) and abs(xu - xv) < 2:
                 return f"pins {u}={xu}, {v}={xv} violate the adjacency gap"
-            key = (u, v) if u < v else (v, u)
-            if key in d2 and xu == xv:
+            if xu == xv and v in graph.distance2[u]:
                 return f"pins {u}={xu}, {v}={xv} collide at distance two"
     return None
 
@@ -414,8 +451,11 @@ def labelling_to_json(labelling: Labelling) -> str:
 
 
 def labelling_from_json(text: str) -> Labelling:
-    doc = json.loads(text)
-    return Labelling(doc["k"], {int(v): x for v, x in doc["labels"].items()})
+    doc = json_object(text, ("k", "labels"), "labelling")
+    try:
+        return Labelling(doc["k"], {int(v): x for v, x in doc["labels"].items()})
+    except JSON_SHAPE_ERRORS as exc:
+        raise ValidationError(f"labelling JSON has the wrong shape: {exc!r}") from exc
 
 
 def solve_result_to_json(result: SolveResult) -> str:

@@ -211,6 +211,40 @@ def test_verify_out_of_range_label_exits_2(tmp_path, capsys):
     assert "outside [0,4]" in err
 
 
+@pytest.mark.parametrize(
+    "command,text",
+    [("solve", "[]"), ("export", '{"k": 4}'), ("verify", '{"k": 4, "labels": []}')],
+)
+def test_wrong_shape_json_exits_2(tmp_path, capsys, command, text):
+    from conftest import cycle_graph
+    from planar_l21.graphs import to_json
+
+    instance = tmp_path / "c5.json"
+    instance.write_text(to_json(cycle_graph(5), k=4))
+    wrong = tmp_path / "wrong.json"
+    wrong.write_text(text)
+    argv = {
+        "solve": ["solve", "--instance", str(wrong)],
+        "export": ["export", "--input", str(wrong)],
+        "verify": ["verify", "--instance", str(instance), "--labelling", str(wrong)],
+    }[command]
+    code, reports, err = run_cli(capsys, argv)
+    assert_bad_input(code, err)
+    assert reports == []
+    assert "JSON" in err
+
+
+def test_reduce_out_is_a_file_exits_2(tmp_path, formula_file, capsys):
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    code, reports, err = run_cli(
+        capsys, ["reduce", "--input", str(formula_file), "--out", str(taken), "--stop-at", "cubic"]
+    )
+    assert_bad_input(code, err)
+    assert reports == []
+    assert "cannot write" in err
+
+
 @pytest.mark.parametrize("value", ["abc", "0"])
 def test_certify_rejects_bad_worker_count(capsys, monkeypatch, value):
     monkeypatch.setenv("L21_WORKERS", value)

@@ -16,10 +16,12 @@ from planar_l21.colouring import (
     colouring_to_json,
     enumerate_2cpm_bitmask,
     enumerate_almost_2cpm,
+    extendable_boundary_patterns,
     is_good_orientation,
     orientation_from_json,
     orientation_to_json,
     solve_2cpm,
+    solve_almost_2cpm,
     swap_colours,
     verify_2cpm,
     verify_almost_2cpm,
@@ -139,6 +141,29 @@ def test_solver_agrees_with_bitmask_sweep():
         assert (found is not None) == (len(sweep) > 0)
         if found is not None:
             assert verify_2cpm(g, found)
+
+
+def test_solver_handles_many_disjoint_edges():
+    # one branching level per edge: a recursive search overflows the stack
+    g = make_graph(2400, [(2 * i, 2 * i + 1) for i in range(1200)])
+    found = solve_2cpm(g)
+    assert found == {v: BLACK for v in range(2400)}
+
+
+def test_extendable_boundary_patterns_match_pinned_solves():
+    rng = random.Random(77)
+    for _ in range(60):
+        g = random_graph(rng, rng.randint(3, 11), rng.uniform(0.15, 0.6))
+        boundary = rng.sample(range(g.n), rng.randint(1, min(5, g.n)))
+        expected = [
+            bits
+            for bits in range(1 << len(boundary))
+            if solve_almost_2cpm(
+                g, {v: WHITE if (bits >> i) & 1 else BLACK for i, v in enumerate(boundary)}
+            )
+            is not None
+        ]
+        assert extendable_boundary_patterns(g, boundary) == expected
 
 
 @settings(deadline=None, max_examples=30)

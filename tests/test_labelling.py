@@ -219,3 +219,38 @@ def test_hall_check_matches_bruteforce_sdr():
         assert search._hall_check(set(range(1, leaves + 1))) == expected, (k, masks)
         seen.add(expected)
     assert seen == {True, False}
+
+
+def _verify_by_distance2_pairs(graph, labelling):
+    """Reference checker straight from the definition: every edge keeps a
+    gap of 2 and every distance-two pair differs."""
+    lab = labelling.labels
+    return all(abs(lab[u] - lab[v]) >= 2 for u, v in graph.edges) and all(
+        lab[u] != lab[v] for u, v in distance2_pairs(graph)
+    )
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.integers(min_value=0, max_value=10_000))
+def test_verify_matches_distance2_reference(seed):
+    rng = random.Random(seed)
+    k = rng.choice([4, 5, 6])
+    g = random_graph(rng, rng.randint(2, 10), rng.uniform(0.15, 0.5))
+    candidates = [Labelling(k, {v: rng.randint(0, k) for v in range(g.n)}) for _ in range(5)]
+    mutants = []
+    result = solve_labelling(g, k)
+    if result.is_sat:
+        witness = result.labelling.labels
+        candidates.append(result.labelling)
+        pairs = sorted(distance2_pairs(g))
+        if pairs:  # one distance-two collision
+            u, v = rng.choice(pairs)
+            mutants.append(Labelling(k, {**witness, v: witness[u]}))
+        if g.edges:  # one gap violation
+            u, v = rng.choice(sorted(g.edges))
+            mutants.append(Labelling(k, {**witness, v: min(witness[u] + 1, k)}))
+    for lab in candidates + mutants:
+        assert verify_labelling(g, lab) == _verify_by_distance2_pairs(g, lab)
+    if result.is_sat:
+        assert verify_labelling(g, result.labelling)
+    assert not any(verify_labelling(g, lab) for lab in mutants)
