@@ -213,7 +213,12 @@ def test_verify_out_of_range_label_exits_2(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "command,text",
-    [("solve", "[]"), ("export", '{"k": 4}'), ("verify", '{"k": 4, "labels": []}')],
+    [
+        ("solve", "[]"),
+        ("solve", '{"vertices": [], "edges": [], "k": "4"}'),
+        ("export", '{"k": 4}'),
+        ("verify", '{"k": 4, "labels": []}'),
+    ],
 )
 def test_wrong_shape_json_exits_2(tmp_path, capsys, command, text):
     from conftest import cycle_graph
