@@ -19,6 +19,7 @@ from .graphs import from_json, to_dot
 from .labelling import (
     SAT,
     UNSAT,
+    Labelling,
     labelling_from_json,
     solve_labelling,
     solve_result_to_json,
@@ -147,11 +148,13 @@ def cmd_solve(args) -> int:
 
 def cmd_verify(args) -> int:
     try:
-        graph, _, _, _ = from_json(open(args.instance).read())
+        graph, _, _, file_k = from_json(open(args.instance).read())
         labelling = labelling_from_json(open(args.labelling).read())
     except OSError as exc:
         _note(f"verify: cannot read input: {exc}")
         return EXIT_INPUT
+    if file_k is not None:  # the instance's span bounds the labels
+        labelling = Labelling(file_k, labelling.labels)
     ok = verify_labelling(graph, labelling)
     _report({"command": "verify", "valid": ok})
     return EXIT_OK if ok else EXIT_FAIL

@@ -9,12 +9,11 @@ monochromatic edges, with degree bounds and a special rule for out-vertices.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from .errors import CapacityError, ValidationError
-from .graphs import Edge, Graph, edge_key
+from .graphs import Edge, Graph
 
 BLACK = "B"
 WHITE = "W"
@@ -313,18 +312,48 @@ class ColouredOrientation:
         return out
 
 
-def _check_orientation_structure(graph: Graph, co: ColouredOrientation) -> None:
+def _orientation_degrees(
+    graph: Graph, co: ColouredOrientation, out_vertices: Set[int]
+) -> Optional[Tuple[List[int], List[int], List[int]]]:
+    """Opposite-colour neighbour counts, indegrees and outdegrees per vertex
+    when `co` meets the four conditions of a coloured orientation, else None.
+
+    Malformed input (a colouring that is not total, a missing or foreign
+    orientation entry, an oriented dichromatic edge) raises.
+    """
     bits = _check_total(graph, co.colouring)
+    opposite = [0] * graph.n
+    indeg = [0] * graph.n
+    outdeg = [0] * graph.n
+    unoriented_mono = False
     for e in graph.sorted_edges():
         d = co.orientation.get(e)
         if d not in (FORWARD, BACKWARD, UNORIENTED):
             raise ValidationError(f"edge {e} has no orientation entry")
         u, v = e
-        if bits[u] != bits[v] and d != UNORIENTED:
-            raise ValidationError(f"dichromatic edge {e} carries an orientation")
+        if bits[u] != bits[v]:
+            if d != UNORIENTED:
+                raise ValidationError(f"dichromatic edge {e} carries an orientation")
+            opposite[u] += 1
+            opposite[v] += 1
+        elif d == UNORIENTED:
+            unoriented_mono = True
+        else:
+            tail, head = e if d == FORWARD else (v, u)
+            outdeg[tail] += 1
+            indeg[head] += 1
     for e in co.orientation:
         if e not in graph.edges:
             raise ValidationError(f"orientation names foreign edge {e}")
+    if unoriented_mono or any(c > 1 for c in opposite):
+        return None
+    for v in range(graph.n):
+        if v in out_vertices:
+            if indeg[v] != 0:
+                return None
+        elif indeg[v] > 1 or outdeg[v] > 2:
+            return None
+    return opposite, indeg, outdeg
 
 
 def verify_coloured_orientation(
@@ -335,77 +364,18 @@ def verify_coloured_orientation(
     An orientation entry on a dichromatic edge is malformed input and raises;
     a monochromatic edge left unoriented merely fails the check.
     """
-    _check_orientation_structure(graph, co)
-    bits = [0 if co.colouring[v] == BLACK else 1 for v in range(graph.n)]
-    for v in range(graph.n):
-        opposite = sum(1 for u in graph.neighbours(v) if bits[u] != bits[v])
-        if opposite > 1:
-            return False
-    for u, v in graph.sorted_edges():
-        if bits[u] == bits[v] and co.orientation[(u, v)] == UNORIENTED:
-            return False
-    indeg = [0] * graph.n
-    outdeg = [0] * graph.n
-    for tail, head in co.oriented_pairs():
-        outdeg[tail] += 1
-        indeg[head] += 1
-    for v in range(graph.n):
-        if v in out_vertices:
-            if indeg[v] != 0:
-                return False
-        else:
-            if indeg[v] > 1 or outdeg[v] > 2:
-                return False
-    return True
+    return _orientation_degrees(graph, co, out_vertices) is not None
 
 
 def is_good_orientation(graph: Graph, co: ColouredOrientation, out_vertices: Set[int]) -> bool:
     """Good: every degree-3 vertex has one opposite-colour neighbour and
     indegree = outdegree = 1."""
-    if not verify_coloured_orientation(graph, co, out_vertices):
+    degrees = _orientation_degrees(graph, co, out_vertices)
+    if degrees is None:
         raise ValidationError("input is not a coloured orientation")
-    bits = [0 if co.colouring[v] == BLACK else 1 for v in range(graph.n)]
-    indeg = [0] * graph.n
-    outdeg = [0] * graph.n
-    for tail, head in co.oriented_pairs():
-        outdeg[tail] += 1
-        indeg[head] += 1
-    for v in range(graph.n):
-        if graph.degree(v) != 3:
-            continue
-        opposite = sum(1 for u in graph.neighbours(v) if bits[u] != bits[v])
-        if opposite != 1 or indeg[v] != 1 or outdeg[v] != 1:
-            return False
-    return True
-
-
-# ---------------------------------------------------------------------------
-# Serialization
-# ---------------------------------------------------------------------------
-
-
-def colouring_to_json(colouring: TwoColouring) -> str:
-    return json.dumps({"colours": {str(v): c for v, c in colouring.items()}}, sort_keys=True) + "\n"
-
-
-def colouring_from_json(text: str) -> TwoColouring:
-    doc = json.loads(text)
-    return {int(v): c for v, c in doc["colours"].items()}
-
-
-def orientation_to_json(co: ColouredOrientation) -> str:
-    doc = {
-        "colours": {str(v): c for v, c in co.colouring.items()},
-        "edges": {f"{u}-{v}": d for (u, v), d in co.orientation.items()},
-    }
-    return json.dumps(doc, sort_keys=True) + "\n"
-
-
-def orientation_from_json(text: str) -> ColouredOrientation:
-    doc = json.loads(text)
-    colouring = {int(v): c for v, c in doc["colours"].items()}
-    orientation = {}
-    for key, d in doc["edges"].items():
-        u, v = key.split("-")
-        orientation[edge_key(int(u), int(v))] = d
-    return ColouredOrientation(colouring, orientation)
+    opposite, indeg, outdeg = degrees
+    return all(
+        opposite[v] == 1 and indeg[v] == 1 and outdeg[v] == 1
+        for v in range(graph.n)
+        if graph.degree(v) == 3
+    )

@@ -378,18 +378,17 @@ def faces(graph: Graph, rot: RotationSystem) -> List[Tuple[Tuple[int, int], ...]
 def verify_planar(graph: Graph, rot: RotationSystem) -> bool:
     """Euler check V - E + F = 2 on every connected component (genus 0)."""
     walks = faces(graph, rot)
-    comp_of = {}
+    comp_of = [0] * graph.n
+    counts = []  # V, E, F per component
     for ci, comp in enumerate(graph.components()):
         for v in comp:
             comp_of[v] = ci
-    counts = {}
-    for ci, comp in enumerate(graph.components()):
-        counts[ci] = [len(comp), 0, 0]  # V, E, F
+        counts.append([len(comp), 0, 0])
     for u, v in graph.edges:
         counts[comp_of[u]][1] += 1
     for walk in walks:
         counts[comp_of[walk[0][0]]][2] += 1
-    for V, E, F in counts.values():
+    for V, E, F in counts:
         if E == 0:
             continue  # isolated vertex: sphere with one face
         if V - E + F != 2:

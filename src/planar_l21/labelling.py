@@ -54,16 +54,20 @@ def distance2_pairs(graph: Graph) -> Set[Tuple[int, int]]:
 
 
 def verify_labelling(graph: Graph, labelling: Labelling) -> bool:
-    """Check both constraint kinds; raises if the labelling is not total.
+    """Check both constraint kinds; raises if the labelling does not label
+    exactly the vertices of the graph.
 
     Given the gap rule on edges, the distance-two rule is equivalent to the
     neighbours of every vertex carrying pairwise distinct labels: two
     neighbours are either adjacent (gap) or at distance two.
     """
-    for v in range(graph.n):
-        if v not in labelling.labels:
-            raise ValidationError(f"labelling misses vertex {v}")
     lab = labelling.labels
+    for v in range(graph.n):
+        if v not in lab:
+            raise ValidationError(f"labelling misses vertex {v}")
+    if len(lab) != graph.n:
+        foreign = min(set(lab).difference(range(graph.n)))
+        raise ValidationError(f"labelling names vertex {foreign}, which is not in the graph")
     for u, v in graph.edges:
         if abs(lab[u] - lab[v]) < 2:
             return False

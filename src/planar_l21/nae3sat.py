@@ -116,23 +116,3 @@ def solve_nae_bruteforce(formula: Nae3SatFormula) -> Optional[Assignment]:
             return assignment
     return None
 
-
-def format_assignment(assignment: Assignment) -> str:
-    """DIMACS solution line, e.g. "v 1 -2 3 0"."""
-    lits = [var if value else -var for var, value in sorted(assignment.items())]
-    return "v " + " ".join(str(l) for l in lits) + " 0\n"
-
-
-def parse_assignment(text: str) -> Assignment:
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or not line.startswith("v"):
-            continue
-        try:
-            lits = [int(tok) for tok in line[1:].split()]
-        except ValueError:
-            raise FormulaParseError("non-integer token in solution line", lineno)
-        if not lits or lits[-1] != 0:
-            raise FormulaParseError("solution line must end with 0", lineno)
-        return {abs(l): l > 0 for l in lits[:-1]}
-    raise FormulaParseError("no solution line found", 1)

@@ -6,8 +6,13 @@ uncrossing gadget) -> auxiliary graph (every edge replaced by the four-cycle
 gadget) -> labelling instance (pendants to degree k-1, every former edge
 replaced by the span-k edge gadget, hub pendants under each out-vertex).
 
-The witness translators execute the constructive arguments in both
-directions; every translator asserts its stage verifier before returning.
+Each fact is checked once, by the layer that owns it.  A stage builder
+Euler-checks the graph it builds, and `PlanarStage`/`AuxStage` carry that
+verdict (`certified_planar`) to the next builder.  The witness translators
+execute the constructive arguments in both directions; each validates its
+input, raising `ValidationError`, and leaves its output to the input check of
+the step that consumes it.  Output assertions remain only for lemma facts
+that no consumer checks.
 """
 
 from __future__ import annotations
@@ -49,7 +54,7 @@ from .graphs import (
     verify_planar,
 )
 from .labelling import Labelling, solve_labelling, verify_labelling
-from .nae3sat import Assignment, Nae3SatFormula, check_nae, literal_value
+from .nae3sat import Assignment, Nae3SatFormula, literal_value
 
 PORT_SLOT_ORDER = ("q1", "r1", "q2", "r2", "q3", "r3")
 _SLOT_INDEX = {name: i for i, name in enumerate(PORT_SLOT_ORDER)}
@@ -107,6 +112,7 @@ class PlanarStage:
     identifying_edges: List[Edge]
     crossing_count: int
     uncross_maps: List[Dict[str, int]]  # per inserted gadget: figure name -> id
+    certified_planar: bool  # rot passed the Euler check
 
 
 @dataclass
@@ -116,6 +122,7 @@ class AuxStage:
     # per planar edge (x,y): ids of the six inserted vertices
     aux_records: Dict[Edge, Dict[str, int]]
     original_count: int
+    certified_planar: bool  # rot passed the Euler check
 
     def out_vertices(self) -> Set[int]:
         return {v.id for v in self.graph.vertices if v.role == OUT_VERTEX}
@@ -226,7 +233,6 @@ def planarize(stage: CubicStage) -> PlanarStage:
     Chords become chains of identifying-edge segments through gadget gates;
     the resulting graph is cubic, planar, and certified by the Euler check.
     """
-    stage.chords.validate()
     per_arc, pairs = chordgeo.arc_crossings(stage.chords.arcs())
 
     builder = GraphBuilder()
@@ -282,6 +288,7 @@ def planarize(stage: CubicStage) -> PlanarStage:
         identifying_edges=sorted(identifying),
         crossing_count=len(pairs),
         uncross_maps=uncross_maps,
+        certified_planar=True,
     )
 
 
@@ -291,7 +298,11 @@ def planarize(stage: CubicStage) -> PlanarStage:
 
 
 def planar_stage_from_graph(graph: Graph, rot: Optional[RotationSystem] = None) -> PlanarStage:
-    """Wrap a bare cubic graph so the later stages can run on it directly."""
+    """Wrap a bare cubic graph so the later stages can run on it directly.
+
+    The Euler check runs here, once; a graph that fails it (K3,3, say) is
+    carried as uncertified and the later stages skip their planarity checks.
+    """
     if rot is None:
         rot = RotationSystem({v: list(graph.neighbours(v)) for v in range(graph.n)})
     return PlanarStage(
@@ -303,6 +314,7 @@ def planar_stage_from_graph(graph: Graph, rot: Optional[RotationSystem] = None) 
         identifying_edges=[],
         crossing_count=0,
         uncross_maps=[],
+        certified_planar=verify_planar(graph, rot),
     )
 
 
@@ -310,7 +322,6 @@ def build_auxiliary(stage: PlanarStage) -> AuxStage:
     """Replace every edge by the four-cycle gadget with in/out pendants."""
     if not check_regular(stage.graph, 3):
         raise ValidationError("auxiliary construction expects a cubic graph")
-    input_planar = verify_planar(stage.graph, stage.rot)
     aux_src = build_aux_edge().template
     builder = GraphBuilder()
     for v in stage.graph.vertices:
@@ -324,12 +335,18 @@ def build_auxiliary(stage: PlanarStage) -> AuxStage:
     n, mm = stage.graph.n, stage.graph.m
     if graph.n != n + 6 * mm or graph.m != 8 * mm:
         raise AssertionError("auxiliary graph census mismatch")
-    if input_planar and not verify_planar(graph, rot):
+    if stage.certified_planar and not verify_planar(graph, rot):
         raise AssertionError("auxiliary graph failed the Euler check")
     for v in range(n):
         if graph.degree(v) != 3:
             raise AssertionError("original vertices must keep degree three")
-    return AuxStage(graph=graph, rot=rot, aux_records=aux_records, original_count=n)
+    return AuxStage(
+        graph=graph,
+        rot=rot,
+        aux_records=aux_records,
+        original_count=n,
+        certified_planar=stage.certified_planar,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -343,7 +360,6 @@ def build_instance(stage: AuxStage, k: int) -> InstanceStage:
     if k < 4:
         raise ValidationError(f"instance construction needs k >= 4, got {k}")
     h = stage.graph
-    input_planar = verify_planar(h, stage.rot)
     builder = GraphBuilder()
     for v in h.vertices:
         builder.add_vertex(v.role, v.name)
@@ -392,7 +408,7 @@ def build_instance(stage: AuxStage, k: int) -> InstanceStage:
     for w in w_map.values():
         if graph.degree(w) != k - 1:
             raise AssertionError("hub pendants must reach degree k-1")
-    if input_planar and not verify_planar(graph, rot):
+    if stage.certified_planar and not verify_planar(graph, rot):
         raise AssertionError("instance graph failed the Euler check")
     return InstanceStage(
         graph=graph,
@@ -444,8 +460,6 @@ def assignment_to_matching(trace: ReductionTrace, assignment: Assignment) -> Two
     colouring = solve_2cpm(planar.graph, pins)
     if colouring is None:
         raise AssertionError("a NAE-satisfying assignment must extend to a matching")
-    if not verify_2cpm(planar.graph, colouring):
-        raise AssertionError("extension failed verification")
     for u, v in planar.identifying_edges:
         if colouring[u] != colouring[v]:
             raise AssertionError("identifying edges must come out monochromatic")
@@ -545,10 +559,7 @@ def matching_to_good_orientation(trace: ReductionTrace, colouring: TwoColouring)
         pending = run_path(e, through)
         remaining.discard(e)
 
-    co = ColouredOrientation(colours, orientation)
-    if not is_good_orientation(h, co, aux.out_vertices()):
-        raise AssertionError("the constructed orientation must be good")
-    return co
+    return ColouredOrientation(colours, orientation)
 
 
 def canonicalize_orientation(trace: ReductionTrace, co: ColouredOrientation) -> ColouredOrientation:
@@ -569,8 +580,6 @@ def canonicalize_orientation(trace: ReductionTrace, co: ColouredOrientation) -> 
                     colours[m[pend]] = opposite
                 orientation[edge_key(m[pend], m[cyc])] = UNORIENTED
     result = ColouredOrientation(colours, orientation)
-    if not is_good_orientation(h, result, aux.out_vertices()):
-        raise AssertionError("normalized orientation must be good")
     structure = oriented_component_structure(h, result, aux.out_vertices())
     if any(kind not in ("path", "circuit") for kind, _ in structure):
         raise AssertionError("oriented components must be paths or circuits")
@@ -707,10 +716,7 @@ def orientation_to_labelling(trace: ReductionTrace, co: ColouredOrientation, k: 
             raise AssertionError(f"not enough labels for the pendants of {parent}")
         for leaf, x in zip(sorted(leaves), available):
             labels[leaf] = x
-    labelling = Labelling(k, labels)
-    if not verify_labelling(inst.graph, labelling):
-        raise AssertionError("constructed labelling failed verification")
-    return labelling
+    return Labelling(k, labels)
 
 
 # ---------------------------------------------------------------------------
@@ -742,10 +748,7 @@ def labelling_to_orientation(trace: ReductionTrace, labelling: Labelling) -> Col
         if forward and backward:
             raise InconsistencyError(f"edge ({x},{y}) oriented both ways")
         orientation[(x, y)] = FORWARD if forward else BACKWARD if backward else UNORIENTED
-    co = ColouredOrientation(colours, orientation)
-    if not verify_coloured_orientation(aux.graph, co, aux.out_vertices()):
-        raise AssertionError("derived orientation failed verification")
-    return co
+    return ColouredOrientation(colours, orientation)
 
 
 def orientation_to_matching(trace: ReductionTrace, co: ColouredOrientation) -> TwoColouring:
@@ -753,10 +756,7 @@ def orientation_to_matching(trace: ReductionTrace, co: ColouredOrientation) -> T
     aux, planar = trace.aux, trace.planar
     if not is_good_orientation(aux.graph, co, aux.out_vertices()):
         raise ValidationError("orientation is not good")
-    colouring = {v: co.colouring[v] for v in range(planar.graph.n)}
-    if not verify_2cpm(planar.graph, colouring):
-        raise AssertionError("restriction must be a two-coloured perfect matching")
-    return colouring
+    return {v: co.colouring[v] for v in range(planar.graph.n)}
 
 
 def matching_to_assignment(trace: ReductionTrace, colouring: TwoColouring) -> Assignment:
@@ -785,8 +785,6 @@ def matching_to_assignment(trace: ReductionTrace, colouring: TwoColouring) -> As
             assignment[var] = not neg
         else:
             assignment[var] = False
-    if not check_nae(trace.formula, assignment):
-        raise AssertionError("recovered assignment must NAE-satisfy the formula")
     return assignment
 
 

@@ -212,6 +212,26 @@ def test_verify_out_of_range_label_exits_2(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "doc,message",
+    [
+        ({"k": 10, "labels": {"0": 0, "1": 10, "2": 5}}, "outside [0,4]"),  # the instance's k=4 binds
+        ({"k": 4, "labels": {"0": 0, "1": 2, "2": 4, "7": 0}}, "vertex 7"),  # not in the instance
+    ],
+)
+def test_verify_checks_labelling_against_instance(tmp_path, capsys, doc, message):
+    from conftest import path_graph
+    from planar_l21.graphs import to_json
+
+    instance = tmp_path / "p3.json"
+    instance.write_text(to_json(path_graph(3), k=4))
+    lab = tmp_path / "lab.json"
+    lab.write_text(json.dumps(doc))
+    code, _, err = run_cli(capsys, ["verify", "--instance", str(instance), "--labelling", str(lab)])
+    assert_bad_input(code, err)
+    assert message in err
+
+
+@pytest.mark.parametrize(
     "command,text",
     [
         ("solve", "[]"),

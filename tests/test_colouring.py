@@ -12,14 +12,10 @@ from planar_l21.colouring import (
     UNORIENTED,
     WHITE,
     ColouredOrientation,
-    colouring_from_json,
-    colouring_to_json,
     enumerate_2cpm_bitmask,
     enumerate_almost_2cpm,
     extendable_boundary_patterns,
     is_good_orientation,
-    orientation_from_json,
-    orientation_to_json,
     solve_2cpm,
     solve_almost_2cpm,
     swap_colours,
@@ -265,10 +261,3 @@ def test_good_precondition_enforced():
     with pytest.raises(ValidationError):
         is_good_orientation(g, co, set())
 
-
-def test_serialization_round_trips():
-    colouring = {0: BLACK, 1: WHITE}
-    assert colouring_from_json(colouring_to_json(colouring)) == colouring
-    co = ColouredOrientation(colouring, {(0, 1): UNORIENTED})
-    back = orientation_from_json(orientation_to_json(co))
-    assert back.colouring == co.colouring and back.orientation == co.orientation

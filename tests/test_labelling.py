@@ -47,6 +47,8 @@ def test_verify_rejects_partial_or_out_of_range():
     edge = make_graph(2, [(0, 1)])
     with pytest.raises(ValidationError):
         verify_labelling(edge, Labelling(4, {0: 0}))
+    with pytest.raises(ValidationError, match="vertex 2"):
+        verify_labelling(edge, Labelling(4, {0: 0, 1: 2, 2: 4}))
     with pytest.raises(ValidationError):
         Labelling(4, {0: 5})
 

@@ -8,10 +8,8 @@ from planar_l21.errors import CapacityError, FormulaParseError, ValidationError
 from planar_l21.nae3sat import (
     Nae3SatFormula,
     check_nae,
-    format_assignment,
     format_formula,
     literal_value,
-    parse_assignment,
     parse_formula,
     solve_nae_bruteforce,
 )
@@ -132,13 +130,6 @@ def test_check_nae_invariant_under_reordering(clauses, rnd):
     g = Nae3SatFormula(3, reordered)
     for a in all_assignments(3):
         assert check_nae(f, a) == check_nae(g, a)
-
-
-def test_assignment_serialization_round_trip():
-    a = {1: True, 2: False, 3: True}
-    text = format_assignment(a)
-    assert text == "v 1 -2 3 0\n"
-    assert parse_assignment(text) == a
 
 
 def test_literal_value_polarity():

@@ -1,5 +1,8 @@
+from collections import Counter
+
 import pytest
 
+from planar_l21 import cli, pipeline
 from planar_l21.colouring import (
     BLACK,
     UNORIENTED,
@@ -12,7 +15,7 @@ from planar_l21.colouring import (
 )
 from planar_l21.errors import ValidationError
 from planar_l21.graphs import check_regular, edge_key, from_json, verify_planar
-from planar_l21.labelling import verify_labelling
+from planar_l21.labelling import Labelling, verify_labelling
 from planar_l21.nae3sat import Nae3SatFormula, check_nae
 from planar_l21.pipeline import (
     assignment_to_matching,
@@ -102,15 +105,20 @@ def test_planarize_inserts_one_gadget_per_crossing():
 
 def test_auxiliary_counts_on_k4():
     stage = planar_stage_from_graph(complete_graph(4), None)
-    # K4 with the id-order rotation happens to be planar already
+    # the id-order rotation of K4 traces two faces (genus one), so the stage
+    # is carried as uncertified
     aux = build_auxiliary(stage)
+    assert not stage.certified_planar and not aux.certified_planar
     assert aux.graph.n == 40
     assert aux.graph.m == 48  # eight edges per replaced edge
     assert len(aux.out_vertices()) == 6
 
 
 def test_auxiliary_counts_on_k33():
-    aux = build_auxiliary(planar_stage_from_graph(k33()))
+    stage = planar_stage_from_graph(k33())
+    assert not stage.certified_planar  # no rotation of K3,3 passes the Euler check
+    aux = build_auxiliary(stage)
+    assert not aux.certified_planar
     assert aux.graph.n == 60
     assert aux.graph.m == 72
     for v in range(6):
@@ -118,6 +126,10 @@ def test_auxiliary_counts_on_k33():
     for record in aux.aux_records.values():
         assert aux.graph.degree(record["in"]) == 1
         assert aux.graph.degree(record["out"]) == 1
+    # the uncertified stage still builds: 2 gadget interiors per aux edge,
+    # 2 leaves per in/out pendant, and k-2 leaves under each hub pendant
+    inst = build_instance(aux, 4)
+    assert inst.graph.n == 60 + 2 * 72 + 2 * 18 + 2 * 9
 
 
 def test_auxiliary_rejects_noncubic():
@@ -300,3 +312,98 @@ def test_trace_files_round_trip(tmp_path):
     assert k == 4
     graph_c, _, _, _ = from_json((tmp_path / "cubic.json").read_text())
     assert graph_c == trace.cubic.graph
+
+
+CHECKS = (
+    "verify_planar",
+    "verify_2cpm",
+    "verify_coloured_orientation",
+    "is_good_orientation",
+    "verify_labelling",
+    "check_nae",
+)
+
+
+def count_checks(monkeypatch, module):
+    """Count the calls that `module` makes to each verifier through its own
+    attributes; a verifier it never calls stays absent."""
+    calls = Counter()
+    for name in CHECKS:
+        original = getattr(module, name, None)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted, raising=False)
+    return calls
+
+
+def test_each_stage_graph_is_euler_checked_once(monkeypatch):
+    calls = count_checks(monkeypatch, pipeline)
+    run_reduction(XYZ, 4)
+    assert calls == {"verify_planar": 3}
+
+
+def test_roundtrip_checks_each_witness_once(tmp_path, monkeypatch, capsys):
+    in_pipeline = count_checks(monkeypatch, pipeline)
+    in_cli = count_checks(monkeypatch, cli)
+    path = tmp_path / "f.cnf"
+    path.write_text("p cnf 3 1\n1 2 3 0\n")
+    assert cli.main(["roundtrip", "--formula", str(path), "--k", "4"]) == 0
+    # two matchings, three orientations, one labelling: each checked once,
+    # by the translator that consumes it
+    assert in_pipeline == {
+        "verify_planar": 3,
+        "verify_2cpm": 2,
+        "verify_coloured_orientation": 1,
+        "is_good_orientation": 2,
+        "verify_labelling": 1,
+    }
+    assert in_cli == {"check_nae": 1}  # the recovered assignment
+
+
+@pytest.fixture(scope="module")
+def forward_chain():
+    trace = run_reduction(XYZ, 4)
+    matching = assignment_to_matching(trace, all_satisfying(XYZ)[0])
+    orientation = matching_to_good_orientation(trace, matching)
+    return trace, matching, orientation, orientation_to_labelling(trace, orientation, 4)
+
+
+@pytest.mark.parametrize(
+    "step",
+    [
+        "matching_to_good_orientation",
+        "orientation_to_labelling",
+        "labelling_to_orientation",
+        "orientation_to_matching",
+    ],
+)
+def test_translators_validate_their_input(forward_chain, step):
+    trace, matching, orientation, labelling = forward_chain
+    flipped = dict(matching)
+    flipped[0] = WHITE if matching[0] == BLACK else BLACK  # two same-coloured neighbours
+    # an in-pendant recoloured like its uniform cycle: coloured, but not good
+    m = next(m for (x, y), m in sorted(trace.aux.aux_records.items()) if matching[x] == matching[y])
+    colours = dict(orientation.colouring)
+    colours[m["in"]] = colours[m["cin"]]
+    arcs = dict(orientation.orientation)
+    arcs[edge_key(m["in"], m["cin"])] = "F" if m["cin"] < m["in"] else "B"
+    not_good = ColouredOrientation(colours, arcs)
+    u, v = min(trace.instance.graph.edges)
+    clashing = Labelling(4, {**labelling.labels, u: labelling.labels[v]})
+    call, message = {
+        "matching_to_good_orientation": (
+            lambda: matching_to_good_orientation(trace, flipped),
+            "perfect matching",
+        ),
+        "orientation_to_labelling": (
+            lambda: orientation_to_labelling(trace, not_good, 4),
+            "not good",
+        ),
+        "labelling_to_orientation": (lambda: labelling_to_orientation(trace, clashing), "invalid"),
+        "orientation_to_matching": (lambda: orientation_to_matching(trace, not_good), "not good"),
+    }[step]
+    with pytest.raises(ValidationError, match=message):
+        call()
