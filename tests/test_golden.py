@@ -9,13 +9,18 @@ a change pass.
 """
 
 import hashlib
+import json
+import random
 
 import pytest
 
 from planar_l21 import gadgets
 from planar_l21.graphs import to_json
+from planar_l21.labelling import EXHAUSTED, _LabelSearch, solve_labelling
+from planar_l21.nae3sat import Nae3SatFormula
 from planar_l21.pipeline import run_reduction, write_trace
 
+from conftest import random_graph
 from test_acceptance import CORPUS
 
 GADGET_BUILDERS = {
@@ -176,7 +181,6 @@ def certify_run():
     (k, sorted pins, outcome, nodes, sorted labels)."""
     import contextlib
     import io
-    import json
 
     from planar_l21 import cli, labelling
 
@@ -213,3 +217,57 @@ def test_certify_stdout_golden(certify_run):
     code, stdout, _, _ = certify_run
     assert code == 0
     assert _sha256(stdout) == CERTIFY_STDOUT_HASH
+
+
+# ---------------------------------------------------------------------------
+# Search trajectories: long backtracking paths and budgeted stops, which the
+# certify calls above (small gadgets, no budget) never reach.  A 2,000-node
+# search on the k=4 instance of each fixed formula of the benchmark's search
+# workload pins its outcome, node count and every domain it leaves; a seeded
+# sample of random graphs pins solve_labelling across spans, budgets and pins.
+# ---------------------------------------------------------------------------
+
+TRAJECTORY_FORMULAS = [
+    Nae3SatFormula(1, ((1, 1, 1),)),
+    Nae3SatFormula(3, ((1, 2, 2), (2, 3, 3), (3, 1, 1))),
+    Nae3SatFormula(2, ((-1, -2, -2), (1, -2, -2))),
+    Nae3SatFormula(3, ((1, 2, 3),)),
+]
+TRAJECTORY_BUDGET = 2000
+TRAJECTORY_HASHES = [
+    "baef01467db4a8e9495dac5fc9f606ac9cbe1a51d38f2256ffa8d992c8147090",
+    "d33829a4ae5c182126c01600b1665ef5ede6d072a9ce3f4637d2d7ddf9fc0505",
+    "90cbe2f04e2cf4fbe91b4c95d48cdcbcb947bff4dddbbf1f1cbb26bc76952794",
+    # a different graph from the first, searched the same way for 2,000 nodes
+    "baef01467db4a8e9495dac5fc9f606ac9cbe1a51d38f2256ffa8d992c8147090",
+]
+RANDOM_SOLVES = 400
+RANDOM_SOLVES_HASH = "8074dc623c58843fdbebed149c58a1cacc63de721a31fae23edf9ebece10eb5c"
+
+
+@pytest.mark.parametrize("index", range(len(TRAJECTORY_FORMULAS)))
+def test_search_trajectory_golden(index):
+    graph = run_reduction(TRAJECTORY_FORMULAS[index], 4).instance.graph
+    search = _LabelSearch(graph, 4)
+    assert search.initial_domains() and search.propagate(range(graph.n))
+    outcome = search.search(TRAJECTORY_BUDGET)
+    assert outcome == EXHAUSTED and search.nodes == TRAJECTORY_BUDGET + 1
+    digest = _sha256(json.dumps([outcome, search.nodes, search.domains], separators=(",", ":")))
+    assert digest == TRAJECTORY_HASHES[index]
+
+
+def test_random_solves_golden():
+    rng = random.Random(20261018)
+    calls = []
+    for _ in range(RANDOM_SOLVES):
+        k = rng.randint(3, 8)
+        graph = random_graph(rng, rng.randint(6, 18), rng.uniform(0.1, 0.3))
+        budget = rng.choice([None, 5, 50, 500])
+        pins = {}
+        if rng.random() < 0.3:
+            for v in rng.sample(range(graph.n), rng.randint(1, min(3, graph.n))):
+                pins[v] = rng.randint(0, k)
+        result = solve_labelling(graph, k, pins, budget)
+        labels = None if result.labelling is None else sorted(result.labelling.labels.items())
+        calls.append([k, sorted(pins.items()), budget, result.outcome, result.nodes, result.reason, labels])
+    assert _sha256(json.dumps(calls, separators=(",", ":"))) == RANDOM_SOLVES_HASH
