@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import chain
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from .errors import CapacityError, ValidationError
@@ -126,9 +127,24 @@ def _has_distinct_representatives(masks: Sequence[int]) -> bool:
 class _LabelSearch:
     """Backtracking with per-vertex candidate bitmasks and an undo trail.
 
-    Branch order: descending degree, ties by ascending id; values ascending.
-    Vertices of degree k-1 start with domain {0,k}: any other label leaves
-    fewer than k-1 labels for their pairwise-distinct neighbourhood.
+    Selection: the smallest domain that is not a singleton, ties by
+    descending degree then ascending id (the static ``order``); a size-2
+    domain is the floor, so the first one in ``order`` wins at once.  Values
+    are tried ascending.  Vertices of degree k-1 start with domain {0,k}:
+    any other label leaves fewer than k-1 labels for their pairwise-distinct
+    neighbourhood.
+
+    Selection cursor: every position of ``order`` before the cursor of a
+    decision level holds a singleton.  Domains only shrink below a decision
+    until it is undone, and undoing it restores the domains its level
+    selected on, so the cursor is saved with each decision and restored when
+    the search backtracks to it; a deeper level scans from the first
+    non-singleton position its parent's scan found.
+
+    Propagation narrows domains monotonically, so it reaches the same
+    fixpoint (or the same wipeout) in any queue order, and the Hall check
+    only reads that fixpoint: neither the queue order nor the way the
+    touched vertices are gathered can change a verdict.
     """
 
     def __init__(self, graph: Graph, k: int):
@@ -136,23 +152,24 @@ class _LabelSearch:
         self.k = k
         self.full = (1 << (k + 1)) - 1
         self.adj = [graph.neighbours(v) for v in range(graph.n)]
+        self.deg = deg = [len(ns) for ns in self.adj]
         # per vertex, its neighbours of degree >= 3: the Hall check's centres
-        self.hubs = [[u for u in ns if len(self.adj[u]) >= 3] for ns in self.adj]
+        self.hubs = [[u for u in ns if deg[u] >= 3] for ns in self.adj]
         self.d2 = graph.distance2
         self.gap: Dict[int, int] = {}  # domain -> labels a neighbour may keep
         self.sdr: Dict[Tuple[int, ...], bool] = {}  # neighbour domains -> Hall verdict
-        self.order = sorted(range(graph.n), key=lambda v: (-graph.degree(v), v))
+        self.order = sorted(range(graph.n), key=lambda v: (-deg[v], v))
         self.domains: List[int] = []
         self.trail: List[Tuple[int, int]] = []  # (vertex, previous mask)
+        self.queued = [False] * graph.n  # propagation queue membership
         self.nodes = 0
 
     def initial_domains(self) -> bool:
         self.domains = []
-        for v in range(self.graph.n):
-            deg = self.graph.degree(v)
-            if deg >= self.k and deg > 0:
-                return False  # its neighbours would need deg distinct far labels
-            if deg == self.k - 1 and deg > 0:
+        for d in self.deg:
+            if d >= self.k and d > 0:
+                return False  # its neighbours would need d distinct far labels
+            if d == self.k - 1 and d > 0:
                 self.domains.append((1 << 0) | (1 << self.k))
             else:
                 self.domains.append(self.full)
@@ -168,15 +185,16 @@ class _LabelSearch:
             return self.full
         return self.full & ~(((1 << (band_hi + 1)) - 1) ^ ((1 << band_lo) - 1))
 
-    def propagate(self, seeds: Iterable[int]) -> bool:
+    def propagate(self, seeds: Sequence[int]) -> bool:
         domains, trail, adj, d2, gap = self.domains, self.trail, self.adj, self.d2, self.gap
-        full = self.full
+        full, queued = self.full, self.queued
+        mark = len(trail)
         queue = list(seeds)
-        in_queue = set(queue)
-        touched = set(queue)
+        for v in queue:
+            queued[v] = True
         while queue:
             v = queue.pop()
-            in_queue.discard(v)
+            queued[v] = False
             dv = domains[v]
             allowed = gap.get(dv)
             if allowed is None:
@@ -187,12 +205,13 @@ class _LabelSearch:
                     new = du & allowed
                     if new != du:
                         if not new:
+                            for w in queue:
+                                queued[w] = False
                             return False
                         trail.append((u, du))
                         domains[u] = new
-                        touched.add(u)
-                        if u not in in_queue:
-                            in_queue.add(u)
+                        if not queued[u]:
+                            queued[u] = True
                             queue.append(u)
             if dv & (dv - 1) == 0:
                 for u in d2[v]:
@@ -200,25 +219,27 @@ class _LabelSearch:
                     if du & dv:
                         new = du ^ dv
                         if not new:
+                            for w in queue:
+                                queued[w] = False
                             return False
                         trail.append((u, du))
                         domains[u] = new
-                        touched.add(u)
-                        if u not in in_queue:
-                            in_queue.add(u)
+                        if not queued[u]:
+                            queued[u] = True
                             queue.append(u)
-        return self._hall_check(touched)
+        # touched: the seeds and every vertex this call narrowed
+        return self._hall_check(chain(seeds, [u for u, _ in trail[mark:]]))
 
-    def _hall_check(self, touched: Set[int]) -> bool:
+    def _hall_check(self, touched: Iterable[int]) -> bool:
         # A vertex's neighbours take pairwise distinct labels (gap >= 2 when
         # adjacent, distance two otherwise), so their domains must admit a
         # system of distinct representatives.  Checking it at every fixpoint
         # kills pigeonhole dead-ends that arc pruning cannot see.  A hub whose
         # neighbours all keep at least deg(w) labels passes by counting.
-        domains, adj = self.domains, self.adj
+        domains, adj, hubs = self.domains, self.adj, self.hubs
         dirty = set()
         for v in touched:
-            dirty.update(self.hubs[v])
+            dirty.update(hubs[v])
         for w in dirty:
             ns = adj[w]
             deg = len(ns)
@@ -237,59 +258,75 @@ class _LabelSearch:
 
     def undo_to(self, mark: int) -> None:
         trail, domains = self.trail, self.domains
-        for i in range(len(trail) - 1, mark - 1, -1):
-            v, old = trail[i]
+        for v, old in reversed(trail[mark:]):
             domains[v] = old
         del trail[mark:]
 
-    def _select(self) -> Optional[int]:
-        # smallest remaining domain; ties fall back to descending degree then
-        # id via the precomputed static order.  Size 2 is the floor, so stop
-        # scanning as soon as one appears.
+    def _select(self, start: int) -> Tuple[Optional[int], int]:
+        """The vertex to branch on, scanning ``order`` from ``start``, and
+        the first position at or after ``start`` whose domain is not a
+        singleton (``len(order)`` when there is none)."""
+        order, domains = self.order, self.domains
+        n = len(order)
+        first = start
+        while first < n:
+            dv = domains[order[first]]
+            if dv & (dv - 1):
+                break
+            first += 1
         best = None
         best_size = 0
-        for v in self.order:
-            dv = self.domains[v]
+        for i in range(first, n):
+            v = order[i]
+            dv = domains[v]
             if dv & (dv - 1) == 0:
                 continue
             size = dv.bit_count()
             if size == 2:
-                return v
+                return v, first
             if best is None or size < best_size:
                 best, best_size = v, size
-        return best
+        return best, first
 
     def search(self, budget: Optional[int]) -> str:
-        decisions: List[Tuple[int, int, int]] = []  # (vertex, label, trail mark)
-        while True:
-            v = self._select()
-            if v is None:
-                return SAT
-            label = (self.domains[v] & -self.domains[v]).bit_length() - 1
+        domains, trail, propagate, undo_to = self.domains, self.trail, self.propagate, self.undo_to
+        nodes = self.nodes
+        # (vertex, label, trail mark, cursor of the level below)
+        decisions: List[Tuple[int, int, int, int]] = []
+        cursor = 0
+        try:
             while True:
-                self.nodes += 1
-                if budget is not None and self.nodes > budget:
-                    return EXHAUSTED
-                mark = len(self.trail)
-                self.trail.append((v, self.domains[v]))
-                self.domains[v] = 1 << label
-                if self.propagate([v]):
-                    decisions.append((v, label, mark))
-                    break
-                self.undo_to(mark)
-                higher = self.domains[v] >> (label + 1)
-                if higher:
-                    label += 1 + (higher & -higher).bit_length() - 1
-                    continue
-                while decisions:
-                    v, label, mark = decisions.pop()
-                    self.undo_to(mark)
-                    higher = self.domains[v] >> (label + 1)
-                    if higher:
-                        label += 1 + (higher & -higher).bit_length() - 1
+                v, first = self._select(cursor)
+                if v is None:
+                    return SAT
+                label = (domains[v] & -domains[v]).bit_length() - 1
+                while True:
+                    nodes += 1
+                    if budget is not None and nodes > budget:
+                        return EXHAUSTED
+                    mark = len(trail)
+                    trail.append((v, domains[v]))
+                    domains[v] = 1 << label
+                    if propagate([v]):
+                        decisions.append((v, label, mark, first))
+                        cursor = first
                         break
-                else:
-                    return UNSAT
+                    undo_to(mark)
+                    higher = domains[v] >> (label + 1)
+                    if higher:
+                        label += (higher & -higher).bit_length()
+                        continue
+                    while decisions:
+                        v, label, mark, first = decisions.pop()
+                        undo_to(mark)
+                        higher = domains[v] >> (label + 1)
+                        if higher:
+                            label += (higher & -higher).bit_length()
+                            break
+                    else:
+                        return UNSAT
+        finally:
+            self.nodes = nodes
 
 
 def _apply_pins(graph: Graph, k: int, pinned: Optional[Dict[int, int]]):
@@ -325,6 +362,10 @@ def solve_labelling(
     Returns SAT with a verified witness, UNSAT when the search space is
     exhausted, or EXHAUSTED when the node budget runs out first.
     """
+    if k < 0:
+        raise ValidationError(f"span must be non-negative, got {k}")
+    if budget is not None and budget < 0:
+        raise ValidationError(f"node budget must be non-negative, got {budget}")
     pins = _apply_pins(graph, k, pinned)
     reason = _pins_conflict(graph, pins)
     if reason is not None:
@@ -336,7 +377,7 @@ def solve_labelling(
         search.domains[v] &= 1 << x
         if search.domains[v] == 0:
             return SolveResult(UNSAT, reason=f"pin {x} at vertex {v} conflicts with its degree")
-    if not search.propagate(sorted(range(graph.n))):
+    if not search.propagate(range(graph.n)):
         return SolveResult(UNSAT, nodes=search.nodes)
     outcome = search.search(budget)
     if outcome == SAT:

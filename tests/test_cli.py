@@ -286,3 +286,26 @@ def test_roundtrip_over_capacity_exits_2(tmp_path, capsys):
     assert_bad_input(code, err)
     assert reports == []
     assert "brute-force limit" in err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["solve", "--k", "-1"], "span"),
+        (["solve", "--k", "4", "--budget", "-3"], "budget"),
+        (["roundtrip", "--budget", "-2"], "budget"),
+    ],
+)
+def test_negative_span_or_budget_exits_2(tmp_path, capsys, argv, message):
+    from conftest import path_graph
+    from planar_l21.graphs import to_json
+
+    instance = tmp_path / "p3.json"
+    instance.write_text(to_json(path_graph(3), k=4))
+    formula = tmp_path / "unsat.cnf"
+    formula.write_text("p cnf 1 1\n1 1 1 0\n")
+    source = ["--instance", str(instance)] if argv[0] == "solve" else ["--formula", str(formula)]
+    code, reports, err = run_cli(capsys, argv[:1] + source + argv[1:])
+    assert_bad_input(code, err)
+    assert reports == []
+    assert message in err

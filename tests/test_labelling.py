@@ -105,6 +105,12 @@ def test_pins_validated():
         solve_labelling(edge, 4, {0: 9})
     with pytest.raises(ValidationError):
         solve_labelling(edge, 4, {7: 0})
+    for graph in (path_graph(3), make_graph(2, [])):
+        with pytest.raises(ValidationError, match="span"):
+            solve_labelling(graph, -1)
+    with pytest.raises(ValidationError, match="budget"):
+        solve_labelling(edge, 4, budget=-3)
+    assert solve_labelling(edge, 4, budget=0).outcome == EXHAUSTED
 
 
 def test_budget_exhaustion_is_deterministic():
@@ -256,3 +262,62 @@ def test_verify_matches_distance2_reference(seed):
     if result.is_sat:
         assert verify_labelling(g, result.labelling)
     assert not any(verify_labelling(g, lab) for lab in mutants)
+
+
+def _reference_select(search):
+    """Full scan of the static order: the smallest non-singleton domain, ties
+    by position in the order."""
+    best = None
+    for v in search.order:
+        dv = search.domains[v]
+        if dv & (dv - 1) and (best is None or dv.bit_count() < search.domains[best].bit_count()):
+            best = v
+    return best
+
+
+def _search_with_checked_select(graph, k, budget):
+    """Run the search as solve_labelling does (no pins), checking every cursor
+    scan against a full scan; returns (outcome, nodes, selections)."""
+    search = _LabelSearch(graph, k)
+    if not (search.initial_domains() and search.propagate(range(graph.n))):
+        return None, 0, 0
+    select = search._select
+    selections = 0
+
+    def checked(start):
+        nonlocal selections
+        v, first = select(start)
+        assert v == _reference_select(search)
+        singles = [search.domains[u] & (search.domains[u] - 1) == 0 for u in search.order]
+        assert all(singles[:first]) and (first == graph.n or not singles[first])
+        selections += 1
+        return v, first
+
+    search._select = checked
+    return search.search(budget), search.nodes, selections
+
+
+@settings(deadline=None, max_examples=40)
+@given(
+    st.integers(min_value=0, max_value=10_000),
+    st.integers(min_value=3, max_value=7),
+    st.sampled_from([None, 50]),
+)
+def test_select_cursor_matches_full_scan(seed, k, budget):
+    rng = random.Random(seed)
+    g = random_graph(rng, rng.randint(2, 16), rng.uniform(0.1, 0.35))
+    outcome, nodes, _ = _search_with_checked_select(g, k, budget)
+    if outcome is not None:
+        result = solve_labelling(g, k, budget=budget)
+        assert (result.outcome, result.nodes) == (outcome, nodes)
+
+
+def test_select_cursor_matches_full_scan_on_reduction_instance():
+    from planar_l21.nae3sat import Nae3SatFormula
+    from planar_l21.pipeline import run_reduction
+
+    formula = Nae3SatFormula(3, ((1, 2, 2), (2, 3, 3), (3, 1, 1)))
+    graph = run_reduction(formula, 4).instance.graph
+    outcome, nodes, selections = _search_with_checked_select(graph, 4, 300)
+    assert (outcome, nodes) == (EXHAUSTED, 301)
+    assert selections > 100
