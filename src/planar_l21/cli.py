@@ -164,6 +164,9 @@ def cmd_roundtrip(args) -> int:
     if args.k < 4:
         _note(f"roundtrip: k must be at least 4, got {args.k}")
         return EXIT_INPUT
+    if args.budget < 0:
+        _note(f"roundtrip: node budget must be non-negative, got {args.budget}")
+        return EXIT_INPUT
     try:
         formula = parse_formula(open(args.formula).read())
     except OSError as exc:

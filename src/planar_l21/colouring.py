@@ -25,7 +25,6 @@ UNORIENTED = "U"
 TwoColouring = Dict[int, str]
 
 ENUMERATION_VERTEX_LIMIT = 60
-BITMASK_SWEEP_LIMIT = 20
 
 
 def _check_total(graph: Graph, colouring: TwoColouring) -> List[int]:
@@ -38,28 +37,12 @@ def _check_total(graph: Graph, colouring: TwoColouring) -> List[int]:
     return bits
 
 
-def _same_colour_count(graph: Graph, bits: List[int], v: int) -> int:
-    return sum(1 for u in graph.neighbours(v) if bits[u] == bits[v])
-
-
 def verify_2cpm(graph: Graph, colouring: TwoColouring) -> bool:
     """Every vertex has exactly one neighbour of its own colour."""
     bits = _check_total(graph, colouring)
-    return all(_same_colour_count(graph, bits, v) == 1 for v in range(graph.n))
-
-
-def verify_almost_2cpm(graph: Graph, colouring: TwoColouring) -> bool:
-    """The 2CPM constraint restricted to vertices of degree at least two."""
-    bits = _check_total(graph, colouring)
     return all(
-        _same_colour_count(graph, bits, v) == 1
-        for v in range(graph.n)
-        if graph.degree(v) >= 2
+        sum(1 for u in graph.neighbours(v) if bits[u] == bits[v]) == 1 for v in range(graph.n)
     )
-
-
-def swap_colours(colouring: TwoColouring) -> TwoColouring:
-    return {v: WHITE if c == BLACK else BLACK for v, c in colouring.items()}
 
 
 class _MatchingSearch:
@@ -271,24 +254,6 @@ def enumerate_almost_2cpm(graph: Graph) -> List[TwoColouring]:
     search = _MatchingSearch(graph, almost=True)
     found = sorted(search.solutions(), key=_colouring_key)
     return [_bits_to_colouring(bits) for bits in found]
-
-
-def enumerate_2cpm_bitmask(graph: Graph) -> List[TwoColouring]:
-    """Exhaustive bitmask sweep; the cross-check oracle for small graphs."""
-    if graph.n > BITMASK_SWEEP_LIMIT:
-        raise CapacityError(f"{graph.n} vertices exceed sweep limit {BITMASK_SWEEP_LIMIT}")
-    out = []
-    for mask in range(1 << graph.n):
-        bits = tuple((mask >> v) & 1 for v in range(graph.n))
-        ok = True
-        for v in range(graph.n):
-            same = sum(1 for u in graph.neighbours(v) if bits[u] == bits[v])
-            if same != 1:
-                ok = False
-                break
-        if ok:
-            out.append(_bits_to_colouring(bits))
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -3,15 +3,19 @@
 Every gadget figure is transcribed exactly once into the atlas below: named
 vertices with drawing coordinates and an edge list.  Rotations come from the
 coordinates (counterclockwise, exact rational comparisons), so each builder
-ships its own planarity certificate.  The certifiers machine-check the gadget
-lemmas by complete enumeration and report observed vs expected behaviour.
+ships its own planarity certificate.  Each builder runs once per process
+(per k): its instance, Euler-checked when built, is cached and shared by the
+stage builders, the witness translators and the certifiers, so it must not be
+mutated.  The certifiers look their builder up by module name at call time,
+machine-check the gadget lemmas by complete enumeration and report observed
+vs expected behaviour.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from .colouring import (
@@ -298,11 +302,13 @@ def _build_from_figure(coords, edges, roles, port_names, kind, k=None) -> Gadget
     return instance
 
 
+@cache
 def build_H() -> GadgetInstance:
     """The 18-vertex base gadget whose almost-matchings carry one bit."""
     return _build_from_figure(_H_COORDS, _H_EDGES, _H_ROLES, _H_PORTS, "H")
 
 
+@cache
 def build_clause_gadget() -> GadgetInstance:
     """Three modified copies of H sharing the hub vertex a.
 
@@ -329,6 +335,7 @@ def build_clause_gadget() -> GadgetInstance:
     return instance
 
 
+@cache
 def build_uncrossing() -> GadgetInstance:
     """The 28-vertex crossing replacement gadget."""
     roles = {}
@@ -344,11 +351,13 @@ def build_uncrossing() -> GadgetInstance:
     )
 
 
+@cache
 def build_aux_edge() -> GadgetInstance:
     """Four-cycle with in/out pendants; replaces one edge of the cubic graph."""
     return _build_from_figure(_AUX_COORDS, _AUX_EDGES, _AUX_ROLES, ["u", "v", "in", "out"], "AuxEdge")
 
 
+@cache
 def build_Hprime(k: int) -> GadgetInstance:
     """Label-forcing side gadget: d and g of degree k-1 joined by k-3 paths."""
     if k < 6:
@@ -383,6 +392,7 @@ def build_Hprime(k: int) -> GadgetInstance:
     return instance
 
 
+@cache
 def build_edge_gadget(k: int) -> GadgetInstance:
     """The span-k edge gadget G_k with boundary path u, a_u, a_v, v.
 

@@ -14,10 +14,8 @@ from dataclasses import dataclass
 from itertools import chain
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
-from .errors import CapacityError, ValidationError
+from .errors import ValidationError
 from .graphs import JSON_SHAPE_ERRORS, Graph, PortMap, json_object
-
-BRUTE_FORCE_STATE_LIMIT = 10**9
 
 SAT = "sat"
 UNSAT = "unsat"
@@ -47,11 +45,6 @@ class SolveResult:
     @property
     def is_sat(self) -> bool:
         return self.outcome == SAT
-
-
-def distance2_pairs(graph: Graph) -> Set[Tuple[int, int]]:
-    """Pairs of non-adjacent vertices with a common neighbour."""
-    return {(u, v) for u, ws in enumerate(graph.distance2) for v in ws if u < v}
 
 
 def verify_labelling(graph: Graph, labelling: Labelling) -> bool:
@@ -389,62 +382,6 @@ def solve_labelling(
     return SolveResult(outcome, nodes=search.nodes)
 
 
-def solve_labelling_bruteforce(
-    graph: Graph, k: int, pinned: Optional[Dict[int, int]] = None
-) -> SolveResult:
-    """Independent oracle: exhaustive enumeration in vertex-id order.
-
-    Works component by component (the constraints never cross components) so
-    free satellites do not blow up the refutation of a rigid core.
-    """
-    if graph.n > 60 or (k + 1) ** graph.n > BRUTE_FORCE_STATE_LIMIT:
-        raise CapacityError(f"(k+1)^{graph.n} exceeds the enumeration limit")
-    pins = _apply_pins(graph, k, pinned)
-
-    # distance-2 relation recomputed here from the definition, independently
-    # of the solver's precomputation
-    def ball2(v: int) -> Set[int]:
-        out = set()
-        for u in graph.neighbours(v):
-            for w in graph.neighbours(u):
-                if w != v and not graph.has_edge(v, w):
-                    out.add(w)
-        return out
-
-    d2 = {v: sorted(ball2(v)) for v in range(graph.n)}
-    labels: Dict[int, int] = {}
-
-    def extend(vertices: List[int], idx: int) -> bool:
-        if idx == len(vertices):
-            return True
-        v = vertices[idx]
-        choices = [pins[v]] if v in pins else range(k + 1)
-        for x in choices:
-            ok = True
-            for u in graph.neighbours(v):
-                if u in labels and abs(labels[u] - x) < 2:
-                    ok = False
-                    break
-            if ok:
-                for u in d2[v]:
-                    if u in labels and labels[u] == x:
-                        ok = False
-                        break
-            if ok:
-                labels[v] = x
-                if extend(vertices, idx + 1):
-                    return True
-                del labels[v]
-        return False
-
-    for comp in graph.components():
-        if not extend(comp, 0):
-            return SolveResult(UNSAT)
-    labelling = Labelling(k, dict(labels))
-    assert verify_labelling(graph, labelling)
-    return SolveResult(SAT, labelling=labelling)
-
-
 def enumerate_boundary_behaviour(
     gadget: Graph,
     ports: PortMap,
@@ -475,24 +412,12 @@ def enumerate_boundary_behaviour(
     return out
 
 
-def compute_min_span(graph: Graph, budget: Optional[int] = None):
-    """Smallest k admitting a labelling, by iterative deepening from the
-    maximum degree; returns EXHAUSTED if any level runs out of budget."""
-    if graph.n == 0:
-        raise ValidationError("minimum span of the empty graph is undefined")
-    k = max(graph.degree(v) for v in range(graph.n))
-    while True:
-        result = solve_labelling(graph, k, budget=budget)
-        if result.outcome == SAT:
-            return k
-        if result.outcome == EXHAUSTED:
-            return EXHAUSTED
-        k += 1
+def _labelling_doc(labelling: Labelling) -> dict:
+    return {"k": labelling.k, "labels": {str(v): x for v, x in labelling.labels.items()}}
 
 
 def labelling_to_json(labelling: Labelling) -> str:
-    doc = {"k": labelling.k, "labels": {str(v): x for v, x in labelling.labels.items()}}
-    return json.dumps(doc, sort_keys=True) + "\n"
+    return json.dumps(_labelling_doc(labelling), sort_keys=True) + "\n"
 
 
 def labelling_from_json(text: str) -> Labelling:
@@ -508,8 +433,6 @@ def solve_result_to_json(result: SolveResult) -> str:
         "outcome": result.outcome,
         "nodes": result.nodes,
         "reason": result.reason,
-        "witness": None
-        if result.labelling is None
-        else {"k": result.labelling.k, "labels": {str(v): x for v, x in result.labelling.labels.items()}},
+        "witness": None if result.labelling is None else _labelling_doc(result.labelling),
     }
     return json.dumps(doc, sort_keys=True) + "\n"

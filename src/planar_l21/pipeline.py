@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cache
 from typing import Dict, List, Optional, Set, Tuple
 
 from . import chords as chordgeo
@@ -36,7 +37,7 @@ from .colouring import (
     verify_coloured_orientation,
 )
 from .errors import InconsistencyError, ValidationError
-from .gadgets import GadgetInstance, build_aux_edge, build_clause_gadget, build_edge_gadget, build_uncrossing
+from .gadgets import build_aux_edge, build_clause_gadget, build_edge_gadget, build_uncrossing
 from .graphs import (
     GADGET_INTERNAL,
     GATE,
@@ -643,37 +644,25 @@ def oriented_component_structure(
     return out
 
 
-_GADGET_CACHE: Dict[int, GadgetInstance] = {}
-_FILL_CACHE: Dict[Tuple[int, int, int, int, int], Dict[str, int]] = {}
-
-
-def _gadget_for(k: int) -> GadgetInstance:
-    if k not in _GADGET_CACHE:
-        _GADGET_CACHE[k] = build_edge_gadget(k)
-    return _GADGET_CACHE[k]
-
-
+@cache
 def _gadget_fill(k: int, lu: int, lv: int, lau: int, lav: int) -> Dict[str, int]:
     """Interior labels (by gadget vertex name) for one boundary tuple."""
-    key = (k, lu, lv, lau, lav)
-    if key not in _FILL_CACHE:
-        inst = _gadget_for(k)
-        pins = {
-            inst.port("u"): lu,
-            inst.port("v"): lv,
-            inst.port("a_u"): lau,
-            inst.port("a_v"): lav,
-        }
-        result = solve_labelling(inst.graph, k, pins)
-        if not result.is_sat:
-            raise AssertionError(f"boundary tuple {key} must be fillable")
-        name_of = {v.id: v.name for v in inst.graph.vertices}
-        _FILL_CACHE[key] = {
-            name_of[v]: x
-            for v, x in result.labelling.labels.items()
-            if name_of[v] not in ("u", "v")
-        }
-    return _FILL_CACHE[key]
+    inst = build_edge_gadget(k)
+    pins = {
+        inst.port("u"): lu,
+        inst.port("v"): lv,
+        inst.port("a_u"): lau,
+        inst.port("a_v"): lav,
+    }
+    result = solve_labelling(inst.graph, k, pins)
+    if not result.is_sat:
+        raise AssertionError(f"boundary tuple {(k, lu, lv, lau, lav)} must be fillable")
+    name_of = {v.id: v.name for v in inst.graph.vertices}
+    return {
+        name_of[v]: x
+        for v, x in result.labelling.labels.items()
+        if name_of[v] not in ("u", "v")
+    }
 
 
 def _boundary_tuple(k: int, lu: int, lv: int, direction: str) -> Tuple[int, int]:

@@ -10,7 +10,6 @@ import time
 import pytest
 
 from planar_l21.colouring import (
-    enumerate_2cpm_bitmask,
     is_good_orientation,
     solve_2cpm,
     verify_2cpm,
@@ -28,7 +27,6 @@ from planar_l21.labelling import (
     EXHAUSTED,
     UNSAT,
     solve_labelling,
-    solve_labelling_bruteforce,
     verify_labelling,
 )
 from planar_l21.nae3sat import Nae3SatFormula, check_nae
@@ -44,6 +42,7 @@ from planar_l21.pipeline import (
 )
 
 from conftest import random_graph
+from oracles import enumerate_2cpm_bitmask, solve_labelling_bruteforce
 
 # Corpus: eleven satisfiable formulas, at most three clauses and four
 # variables, mixing repeated literals, negations, crossings and disconnected

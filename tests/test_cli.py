@@ -153,7 +153,7 @@ def test_roundtrip_unsatisfiable(tmp_path, capsys):
 
 def test_roundtrip_detects_sabotage(formula_file, capsys, monkeypatch):
     import planar_l21.pipeline as pipeline_mod
-    from planar_l21.colouring import swap_colours
+    from oracles import swap_colours
 
     original = pipeline_mod.orientation_to_matching
 
@@ -309,3 +309,19 @@ def test_negative_span_or_budget_exits_2(tmp_path, capsys, argv, message):
     assert_bad_input(code, err)
     assert reports == []
     assert message in err
+
+
+def test_roundtrip_rejects_negative_budget_before_reducing(formula_file, capsys, monkeypatch):
+    import planar_l21.pipeline as pipeline_mod
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the reduction ran")
+
+    monkeypatch.setattr(cli, "solve_nae_bruteforce", refuse)
+    monkeypatch.setattr(pipeline_mod, "run_reduction", refuse)
+    code, reports, err = run_cli(
+        capsys, ["roundtrip", "--formula", str(formula_file), "--k", "4", "--budget", "-2"]
+    )
+    assert_bad_input(code, err)
+    assert reports == []
+    assert "budget" in err

@@ -12,15 +12,12 @@ from planar_l21.colouring import (
     UNORIENTED,
     WHITE,
     ColouredOrientation,
-    enumerate_2cpm_bitmask,
     enumerate_almost_2cpm,
     extendable_boundary_patterns,
     is_good_orientation,
     solve_2cpm,
     solve_almost_2cpm,
-    swap_colours,
     verify_2cpm,
-    verify_almost_2cpm,
     verify_coloured_orientation,
 )
 from planar_l21.errors import CapacityError, ValidationError
@@ -28,6 +25,7 @@ from planar_l21.gadgets import build_H, build_aux_edge
 from planar_l21.graphs import edge_key
 
 from conftest import cycle_graph, make_graph, path_graph, random_graph, star_graph
+from oracles import enumerate_2cpm_bitmask, swap_colours, verify_almost_2cpm
 
 # one of the six almost-matchings of the base gadget, black side listed
 _H_BLACK = {"a", "b", "e", "h", "i", "j", "k", "l"}

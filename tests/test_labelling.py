@@ -12,13 +12,10 @@ from planar_l21.labelling import (
     SAT,
     UNSAT,
     Labelling,
-    compute_min_span,
-    distance2_pairs,
     enumerate_boundary_behaviour,
     labelling_from_json,
     labelling_to_json,
     solve_labelling,
-    solve_labelling_bruteforce,
     verify_labelling,
     _LabelSearch,
 )
@@ -32,6 +29,7 @@ from conftest import (
     random_graph,
     star_graph,
 )
+from oracles import distance2_pairs, solve_labelling_bruteforce
 
 
 def test_verify_examples():
@@ -54,8 +52,8 @@ def test_verify_rejects_partial_or_out_of_range():
 
 
 def test_distance2_excludes_adjacent_pairs():
-    assert distance2_pairs(complete_graph(3)) == set()
-    assert distance2_pairs(path_graph(3)) == {(0, 2)}
+    assert complete_graph(3).distance2 == ((), (), ())
+    assert path_graph(3).distance2 == ((2,), (), (0,))
 
 
 def test_solver_examples():
@@ -154,19 +152,6 @@ def test_boundary_behaviour_rejects_identified_ports():
         enumerate_boundary_behaviour(edge, ports, 4, {0, 4})
 
 
-def test_min_span_examples():
-    assert compute_min_span(make_graph(1, [])) == 0
-    assert compute_min_span(path_graph(3)) == 3
-    assert compute_min_span(complete_graph(3)) == 4
-    with pytest.raises(ValidationError):
-        compute_min_span(make_graph(0, []))
-
-
-def test_min_span_exhausted_propagates():
-    g = random_graph(random.Random(3), 14, 0.5)
-    assert compute_min_span(g, budget=5) == EXHAUSTED
-
-
 @settings(deadline=None, max_examples=25)
 @given(st.integers(min_value=0, max_value=10_000), st.sampled_from([4, 5, 6]))
 def test_label_complement_symmetry(seed, k):
@@ -244,6 +229,7 @@ def test_verify_matches_distance2_reference(seed):
     rng = random.Random(seed)
     k = rng.choice([4, 5, 6])
     g = random_graph(rng, rng.randint(2, 10), rng.uniform(0.15, 0.5))
+    assert distance2_pairs(g) == {(u, v) for u, ws in enumerate(g.distance2) for v in ws if u < v}
     candidates = [Labelling(k, {v: rng.randint(0, k) for v in range(g.n)}) for _ in range(5)]
     mutants = []
     result = solve_labelling(g, k)

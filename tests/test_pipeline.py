@@ -2,14 +2,13 @@ from collections import Counter
 
 import pytest
 
-from planar_l21 import cli, pipeline
+from planar_l21 import cli, gadgets, pipeline
 from planar_l21.colouring import (
     BLACK,
     UNORIENTED,
     WHITE,
     ColouredOrientation,
     is_good_orientation,
-    swap_colours,
     verify_2cpm,
     verify_coloured_orientation,
 )
@@ -36,6 +35,7 @@ from planar_l21.pipeline import (
 )
 
 from conftest import complete_graph, make_graph
+from oracles import swap_colours
 
 XXX = Nae3SatFormula(1, ((1, 1, 1),))
 XYZ = Nae3SatFormula(3, ((1, 2, 3),))
@@ -343,6 +343,14 @@ def test_each_stage_graph_is_euler_checked_once(monkeypatch):
     calls = count_checks(monkeypatch, pipeline)
     run_reduction(XYZ, 4)
     assert calls == {"verify_planar": 3}
+
+
+def test_fixed_gadgets_are_built_once(monkeypatch):
+    run_reduction(XYZ, 4)
+    calls = count_checks(monkeypatch, gadgets)
+    run_reduction(XYZ, 4)
+    assert calls["verify_planar"] == 0  # each gadget was Euler-checked when first built
+    assert gadgets.build_edge_gadget(4) is gadgets.build_edge_gadget(4)
 
 
 def test_roundtrip_checks_each_witness_once(tmp_path, monkeypatch, capsys):
