@@ -9,10 +9,12 @@ Euler's formula on the faces traced from it.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, cmp_to_key
-from typing import Collection, Dict, Iterable, List, Optional, Sequence, Tuple
+from itertools import accumulate, repeat
+from json.encoder import encode_basestring_ascii
+from typing import Collection, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import ValidationError
 
@@ -38,8 +40,7 @@ def edge_key(u: int, v: int) -> Edge:
     return (u, v) if u < v else (v, u)
 
 
-@dataclass(frozen=True)
-class Vertex:
+class Vertex(NamedTuple):
     id: int
     role: str
     name: str
@@ -49,27 +50,35 @@ class Graph:
     """Immutable simple graph.  Ids are dense 0..n-1."""
 
     def __init__(self, vertices: Sequence[Vertex], edges: Iterable[Edge]):
-        vertices = tuple(sorted(vertices, key=lambda v: v.id))
-        ids = [v.id for v in vertices]
-        if ids != list(range(len(vertices))):
-            raise ValidationError("vertex ids must be dense 0..n-1 and unique")
-        for v in vertices:
-            if v.role not in ROLES:
-                raise ValidationError(f"unknown role {v.role!r} on vertex {v.id}")
+        vertices = tuple(vertices)
+        n = len(vertices)
+        dense = list(range(n))
+        if [v.id for v in vertices] != dense:
+            vertices = tuple(sorted(vertices, key=lambda v: v.id))
+            if [v.id for v in vertices] != dense:
+                raise ValidationError("vertex ids must be dense 0..n-1 and unique")
+        if not {v.role for v in vertices} <= ROLES:
+            bad = next(v for v in vertices if v.role not in ROLES)
+            raise ValidationError(f"unknown role {bad.role!r} on vertex {bad.id}")
         edge_set = set()
-        for u, v in edges:
+        adj: List[List[int]] = [[] for _ in dense]
+        for e in edges:
+            u, v = e
             if u == v:
                 raise ValidationError(f"self-loop at vertex {u}")
-            if not (0 <= u < len(vertices) and 0 <= v < len(vertices)):
+            if not (0 <= u < n and 0 <= v < n):
                 raise ValidationError(f"edge ({u},{v}) has undeclared endpoint")
-            edge_set.add(edge_key(u, v))
+            if u > v or type(e) is not tuple:  # keep a sorted pair, shared with the caller
+                e = (u, v) if u < v else (v, u)
+            if e not in edge_set:
+                edge_set.add(e)
+                adj[u].append(v)
+                adj[v].append(u)
+        for ns in adj:
+            ns.sort()
         self.vertices = vertices
         self.edges = frozenset(edge_set)
-        adj: List[List[int]] = [[] for _ in vertices]
-        for u, v in edge_set:
-            adj[u].append(v)
-            adj[v].append(u)
-        self._adj = tuple(tuple(sorted(ns)) for ns in adj)
+        self._adj = tuple(map(tuple, adj))
 
     @property
     def n(self) -> int:
@@ -122,11 +131,7 @@ class Graph:
         return comps
 
     def __eq__(self, other):
-        return (
-            isinstance(other, Graph)
-            and self.vertices == other.vertices
-            and self.edges == other.edges
-        )
+        return isinstance(other, Graph) and (self.vertices, self.edges) == (other.vertices, other.edges)
 
     def __hash__(self):
         return hash((self.vertices, self.edges))
@@ -143,14 +148,15 @@ class RotationSystem:
 
     def validate(self, graph: Graph) -> None:
         """Check the rotation lists exactly the incident edges of every vertex."""
-        for v in range(graph.n):
-            rot = self.rotation.get(v, ())
-            if sorted(rot) != sorted(graph.neighbours(v)):
+        rotation = self.rotation
+        for v, ns in enumerate(graph._adj):  # sorted neighbours
+            if sorted(rotation.get(v, ())) != list(ns):
                 raise ValidationError(
                     f"rotation at vertex {v} does not list its incident edges exactly once"
                 )
+        n = graph.n
         for v in self.rotation:
-            if not (0 <= v < graph.n):
+            if not (0 <= v < n):
                 raise ValidationError(f"rotation names foreign vertex {v}")
 
     def successor(self, v: int, u: int) -> int:
@@ -177,9 +183,6 @@ class PortMap:
             raise ValidationError(f"missing port {name!r}")
         return self.ports[name]
 
-    def __contains__(self, name: str) -> bool:
-        return name in self.ports
-
     def items(self):
         return sorted(self.ports.items())
 
@@ -198,6 +201,7 @@ class Template:
     vertices: Tuple[Tuple[str, str], ...]  # (name, role) in vertex-id order
     edges: Tuple[Tuple[str, str], ...]
     rotation: Dict[str, Tuple[str, ...]]
+    _plans: Dict[tuple, tuple] = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @classmethod
     def of(cls, graph: Graph, rot: RotationSystem) -> "Template":
@@ -207,6 +211,47 @@ class Template:
             tuple((name[u], name[v]) for u, v in graph.sorted_edges()),
             {name[v]: tuple(name[u] for u in ns) for v, ns in rot.rotation.items()},
         )
+
+    def plan(self, glued: Tuple[str, ...], drop: Collection[str]) -> tuple:
+        """The copy with `glued` names glued and `drop` names left out, as
+        index arrays, compiled once: (names, roles, edges, rotation, inner,
+        dropped, markers).  Slots index the copied vertices, then the glued
+        host vertices, then the `Unfilled` markers of `dropped`.  `edges` and
+        `rotation` (one row per copied vertex, `markers` marker entries in
+        all) hold slots; `inner` is the copied neighbour of each glued name.
+        """
+        key = (glued, frozenset(drop))
+        if key in self._plans:
+            return self._plans[key]
+        names = tuple(name for name, _ in self.vertices if name not in glued and name not in key[1])
+        slot = {name: i for i, name in enumerate(names + glued)}
+        dropped: Dict[str, int] = {}  # name -> marker slot
+        rows = tuple(
+            tuple(
+                slot[u] if u in slot else dropped.setdefault(u, len(slot) + len(dropped))
+                for u in self.rotation[name]
+            )
+            for name in names
+        )
+        inner = [self.rotation.get(name, ()) for name in glued]
+        if any(len(ns) != 1 or ns[0] not in slot or ns[0] in glued for ns in inner):
+            raise ValidationError(f"glued vertices {glued} are not pendants of copied vertices")
+        c = len(names)  # hosts precede the copy, so a host end comes first
+        edges = tuple(
+            (a, b) if a >= c or (a < b < c) else (b, a)
+            for a, b in ((slot[x], slot[y]) for x, y in self.edges if x in slot and y in slot)
+        )
+        role = dict(self.vertices)
+        self._plans[key] = plan = (  # tuples throughout: the gadget is shared
+            names,
+            tuple(role[name] for name in names),
+            edges,
+            rows,
+            tuple(slot[ns[0]] for ns in inner),
+            tuple(dropped),
+            sum(u >= len(slot) for row in rows for u in row),
+        )
+        return plan
 
 
 @dataclass(frozen=True)
@@ -223,13 +268,24 @@ class GraphBuilder:
     """Mutable helper used by the constructions; `freeze` yields the graph.
 
     `rotation` holds the rotation under construction; its entries are vertex
-    ids or `Unfilled` markers that `link` replaces.
+    ids or `Unfilled` markers that `link` replaces.  Markers enter it only
+    through `embed` or by assigning `rotation` a whole seed, so the builder
+    counts the open ones and looks for them at freeze only when some are left.
     """
 
     def __init__(self):
         self._vertices: List[Vertex] = []
         self._edges: List[Edge] = []
         self.rotation: Dict[int, List[object]] = {}
+
+    @property
+    def rotation(self) -> Dict[int, List[object]]:
+        return self._rotation
+
+    @rotation.setter
+    def rotation(self, seed: Dict[int, List[object]]) -> None:
+        self._rotation = seed
+        self._open = sum(type(u) is Unfilled for ns in seed.values() for u in ns)
 
     def add_vertex(self, role: str, name: str) -> int:
         vid = len(self._vertices)
@@ -238,10 +294,6 @@ class GraphBuilder:
 
     def add_edge(self, u: int, v: int) -> None:
         self._edges.append(edge_key(u, v))
-
-    @property
-    def n(self) -> int:
-        return len(self._vertices)
 
     def set_role(self, vid: int, role: str) -> None:
         old = self._vertices[vid]
@@ -266,27 +318,24 @@ class GraphBuilder:
         dropped vertices are left out, and the rotation keeps an `Unfilled`
         marker in their place.
         """
+        copied, roles, edges, rows, inners, dropped, markers = gadget.plan(tuple(glue), drop)
+        prefix, suffix = names.split("{}")
+        base = len(self._vertices)
+        new = list(range(base, base + len(copied)))  # one int object per id
+        hosts = list(glue.values())
+        slots = new + hosts + [Unfilled(prefix + name + suffix) for name in dropped]
+        labels = [prefix + name + suffix for name in copied]
+        self._vertices.extend(map(Vertex, new, roles if role is None else repeat(role), labels))
+        self._edges.extend([(slots[a], slots[b]) for a, b in edges])
+        rotation = self._rotation
+        rotation.update(zip(new, [[slots[u] for u in row] for row in rows]))
+        self._open += markers
+        for host, inner in zip(hosts, inners):  # replace the host edge, or append
+            entries = rotation.setdefault(host, [])
+            at = next((i for i, u in enumerate(entries) if u in hosts), len(entries))
+            entries[at : at + 1] = [new[inner]]
         ids = dict(glue)
-        copied = [
-            (name, r) for name, r in gadget.vertices if name not in glue and name not in drop
-        ]
-        for name, r in copied:
-            ids[name] = self.add_vertex(role or r, names.format(name))
-        for x, y in gadget.edges:
-            if x in ids and y in ids:
-                self.add_edge(ids[x], ids[y])
-        for name, _ in copied:
-            self.rotation[ids[name]] = [
-                ids[u] if u in ids else Unfilled(names.format(u)) for u in gadget.rotation[name]
-            ]
-        for name, host in glue.items():
-            (inner,) = gadget.rotation[name]
-            entries = self.rotation.setdefault(host, [])
-            replaced = [i for i, u in enumerate(entries) if u in glue.values()]
-            if replaced:
-                entries[replaced[0]] = ids[inner]
-            else:
-                entries.append(ids[inner])
+        ids.update(zip(copied, new))
         return ids
 
     def link(self, u: int, u_marker: str, v: int, v_marker: str) -> None:
@@ -294,17 +343,19 @@ class GraphBuilder:
         markers named `u_marker` and `v_marker`."""
         self.add_edge(u, v)
         for x, marker, y in ((u, u_marker, v), (v, v_marker, u)):
-            entries = self.rotation[x]
+            entries = self._rotation[x]
             entries[entries.index(Unfilled(marker))] = y
+            self._open -= 1
 
     def freeze(self) -> Graph:
         return Graph(self._vertices, self._edges)
 
     def freeze_with_rotation(self) -> Tuple[Graph, RotationSystem]:
-        for vid, entries in self.rotation.items():
-            if any(isinstance(entry, Unfilled) for entry in entries):
-                raise AssertionError(f"unfilled rotation slot at vertex {vid}")
-        return self.freeze(), RotationSystem(self.rotation)
+        if self._open:
+            for vid, entries in self._rotation.items():
+                if any(isinstance(entry, Unfilled) for entry in entries):
+                    raise AssertionError(f"unfilled rotation slot at vertex {vid}")
+        return self.freeze(), RotationSystem(self._rotation)
 
 
 def rotation_from_coordinates(
@@ -376,24 +427,31 @@ def faces(graph: Graph, rot: RotationSystem) -> List[Tuple[Tuple[int, int], ...]
 
 
 def verify_planar(graph: Graph, rot: RotationSystem) -> bool:
-    """Euler check V - E + F = 2 on every connected component (genus 0)."""
-    walks = faces(graph, rot)
-    comp_of = [0] * graph.n
-    counts = []  # V, E, F per component
-    for ci, comp in enumerate(graph.components()):
-        for v in comp:
-            comp_of[v] = ci
-        counts.append([len(comp), 0, 0])
-    for u, v in graph.edges:
-        counts[comp_of[u]][1] += 1
-    for walk in walks:
-        counts[comp_of[walk[0][0]]][2] += 1
-    for V, E, F in counts:
-        if E == 0:
-            continue  # isolated vertex: sphere with one face
-        if V - E + F != 2:
-            return False
-    return True
+    """Euler check V - E + F = 2 on every connected component (genus 0).
+
+    Faces are the cycles of the dart successor permutation: the dart leaving
+    v through its i-th rotation entry has index start[v] + i, and the dart
+    after u->v leaves v through the entry after u.  Each component with an
+    edge has V - E + F = 2 - 2g <= 2, so all have genus 0 exactly when the
+    sums give 2 per such component; an isolated vertex is a sphere alone.
+    """
+    rot.validate(graph)
+    rows = [rot.rotation.get(v, ()) for v in range(graph.n)]
+    degree = list(map(len, rows))
+    start = list(accumulate(degree, initial=0))
+    succ = [start[v] + (rows[v].index(u) + 1) % degree[v] for u, row in enumerate(rows) for v in row]
+    seen = bytearray(len(succ))
+    faces = 0
+    first = seen.find(0)
+    while first >= 0:
+        faces += 1
+        d = first
+        while not seen[d]:
+            seen[d] = 1
+            d = succ[d]
+        first = seen.find(0, first + 1)
+    comps = [comp for comp in graph.components() if len(comp) > 1]
+    return sum(map(len, comps)) - graph.m + faces == 2 * len(comps)
 
 
 def check_regular(graph: Graph, d: int) -> bool:
@@ -423,24 +481,31 @@ def to_json(
     ports: Optional[PortMap] = None,
     k: Optional[int] = None,
 ) -> str:
-    doc = {
-        "k": k,
-        "vertices": [{"id": v.id, "role": v.role, "name": v.name} for v in graph.vertices],
-        "edges": [list(e) for e in graph.sorted_edges()],
-        "rotation": None
-        if rot is None
-        else {str(v): [list(edge_key(v, u)) for u in _canonical_cycle(ns)] for v, ns in rot.rotation.items()},
-        "ports": {} if ports is None else {name: vid for name, vid in ports.items()},
-    }
-    return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
-
-
-def _canonical_cycle(ns: Sequence[int]) -> Tuple[int, ...]:
-    """Rotate a cyclic sequence to start at the smallest neighbour."""
-    if not ns:
-        return ()
-    i = min(range(len(ns)), key=lambda j: ns[j])
-    return tuple(ns[i:]) + tuple(ns[:i])
+    """The text `json.dumps(doc, sort_keys=True, separators=(",", ":"))` gives,
+    newline terminated, with the big arrays written directly.  Each rotation
+    cycle starts at its smallest neighbour; each entry is a sorted edge pair."""
+    esc = encode_basestring_ascii  # the string escaper of json.dumps
+    edges = ",".join([f"[{u},{v}]" for u, v in graph.sorted_edges()])
+    if rot is None:
+        rotation = "null"
+    else:
+        cycles = []
+        for key, v in sorted((str(v), v) for v in rot.rotation):
+            ns = rot.rotation[v]
+            i = ns.index(min(ns))
+            pairs = ",".join([f"[{v},{u}]" if v < u else f"[{u},{v}]" for u in ns[i:] + ns[:i]])
+            cycles.append(f'"{key}":[{pairs}]')
+        rotation = "{" + ",".join(cycles) + "}"
+    vertices = ",".join(
+        [f'{{"id":{i},"name":{esc(name)},"role":{esc(role)}}}' for i, role, name in graph.vertices]
+    )
+    port_doc = json.dumps(
+        {} if ports is None else dict(ports.items()), sort_keys=True, separators=(",", ":")
+    )
+    return (
+        f'{{"edges":[{edges}],"k":{json.dumps(k)},"ports":{port_doc},'
+        f'"rotation":{rotation},"vertices":[{vertices}]}}\n'
+    )
 
 
 def json_object(text: str, keys: Sequence[str], what: str) -> dict:
@@ -454,6 +519,13 @@ def json_object(text: str, keys: Sequence[str], what: str) -> dict:
     return doc
 
 
+def require_type(values: List[object], kind: type, what: str) -> None:
+    """Raise unless every value has exactly type ``kind`` (so no bool for int)."""
+    if not set(map(type, values)) <= {kind}:
+        bad = next(x for x in values if type(x) is not kind)
+        raise ValidationError(f"{what} must be {kind.__name__}, not {bad!r}")
+
+
 # what indexing a JSON value of the wrong type raises
 JSON_SHAPE_ERRORS = (AttributeError, KeyError, TypeError, ValueError)
 
@@ -462,12 +534,17 @@ def from_json(text: str) -> Tuple[Graph, Optional[RotationSystem], PortMap, Opti
     doc = json_object(text, ("vertices", "edges"), "graph")
     try:
         vertices = [Vertex(d["id"], d["role"], d["name"]) for d in doc["vertices"]]
-        graph = Graph(vertices, [tuple(e) for e in doc["edges"]])
+        require_type([v.id for v in vertices], int, "graph JSON vertex id")
+        require_type([v.name for v in vertices], str, "graph JSON vertex name")
+        edges = [tuple(e) for e in doc["edges"]]
+        require_type([x for e in edges for x in e], int, "graph JSON edge endpoint")
+        graph = Graph(vertices, edges)
         rot = None
         if doc.get("rotation") is not None:
-            rotation = {}
-            for vs, pairs in doc["rotation"].items():
-                v = int(vs)
+            rotation = {int(vs): pairs for vs, pairs in doc["rotation"].items()}
+            ends = [x for pairs in rotation.values() for pair in pairs for x in pair]
+            require_type(ends, int, "graph JSON rotation endpoint")
+            for v, pairs in rotation.items():
                 ns = []
                 for a, b in pairs:
                     if v not in (a, b):
@@ -479,16 +556,12 @@ def from_json(text: str) -> Tuple[Graph, Optional[RotationSystem], PortMap, Opti
     except JSON_SHAPE_ERRORS as exc:
         raise ValidationError(f"graph JSON has the wrong shape: {exc!r}") from exc
     k = doc.get("k")
-    if k is not None and type(k) is not int:
-        raise ValidationError(f"graph JSON has a non-integer k: {k!r}")
+    require_type([] if k is None else [k], int, "graph JSON k")
     return graph, rot, ports, k
 
 
 def to_dot(graph: Graph, ports: Optional[PortMap] = None) -> str:
-    port_names = {}
-    if ports is not None:
-        for name, vid in ports.items():
-            port_names[vid] = name
+    port_names = {} if ports is None else {vid: name for name, vid in ports.items()}
     lines = ["graph g {"]
     for v in graph.vertices:
         shape = _DOT_SHAPES[v.role]

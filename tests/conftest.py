@@ -4,6 +4,7 @@ import random
 import pytest
 
 from planar_l21.graphs import ORIGINAL, Graph, RotationSystem, Vertex
+from planar_l21.pipeline import run_reduction
 
 
 def make_graph(n, edges):
@@ -38,3 +39,18 @@ def any_rotation(graph):
 @pytest.fixture
 def triangle():
     return complete_graph(3)
+
+
+@pytest.fixture(scope="session")
+def reduced():
+    """`run_reduction`, run once per (formula, k) in a session and shared by
+    the tests that only read the trace.  A test that counts the calls made
+    while reducing calls `run_reduction` itself."""
+    traces = {}
+
+    def reduce(formula, k):
+        if (formula, k) not in traces:
+            traces[formula, k] = run_reduction(formula, k)
+        return traces[formula, k]
+
+    return reduce

@@ -5,11 +5,21 @@ decides something, and uses only public library names, so it shares no code
 with the solver or verifier it checks.
 """
 
-from typing import Dict, List, Optional, Set, Tuple
+import json
+from typing import Collection, Dict, List, Optional, Set, Tuple
 
 from planar_l21.colouring import BLACK, WHITE, TwoColouring
 from planar_l21.errors import CapacityError, ValidationError
-from planar_l21.graphs import Graph
+from planar_l21.graphs import (
+    Graph,
+    GraphBuilder,
+    PortMap,
+    RotationSystem,
+    Template,
+    Unfilled,
+    edge_key,
+    faces,
+)
 from planar_l21.labelling import SAT, UNSAT, Labelling, SolveResult, verify_labelling
 
 BRUTE_FORCE_STATE_LIMIT = 10**9
@@ -98,3 +108,72 @@ def solve_labelling_bruteforce(
     labelling = Labelling(k, dict(labels))
     assert verify_labelling(graph, labelling)
     return SolveResult(SAT, labelling=labelling)
+
+
+def euler_planar(graph: Graph, rot: RotationSystem) -> bool:
+    """V - E + F = 2 on every component with an edge, F counted as the face
+    walks that `faces` traces from the component's darts."""
+    comp_of = {v: i for i, comp in enumerate(graph.components()) for v in comp}
+    counts = [[len(comp), 0, 0] for comp in graph.components()]
+    for u, _ in graph.edges:
+        counts[comp_of[u]][1] += 1
+    for walk in faces(graph, rot):
+        counts[comp_of[walk[0][0]]][2] += 1
+    return all(E == 0 or V - E + F == 2 for V, E, F in counts)
+
+
+def embed_by_names(
+    builder: GraphBuilder,
+    gadget: Template,
+    names: str,
+    glue: Dict[str, int],
+    drop: Collection[str],
+    role: Optional[str] = None,
+) -> Dict[str, int]:
+    """`GraphBuilder.embed` done in name space, one vertex, edge and rotation
+    entry at a time, as its docstring describes it."""
+    ids = dict(glue)
+    copied = [(name, r) for name, r in gadget.vertices if name not in glue and name not in drop]
+    for name, r in copied:
+        ids[name] = builder.add_vertex(role or r, names.format(name))
+    for x, y in gadget.edges:
+        if x in ids and y in ids:
+            builder.add_edge(ids[x], ids[y])
+    for name, _ in copied:
+        builder.rotation[ids[name]] = [
+            ids[u] if u in ids else Unfilled(names.format(u)) for u in gadget.rotation[name]
+        ]
+    for name, host in glue.items():
+        (inner,) = gadget.rotation[name]
+        entries = builder.rotation.setdefault(host, [])
+        replaced = [i for i, u in enumerate(entries) if u in glue.values()]
+        if replaced:
+            entries[replaced[0]] = ids[inner]
+        else:
+            entries.append(ids[inner])
+    return ids
+
+
+def stage_json(
+    graph: Graph,
+    rot: Optional[RotationSystem] = None,
+    ports: Optional[PortMap] = None,
+    k: Optional[int] = None,
+) -> str:
+    """The stage-file text by its definition: the document, dumped with sorted
+    keys and no spaces, each rotation cycle started at its smallest neighbour."""
+
+    def canonical(ns):
+        i = min(range(len(ns)), key=lambda j: ns[j])
+        return list(ns[i:]) + list(ns[:i])
+
+    doc = {
+        "k": k,
+        "vertices": [{"id": v.id, "role": v.role, "name": v.name} for v in graph.vertices],
+        "edges": [list(e) for e in graph.sorted_edges()],
+        "rotation": None
+        if rot is None
+        else {str(v): [list(edge_key(v, u)) for u in canonical(ns)] for v, ns in rot.rotation.items()},
+        "ports": {} if ports is None else dict(ports.items()),
+    }
+    return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"

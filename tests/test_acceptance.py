@@ -81,8 +81,8 @@ def emit(criterion, passed, detail):
 
 
 @pytest.fixture(scope="module")
-def traces():
-    return {(i, k): run_reduction(f, k) for i, f in enumerate(CORPUS) for k in KS}
+def traces(reduced):
+    return {(i, k): reduced(f, k) for i, f in enumerate(CORPUS) for k in KS}
 
 
 @pytest.fixture(scope="module")

@@ -325,3 +325,41 @@ def test_roundtrip_rejects_negative_budget_before_reducing(formula_file, capsys,
     assert_bad_input(code, err)
     assert reports == []
     assert "budget" in err
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        # lambda(K1,3) = 4, so no span-3 labelling of the star is valid
+        ({"k": 3, "labels": {"0": 0, "1": 2, "2": 2.5, "3": 3}}, "label"),
+        ({"k": 3, "labels": {"0": 0, "1": 2, "2": True, "3": 3}}, "label"),
+        ({"k": 3.5, "labels": {"0": 0, "1": 2, "2": 3, "3": 4}}, "k"),
+    ],
+)
+def test_verify_rejects_non_integer_labelling_exits_2(tmp_path, capsys, doc, message):
+    from conftest import star_graph
+    from planar_l21.graphs import to_json
+
+    instance = tmp_path / "star.json"
+    instance.write_text(to_json(star_graph(3)))
+    lab = tmp_path / "lab.json"
+    lab.write_text(json.dumps(doc))
+    code, reports, err = run_cli(capsys, ["verify", "--instance", str(instance), "--labelling", str(lab)])
+    assert_bad_input(code, err)
+    assert reports == []
+    assert f"labelling JSON {message}" in err
+
+
+@pytest.mark.parametrize("command", ["export", "solve"])
+def test_float_vertex_id_exits_2(tmp_path, capsys, command):
+    from conftest import path_graph
+    from planar_l21.graphs import to_json
+
+    doc = json.loads(to_json(path_graph(2), k=4))
+    doc["vertices"][0]["id"] = 0.0  # export would declare node v0.0 and draw edge v0 -- v1
+    instance = tmp_path / "float-id.json"
+    instance.write_text(json.dumps(doc))
+    flag = "--input" if command == "export" else "--instance"
+    code, _, err = run_cli(capsys, [command, flag, str(instance)])
+    assert_bad_input(code, err)
+    assert "vertex id" in err

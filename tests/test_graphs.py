@@ -1,16 +1,32 @@
+import json
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from planar_l21 import pipeline
 from planar_l21.errors import ValidationError
-from planar_l21.gadgets import build_H, build_clause_gadget
+from planar_l21.nae3sat import Nae3SatFormula
+from planar_l21.gadgets import (
+    build_aux_edge,
+    build_clause_gadget,
+    build_edge_gadget,
+    build_H,
+    build_Hprime,
+    build_uncrossing,
+)
 from planar_l21.graphs import (
+    GADGET_INTERNAL,
+    GATE,
     ORIGINAL,
+    PORT,
     Graph,
+    GraphBuilder,
     PortMap,
     RotationSystem,
+    Unfilled,
     Vertex,
     check_regular,
     faces,
@@ -21,7 +37,8 @@ from planar_l21.graphs import (
     verify_planar,
 )
 
-from conftest import any_rotation, complete_graph, make_graph, triangle
+from conftest import any_rotation, complete_graph, make_graph, random_graph, triangle
+from oracles import embed_by_names, euler_planar, stage_json
 
 
 def planar_k4():
@@ -133,3 +150,203 @@ def test_dot_export_deterministic_and_role_shaped():
     assert "shape=square" in dot  # port vertices
     lines = dot.splitlines()
     assert lines.index("  v0 [label=\"a\", shape=square];") == 1
+
+
+# ---------------------------------------------------------------------------
+# The dart-indexed Euler check, the compiled embedding and the direct stage
+# encoder, each against a reference written from its definition.
+# ---------------------------------------------------------------------------
+
+
+def shuffled_rotation(graph, rnd):
+    rotation = {}
+    for v in range(graph.n):
+        ns = list(graph.neighbours(v))
+        rnd.shuffle(ns)
+        rotation[v] = ns
+    return RotationSystem(rotation)
+
+
+@settings(deadline=None, max_examples=150)
+@given(st.integers(0, 10), st.randoms(use_true_random=False))
+def test_verify_planar_matches_euler_count_over_faces(n, rnd):
+    graph = random_graph(rnd, n, rnd.choice([0.1, 0.25, 0.5, 0.9]))
+    rot = shuffled_rotation(graph, rnd)
+    assert verify_planar(graph, rot) == euler_planar(graph, rot)
+
+
+def test_verify_planar_sample_has_both_verdicts():
+    rnd = random.Random(7)
+    verdicts = []
+    for _ in range(300):
+        graph = random_graph(rnd, rnd.randint(0, 9), rnd.choice([0.15, 0.3, 0.6]))
+        rot = shuffled_rotation(graph, rnd)
+        verdicts.append(verify_planar(graph, rot))
+        assert verdicts[-1] == euler_planar(graph, rot)
+    assert 50 < sum(verdicts) < 250
+
+
+def test_verify_planar_matches_euler_count_on_gadgets_and_stages(reduced):
+    trace = reduced(Nae3SatFormula(3, ((1, 2, 3),)), 4)
+    embedded = [
+        (g.graph, g.rot)
+        for g in (build_H(), build_clause_gadget(), build_uncrossing(), build_edge_gadget(6))
+    ]
+    embedded += [(stage.graph, stage.rot) for stage in (trace.planar, trace.aux, trace.instance)]
+    rnd = random.Random(3)
+    for graph, rot in embedded:
+        assert verify_planar(graph, rot) and euler_planar(graph, rot)
+        twisted = dict(rot.rotation)
+        for v in rnd.sample(sorted(twisted), 5):
+            twisted[v] = twisted[v][::-1]
+        twisted = RotationSystem(twisted)
+        assert verify_planar(graph, twisted) == euler_planar(graph, twisted)
+
+
+def test_verify_planar_rejects_malformed_rotations():
+    g = make_graph(3, [(0, 1)])  # vertex 2 is isolated
+    with pytest.raises(ValidationError, match="vertex 1"):
+        verify_planar(g, RotationSystem({0: [1], 1: []}))
+    with pytest.raises(ValidationError, match="vertex 0"):
+        verify_planar(g, RotationSystem({0: [1, 1], 1: [0]}))
+    with pytest.raises(ValidationError, match="vertex 2"):
+        verify_planar(g, RotationSystem({0: [1], 1: [0], 2: [0]}))
+    with pytest.raises(ValidationError, match="foreign vertex 5"):
+        verify_planar(g, RotationSystem({0: [1], 1: [0], 5: [0]}))
+    assert verify_planar(g, RotationSystem({0: [1], 1: [0]}))
+
+
+def _host_triangle():
+    builder = GraphBuilder()
+    for i in range(3):
+        builder.add_vertex(ORIGINAL, f"h{i}")
+    builder.rotation = {0: [1, 2], 1: [2, 0], 2: [0, 1]}
+    return builder
+
+
+U_PENDANTS = set(pipeline._U_PENDANT_OF_GATE.values())
+EDGE_GLUES = [{"u": 0, "v": 1}, {"u": 1, "v": 2}, {"u": 2, "v": 0}]
+# (gadget, names, one glue per copy, drop, role): every embedding that the
+# stage builders and the gadget builders make
+EMBEDDINGS = {
+    "clause gadget, ports dropped": (
+        build_clause_gadget, "c{}.{{}}", [{}] * 3, pipeline.PORT_SLOT_ORDER, None
+    ),
+    "uncrossing, pendants dropped": (build_uncrossing, "u{}.{{}}", [{}] * 3, U_PENDANTS, None),
+    "aux edge, glued at both ends": (build_aux_edge, "e{}.{{}}", EDGE_GLUES, (), None),
+    "H, glued at its hub, m and n dropped": (build_H, "{{}}{}", [{"a": 0}] * 3, ("m", "n"), None),
+}
+EMBEDDINGS.update(
+    {
+        f"G{k}, glued at both ends": (
+            lambda k=k: build_edge_gadget(k), "e{}.{{}}", EDGE_GLUES, (), GADGET_INTERNAL
+        )
+        for k in range(4, 9)
+    }
+)
+EMBEDDINGS.update(
+    {
+        f"H'{k}, as hung from G_k": (
+            lambda k=k: build_Hprime(k), "{{}}.l{}", [{}] * 3, (), GADGET_INTERNAL
+        )
+        for k in range(6, 9)
+    }
+)
+
+
+@pytest.mark.parametrize("case", sorted(EMBEDDINGS))
+def test_embed_matches_name_space_copy(case):
+    build, names, glues, drop, role = EMBEDDINGS[case]
+    template = build().template
+    compiled, reference = _host_triangle(), _host_triangle()
+    for i, glue in enumerate(glues):
+        ids = compiled.embed(template, names.format(i), glue, drop, role)
+        expected = embed_by_names(reference, template, names.format(i), glue, drop, role)
+        assert list(ids.items()) == list(expected.items())
+    assert compiled.rotation == reference.rotation
+    assert compiled.freeze() == reference.freeze()
+
+
+def test_freeze_finds_unfilled_markers_from_embed_and_seed():
+    template = build_H().template
+    builder = GraphBuilder()
+    hub = builder.add_vertex(GADGET_INTERNAL, "a")
+    one = builder.embed(template, "{}1", {"a": hub}, ("m", "n"))
+    two = builder.embed(template, "{}2", {"a": hub}, ("m", "n"))
+    with pytest.raises(AssertionError, match="unfilled rotation slot"):
+        builder.freeze_with_rotation()
+    builder.link(one["l"], "n1", two["i"], "m2")
+    with pytest.raises(AssertionError, match="unfilled rotation slot"):
+        builder.freeze_with_rotation()
+    builder.link(two["l"], "n2", one["i"], "m1")
+    builder.freeze_with_rotation()
+
+    seeded = GraphBuilder()
+    seeded.add_vertex(ORIGINAL, "x")
+    seeded.rotation = {0: [Unfilled("y")]}
+    with pytest.raises(AssertionError, match="unfilled rotation slot at vertex 0"):
+        seeded.freeze_with_rotation()
+
+
+def _vertices(names):
+    roles = [ORIGINAL, PORT, GATE, GADGET_INTERNAL]
+    return [Vertex(i, roles[i % 4], name) for i, name in enumerate(names)]
+
+
+@pytest.mark.parametrize(
+    "name", ["plain", 'quo"te', "back\\slash", "ünïcødé ✓ 𝄞", "tab\tnew\nline", "\x00\x1f\x7f"]
+)
+def test_to_json_matches_json_dumps_on_awkward_names(name):
+    g = Graph(_vertices([name, name + "'", "c", "d"]), [(0, 1), (1, 2), (2, 3), (0, 3), (1, 3)])
+    rot = shuffled_rotation(g, random.Random(1))
+    for args in [(None, None, None), (rot, None, None), (rot, PortMap({name: 1, "z": 3}), 4)]:
+        assert to_json(g, *args) == stage_json(g, *args)
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.lists(st.text(max_size=6), min_size=0, max_size=8), st.randoms(use_true_random=False))
+def test_to_json_matches_json_dumps(names, rnd):
+    g = random_graph(rnd, len(names), 0.4)
+    g = Graph(_vertices(names), g.edges)
+    rot = shuffled_rotation(g, rnd) if rnd.random() < 0.7 else None
+    ports = PortMap({name: i for i, name in enumerate(names)}) if rnd.random() < 0.5 else None
+    k = rnd.choice([None, 0, 4, 12])
+    text = to_json(g, rot, ports, k)
+    assert text == stage_json(g, rot, ports, k)
+    g2, rot2, ports2, k2 = from_json(text)
+    assert to_json(g2, rot2, ports2, k2) == text
+
+
+def test_to_json_matches_json_dumps_on_stage_files(reduced):
+    trace = reduced(Nae3SatFormula(2, ((1, 2, 1), (2, 1, 2))), 4)
+    assert to_json(trace.cubic.graph) == stage_json(trace.cubic.graph)
+    for stage in (trace.planar, trace.aux):
+        assert to_json(stage.graph, stage.rot) == stage_json(stage.graph, stage.rot)
+    inst = trace.instance
+    assert to_json(inst.graph, inst.rot, k=4) == stage_json(inst.graph, inst.rot, k=4)
+
+
+def _planar_k4_doc():
+    g, rot = planar_k4()
+    return json.loads(to_json(g, rot, PortMap({"hub": 3}), k=4))
+
+
+@pytest.mark.parametrize(
+    "path,value,message",
+    [
+        (("vertices", 0, "id"), 0.0, "vertex id"),
+        (("vertices", 1, "id"), True, "vertex id"),
+        (("vertices", 2, "name"), 2, "vertex name"),
+        (("edges", 0, 1), 1.0, "edge endpoint"),
+        (("edges", 1, 0), False, "edge endpoint"),
+        (("rotation", "0", 0, 1), 1.0, "rotation endpoint"),
+    ],
+)
+def test_from_json_rejects_non_integer_ids(path, value, message):
+    doc = _planar_k4_doc()
+    target = doc
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    with pytest.raises(ValidationError, match=message):
+        from_json(json.dumps(doc))

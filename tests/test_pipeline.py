@@ -149,8 +149,8 @@ def test_instance_census_k4_from_k4():
         build_instance(aux, 3)
 
 
-def test_instance_planar_and_degree_bound_for_pipeline():
-    trace = run_reduction(XYZ, 5)
+def test_instance_planar_and_degree_bound_for_pipeline(reduced):
+    trace = reduced(XYZ, 5)
     inst = trace.instance
     assert verify_planar(inst.graph, inst.rot)
     for v in range(trace.aux.graph.n):
@@ -159,8 +159,8 @@ def test_instance_planar_and_degree_bound_for_pipeline():
         assert inst.graph.degree(w) == 4
 
 
-def test_forward_chain_and_intermediate_verifiers():
-    trace = run_reduction(XYZ, 4)
+def test_forward_chain_and_intermediate_verifiers(reduced):
+    trace = reduced(XYZ, 4)
     assignment = all_satisfying(XYZ)[0]
     matching = assignment_to_matching(trace, assignment)
     assert verify_2cpm(trace.planar.graph, matching)
@@ -172,8 +172,8 @@ def test_forward_chain_and_intermediate_verifiers():
     assert verify_labelling(trace.instance.graph, labelling)
 
 
-def test_forward_chain_with_crossings():
-    trace = run_reduction(CROSSY, 4)
+def test_forward_chain_with_crossings(reduced):
+    trace = reduced(CROSSY, 4)
     assignment = all_satisfying(CROSSY)[0]
     matching = assignment_to_matching(trace, assignment)
     orientation = matching_to_good_orientation(trace, matching)
@@ -181,14 +181,14 @@ def test_forward_chain_with_crossings():
     assert verify_labelling(trace.instance.graph, labelling)
 
 
-def test_assignment_to_matching_refuses_bad_assignment():
-    trace = run_reduction(XYZ, 4)
+def test_assignment_to_matching_refuses_bad_assignment(reduced):
+    trace = reduced(XYZ, 4)
     with pytest.raises(ValidationError, match="clause 0"):
         assignment_to_matching(trace, {1: True, 2: True, 3: True})
 
 
-def test_backward_chain_recovers_assignment():
-    trace = run_reduction(XYZ, 4)
+def test_backward_chain_recovers_assignment(reduced):
+    trace = reduced(XYZ, 4)
     assignment = all_satisfying(XYZ)[0]
     labelling = orientation_to_labelling(
         trace,
@@ -206,8 +206,8 @@ def test_backward_chain_recovers_assignment():
     assert recovered == assignment
 
 
-def test_complement_matching_gives_complement_assignment():
-    trace = run_reduction(XYZ, 4)
+def test_complement_matching_gives_complement_assignment(reduced):
+    trace = reduced(XYZ, 4)
     assignment = all_satisfying(XYZ)[0]
     matching = assignment_to_matching(trace, assignment)
     recovered = matching_to_assignment(trace, swap_colours(matching))
@@ -215,8 +215,8 @@ def test_complement_matching_gives_complement_assignment():
     assert check_nae(XYZ, recovered)
 
 
-def test_monochromatic_aux_edges_get_directed_cycles():
-    trace = run_reduction(XYZ, 4)
+def test_monochromatic_aux_edges_get_directed_cycles(reduced):
+    trace = reduced(XYZ, 4)
     assignment = all_satisfying(XYZ)[0]
     matching = assignment_to_matching(trace, assignment)
     orientation = matching_to_good_orientation(trace, matching)
@@ -233,8 +233,8 @@ def test_monochromatic_aux_edges_get_directed_cycles():
         assert orientation.orientation[edge_key(m["in"], m["cin"])] == UNORIENTED
 
 
-def test_component_structure_is_paths_and_circuits():
-    trace = run_reduction(XYZ, 4)
+def test_component_structure_is_paths_and_circuits(reduced):
+    trace = reduced(XYZ, 4)
     for assignment in all_satisfying(XYZ)[:2]:
         orientation = matching_to_good_orientation(
             trace, assignment_to_matching(trace, assignment)
@@ -248,8 +248,8 @@ def test_component_structure_is_paths_and_circuits():
         assert kinds <= {"path", "circuit"}
 
 
-def test_canonicalize_is_identity_on_good_orientations():
-    trace = run_reduction(XYZ, 4)
+def test_canonicalize_is_identity_on_good_orientations(reduced):
+    trace = reduced(XYZ, 4)
     assignment = all_satisfying(XYZ)[0]
     orientation = matching_to_good_orientation(
         trace, assignment_to_matching(trace, assignment)
@@ -259,8 +259,8 @@ def test_canonicalize_is_identity_on_good_orientations():
     assert fixed.orientation == orientation.orientation
 
 
-def test_canonicalize_recolours_pendants_of_uniform_cycles():
-    trace = run_reduction(XYZ, 4)
+def test_canonicalize_recolours_pendants_of_uniform_cycles(reduced):
+    trace = reduced(XYZ, 4)
     assignment = all_satisfying(XYZ)[0]
     matching = assignment_to_matching(trace, assignment)
     good = matching_to_good_orientation(trace, matching)
@@ -282,8 +282,8 @@ def test_canonicalize_recolours_pendants_of_uniform_cycles():
     assert fixed.orientation == good.orientation
 
 
-def test_matching_to_assignment_rejects_inconsistent_colours():
-    trace = run_reduction(Nae3SatFormula(3, ((1, 2, 3), (1, 2, 3))), 4)
+def test_matching_to_assignment_rejects_inconsistent_colours(reduced):
+    trace = reduced(Nae3SatFormula(3, ((1, 2, 3), (1, 2, 3))), 4)
     assignment = {1: True, 2: False, 3: False}
     matching = assignment_to_matching(trace, assignment)
     lit_vertices = trace.planar.literal_vertices[1]
@@ -294,17 +294,17 @@ def test_matching_to_assignment_rejects_inconsistent_colours():
         matching_to_assignment(trace, broken)
 
 
-def test_unused_variable_defaults_to_false():
+def test_unused_variable_defaults_to_false(reduced):
     formula = Nae3SatFormula(4, ((1, 2, 3),))  # variable 4 never occurs
-    trace = run_reduction(formula, 4)
+    trace = reduced(formula, 4)
     assignment = {1: False, 2: False, 3: True, 4: False}
     matching = assignment_to_matching(trace, assignment)
     recovered = matching_to_assignment(trace, matching)
     assert recovered[4] is False
 
 
-def test_trace_files_round_trip(tmp_path):
-    trace = run_reduction(XYZ, 4)
+def test_trace_files_round_trip(tmp_path, reduced):
+    trace = reduced(XYZ, 4)
     written = write_trace(trace, tmp_path)
     assert "instance.json" in written and "manifest.json" in written
     graph, rot, _, k = from_json((tmp_path / "instance.json").read_text())
@@ -372,8 +372,8 @@ def test_roundtrip_checks_each_witness_once(tmp_path, monkeypatch, capsys):
 
 
 @pytest.fixture(scope="module")
-def forward_chain():
-    trace = run_reduction(XYZ, 4)
+def forward_chain(reduced):
+    trace = reduced(XYZ, 4)
     matching = assignment_to_matching(trace, all_satisfying(XYZ)[0])
     orientation = matching_to_good_orientation(trace, matching)
     return trace, matching, orientation, orientation_to_labelling(trace, orientation, 4)
