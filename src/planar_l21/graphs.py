@@ -8,10 +8,11 @@ Euler's formula on the faces traced from it.
 
 from __future__ import annotations
 
+import gc
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property, cmp_to_key
+from functools import cached_property, cmp_to_key, wraps
 from itertools import accumulate, repeat
 from json.encoder import encode_basestring_ascii
 from typing import Collection, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
@@ -526,10 +527,35 @@ def require_type(values: List[object], kind: type, what: str) -> None:
         raise ValidationError(f"{what} must be {kind.__name__}, not {bad!r}")
 
 
+def vertex_key(key: str, what: str) -> int:
+    """The vertex id a JSON object key names, spelled only as `str(id)`."""
+    if str(int(key)) != key:
+        raise ValidationError(f"{what} key {key!r} is not a canonical vertex id")
+    return int(key)
+
+
 # what indexing a JSON value of the wrong type raises
 JSON_SHAPE_ERRORS = (AttributeError, KeyError, TypeError, ValueError)
 
 
+def _collector_paused(read):
+    """`read` with the cyclic garbage collector paused if it runs: the many
+    small containers of a stage file's `json.loads` need no cycle search."""
+
+    @wraps(read)
+    def paused(text):
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            return read(text)
+        finally:
+            if enabled:
+                gc.enable()
+
+    return paused
+
+
+@_collector_paused
 def from_json(text: str) -> Tuple[Graph, Optional[RotationSystem], PortMap, Optional[int]]:
     doc = json_object(text, ("vertices", "edges"), "graph")
     try:
@@ -541,7 +567,7 @@ def from_json(text: str) -> Tuple[Graph, Optional[RotationSystem], PortMap, Opti
         graph = Graph(vertices, edges)
         rot = None
         if doc.get("rotation") is not None:
-            rotation = {int(vs): pairs for vs, pairs in doc["rotation"].items()}
+            rotation = {vertex_key(v, "graph JSON rotation"): p for v, p in doc["rotation"].items()}
             ends = [x for pairs in rotation.values() for pair in pairs for x in pair]
             require_type(ends, int, "graph JSON rotation endpoint")
             for v, pairs in rotation.items():
@@ -565,7 +591,7 @@ def to_dot(graph: Graph, ports: Optional[PortMap] = None) -> str:
     lines = ["graph g {"]
     for v in graph.vertices:
         shape = _DOT_SHAPES[v.role]
-        label = port_names.get(v.id, v.name)
+        label = port_names.get(v.id, v.name).replace("\\", "\\\\").replace('"', '\\"')
         lines.append(f'  v{v.id} [label="{label}", shape={shape}];')
     for u, v in graph.sorted_edges():
         lines.append(f"  v{u} -- v{v};")

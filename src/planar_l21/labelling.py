@@ -15,7 +15,7 @@ from itertools import chain
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from .errors import ValidationError
-from .graphs import JSON_SHAPE_ERRORS, Graph, PortMap, json_object, require_type
+from .graphs import JSON_SHAPE_ERRORS, Graph, PortMap, json_object, require_type, vertex_key
 
 SAT = "sat"
 UNSAT = "unsat"
@@ -424,7 +424,7 @@ def labelling_from_json(text: str) -> Labelling:
     doc = json_object(text, ("k", "labels"), "labelling")
     require_type([doc["k"]], int, "labelling JSON k")
     try:
-        labels = {int(v): x for v, x in doc["labels"].items()}
+        labels = {vertex_key(v, "labelling JSON label"): x for v, x in doc["labels"].items()}
     except JSON_SHAPE_ERRORS as exc:
         raise ValidationError(f"labelling JSON has the wrong shape: {exc!r}") from exc
     require_type(list(labels.values()), int, "labelling JSON label")

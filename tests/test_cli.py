@@ -216,6 +216,7 @@ def test_verify_out_of_range_label_exits_2(tmp_path, capsys):
     [
         ({"k": 10, "labels": {"0": 0, "1": 10, "2": 5}}, "outside [0,4]"),  # the instance's k=4 binds
         ({"k": 4, "labels": {"0": 0, "1": 2, "2": 4, "7": 0}}, "vertex 7"),  # not in the instance
+        ({"k": 4, "labels": {"0": 0, "1": 2, "2": 4, "01": 0}}, "'01'"),  # vertex 1 spelled again
     ],
 )
 def test_verify_checks_labelling_against_instance(tmp_path, capsys, doc, message):
@@ -363,3 +364,36 @@ def test_float_vertex_id_exits_2(tmp_path, capsys, command):
     code, _, err = run_cli(capsys, [command, flag, str(instance)])
     assert_bad_input(code, err)
     assert "vertex id" in err
+
+
+@pytest.mark.parametrize("command", ["export", "solve"])
+def test_non_canonical_rotation_key_exits_2(tmp_path, capsys, command):
+    from conftest import any_rotation, path_graph
+    from planar_l21.graphs import to_json
+
+    g = path_graph(3)
+    doc = json.loads(to_json(g, any_rotation(g), k=4))
+    doc["rotation"]["+1"] = doc["rotation"].pop("1")  # int("+1") is vertex 1 too
+    instance = tmp_path / "plus-key.json"
+    instance.write_text(json.dumps(doc))
+    flag = "--input" if command == "export" else "--instance"
+    code, _, err = run_cli(capsys, [command, flag, str(instance)])
+    assert_bad_input(code, err)
+    assert "'+1'" in err
+
+
+def test_export_dot_escapes_labels(tmp_path, capsys):
+    from planar_l21.graphs import ORIGINAL, Graph, PortMap, Vertex, to_json
+
+    names = ['x" ] ; evil [', "back\\", "c"]
+    g = Graph([Vertex(i, ORIGINAL, name) for i, name in enumerate(names)], [(0, 1), (1, 2)])
+    path = tmp_path / "quoted.json"
+    path.write_text(to_json(g, ports=PortMap({'p"\\': 2})))
+    code = cli.main(["export", "--input", str(path)])
+    lines = capsys.readouterr().out.splitlines()
+    assert code == 0
+    assert lines[1:4] == [
+        '  v0 [label="x\\" ] ; evil [", shape=circle];',
+        '  v1 [label="back\\\\", shape=circle];',
+        '  v2 [label="p\\"\\\\", shape=circle];',
+    ]

@@ -146,17 +146,25 @@ def test_solver_handles_many_disjoint_edges():
 
 def test_extendable_boundary_patterns_match_pinned_solves():
     rng = random.Random(77)
+    cases = []
     for _ in range(60):
         g = random_graph(rng, rng.randint(3, 11), rng.uniform(0.15, 0.6))
-        boundary = rng.sample(range(g.n), rng.randint(1, min(5, g.n)))
-        expected = [
-            bits
-            for bits in range(1 << len(boundary))
-            if solve_almost_2cpm(
-                g, {v: WHITE if (bits >> i) & 1 else BLACK for i, v in enumerate(boundary)}
-            )
-            is not None
-        ]
+        cases.append((g, rng.sample(range(g.n), rng.randint(1, min(5, g.n)))))
+    # repeated boundary vertices, isolated vertices, no edges, an empty boundary
+    for _ in range(60):
+        n = rng.randint(1, 8)
+        edges = random_graph(rng, n, rng.choice([0.0, 0.2, 0.5])).edges
+        g = make_graph(n + rng.randint(0, 2), edges)
+        cases.append((g, [rng.randrange(g.n) for _ in range(rng.randint(0, 6))]))
+    cases.append((make_graph(3, []), [2, 0, 2, 1]))
+    for g, boundary in cases:
+        expected = []
+        for bits in range(1 << len(boundary)):
+            colours = [WHITE if (bits >> i) & 1 else BLACK for i in range(len(boundary))]
+            pins = dict(zip(boundary, colours))
+            if all(pins[v] == c for v, c in zip(boundary, colours)):  # one colour per vertex
+                if solve_almost_2cpm(g, pins) is not None:
+                    expected.append(bits)
         assert extendable_boundary_patterns(g, boundary) == expected
 
 

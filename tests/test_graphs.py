@@ -1,3 +1,4 @@
+import gc
 import json
 import random
 from fractions import Fraction
@@ -350,3 +351,22 @@ def test_from_json_rejects_non_integer_ids(path, value, message):
     target[path[-1]] = value
     with pytest.raises(ValidationError, match=message):
         from_json(json.dumps(doc))
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_from_json_pauses_the_collector_and_restores_it(monkeypatch, enabled):
+    text = json.dumps(_planar_k4_doc())
+    loads, seen = json.loads, []
+    monkeypatch.setattr(json, "loads", lambda s: seen.append(gc.isenabled()) or loads(s))
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        from_json(text)
+        after_return = gc.isenabled()
+        with pytest.raises(ValidationError):
+            from_json('{"vertices": [], "edges": [[0, 1]]}')
+        after_raise = gc.isenabled()
+    finally:
+        (gc.enable if was else gc.disable)()
+    assert seen == [False, False]
+    assert after_return is after_raise is enabled
