@@ -111,6 +111,9 @@ def cmd_certify(args) -> int:
         return EXIT_INPUT
     workers = int(raw_workers)
     tasks = _certify_tasks(lo, hi)
+    for kind, k in tasks:  # every capacity, before any lemma runs
+        if kind in gadgets.CERTIFY_RANGE:
+            gadgets.check_capacity(kind, k)
     if workers > 1:
         import multiprocessing
 

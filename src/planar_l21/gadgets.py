@@ -46,6 +46,17 @@ F = Fraction
 
 HPRIME_CERTIFY_MAX_K = 9
 EDGE_GADGET_CERTIFY_MAX_K = 8
+CERTIFY_RANGE = {
+    "Hprime": ("H'", 6, HPRIME_CERTIFY_MAX_K),
+    "Gk": ("edge gadget", 4, EDGE_GADGET_CERTIFY_MAX_K),
+}
+
+
+def check_capacity(kind: str, k: int) -> None:
+    """Raise `CapacityError` unless k is in the (gadget, lo, hi) range of certifier `kind`."""
+    gadget, lo, hi = CERTIFY_RANGE[kind]
+    if not (lo <= k <= hi):
+        raise CapacityError(f"{gadget} certification supports {lo} <= k <= {hi}")
 
 
 @dataclass(frozen=True)
@@ -320,7 +331,7 @@ def build_clause_gadget() -> GadgetInstance:
     h = _build_from_figure(_H_COORDS, _H_EDGES, _H_ROLES, _H_PORTS, "H").template
     builder = GraphBuilder()
     hub = builder.add_vertex(GADGET_INTERNAL, "a")
-    copies = [builder.embed(h, "{}" + str(t), {"a": hub}, ("m", "n")) for t in (1, 2, 3)]
+    copies = builder.embed(h, [("{}" + str(t), {"a": hub}) for t in (1, 2, 3)], ("m", "n"))
     for t, nxt in ((1, 2), (2, 3), (3, 1)):
         builder.link(copies[t - 1]["l"], f"n{t}", copies[nxt - 1]["i"], f"m{nxt}")
     graph, rot = builder.freeze_with_rotation()
@@ -411,10 +422,9 @@ def build_edge_gadget(k: int) -> GadgetInstance:
     ids = {name: builder.add_vertex(PORT, name) for name in _EDGE_PATH}
     middles = [builder.add_vertex(GADGET_INTERNAL, f"b{i}") for i in range(1, k - 4)]
     hp = build_Hprime(k).template
-    hangers = [
-        [builder.embed(hp, "{}." + side + str(i), {}, (), GADGET_INTERNAL)["c"] for side in "lr"]
-        for i in range(1, k - 4)
-    ]
+    copies = [("{}." + side + str(i), {}) for i in range(1, k - 4) for side in "lr"]
+    cs = [m["c"] for m in builder.embed(hp, copies, (), GADGET_INTERNAL)]
+    hangers = [cs[j : j + 2] for j in range(0, len(cs), 2)]
     for x, y in zip(_EDGE_PATH, _EDGE_PATH[1:]):
         builder.add_edge(ids[x], ids[y])
     builder.rotation.update(
@@ -542,8 +552,7 @@ def certify_uncrossing() -> CertReport:
 
 def certify_Hprime(k: int) -> CertReport:
     """Feasible (L(c), L(d)) pairs match the four-element table exactly."""
-    if not (6 <= k <= HPRIME_CERTIFY_MAX_K):
-        raise CapacityError(f"H' certification supports 6 <= k <= {HPRIME_CERTIFY_MAX_K}")
+    check_capacity("Hprime", k)
     inst = build_Hprime(k)
     c, d = inst.port("c"), inst.port("d")
     ids = _names(inst)
@@ -587,10 +596,7 @@ def edge_gadget_expected_table(k: int) -> Set[Tuple[int, int, int, int]]:
 
 def certify_edge_gadget(k: int) -> CertReport:
     """Boundary behaviour of G_k with ends pinned to {0,k} matches the table."""
-    if not (4 <= k <= EDGE_GADGET_CERTIFY_MAX_K):
-        raise CapacityError(
-            f"edge gadget certification supports 4 <= k <= {EDGE_GADGET_CERTIFY_MAX_K}"
-        )
+    check_capacity("Gk", k)
     inst = build_edge_gadget(k)
     observed = enumerate_boundary_behaviour(inst.graph, inst.ports, k, {0, k})
     expected = edge_gadget_expected_table(k)

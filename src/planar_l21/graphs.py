@@ -10,10 +10,12 @@ from __future__ import annotations
 
 import gc
 import json
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, cmp_to_key, wraps
-from itertools import accumulate, repeat
+from itertools import accumulate, islice, repeat
+from operator import itemgetter
 from json.encoder import encode_basestring_ascii
 from typing import Collection, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
@@ -214,40 +216,42 @@ class Template:
         )
 
     def plan(self, glued: Tuple[str, ...], drop: Collection[str]) -> tuple:
-        """The copy with `glued` names glued and `drop` names left out, as
-        index arrays, compiled once: (names, roles, edges, rotation, inner,
-        dropped, markers).  Slots index the copied vertices, then the glued
-        host vertices, then the `Unfilled` markers of `dropped`.  `edges` and
-        `rotation` (one row per copied vertex, `markers` marker entries in
-        all) hold slots; `inner` is the copied neighbour of each glued name.
-        """
+        """The copy with `glued` names glued and `drop` names left out, compiled
+        once: (names, roles, take, ends, degrees, inner, dropped, markers).  A
+        copy's slots are its copied vertices, glued hosts and `dropped` markers;
+        `take` maps them to its edge ends (`ends` of them, in pairs), then its
+        rotation rows (`degrees` long, `markers` markers in all).  `inner` is
+        the copied neighbour of each glued name."""
         key = (glued, frozenset(drop))
         if key in self._plans:
             return self._plans[key]
         names = tuple(name for name, _ in self.vertices if name not in glued and name not in key[1])
         slot = {name: i for i, name in enumerate(names + glued)}
         dropped: Dict[str, int] = {}  # name -> marker slot
-        rows = tuple(
-            tuple(
+        rows = [
+            [
                 slot[u] if u in slot else dropped.setdefault(u, len(slot) + len(dropped))
                 for u in self.rotation[name]
-            )
+            ]
             for name in names
-        )
+        ]
         inner = [self.rotation.get(name, ()) for name in glued]
-        if any(len(ns) != 1 or ns[0] not in slot or ns[0] in glued for ns in inner):
-            raise ValidationError(f"glued vertices {glued} are not pendants of copied vertices")
+        if len(glued) > 2 or any(len(ns) != 1 or ns[0] not in slot or ns[0] in glued for ns in inner):
+            raise ValidationError(f"glue {glued} must name one or two pendants of copied vertices")
         c = len(names)  # hosts precede the copy, so a host end comes first
-        edges = tuple(
-            (a, b) if a >= c or (a < b < c) else (b, a)
+        ends = [
+            x
             for a, b in ((slot[x], slot[y]) for x, y in self.edges if x in slot and y in slot)
-        )
+            for x in ((a, b) if a >= c or (a < b < c) else (b, a))
+        ]
+        index = ends + [u for row in rows for u in row]
         role = dict(self.vertices)
         self._plans[key] = plan = (  # tuples throughout: the gadget is shared
             names,
             tuple(role[name] for name in names),
-            edges,
-            rows,
+            itemgetter(*index) if len(index) > 1 else lambda slots: tuple(slots[i] for i in index),
+            len(ends),
+            tuple(map(len, rows)),
             tuple(slot[ns[0]] for ns in inner),
             tuple(dropped),
             sum(u >= len(slot) for row in rows for u in row),
@@ -272,10 +276,11 @@ class GraphBuilder:
     ids or `Unfilled` markers that `link` replaces.  Markers enter it only
     through `embed` or by assigning `rotation` a whole seed, so the builder
     counts the open ones and looks for them at freeze only when some are left.
+    A builder may start from the vertices (ids 0..n-1) of an earlier stage.
     """
 
-    def __init__(self):
-        self._vertices: List[Vertex] = []
+    def __init__(self, vertices: Sequence[Vertex] = ()):
+        self._vertices: List[Vertex] = list(vertices)
         self._edges: List[Edge] = []
         self.rotation: Dict[int, List[object]] = {}
 
@@ -300,44 +305,75 @@ class GraphBuilder:
         old = self._vertices[vid]
         self._vertices[vid] = Vertex(vid, role, old.name)
 
+    def add_vertices(self, roles: Iterable[str], names: Sequence[str]) -> List[int]:
+        """Add one vertex per name, with the matching role; return their ids."""
+        base = len(self._vertices)
+        ids = list(range(base, base + len(names)))  # one int object per id
+        # tuple.__new__ builds each Vertex without a Python-level call
+        self._vertices.extend(map(tuple.__new__, repeat(Vertex), zip(ids, roles, names)))
+        return ids
+
+    def add_leaves(self, hangs: Sequence[Tuple[int, int, str]]) -> Dict[int, List[int]]:
+        """For each (parent, count, prefix), hang `count` new pendant leaves
+        named `prefix.leaf0`, `prefix.leaf1`, ... on `parent`, after the last
+        entry of its rotation; return parent -> its new leaves."""
+        leaves = self.add_vertices(
+            repeat(PENDANT), [f"{prefix}.leaf{i}" for _, count, prefix in hangs for i in range(count)]
+        )
+        parents = [parent for parent, count, _ in hangs for _ in range(count)]
+        self._edges.extend(zip(parents, leaves))
+        self._rotation.update(zip(leaves, map(list, zip(parents))))
+        out, it = {}, iter(leaves)
+        for parent, count, _ in hangs:
+            out[parent] = own = list(islice(it, count))
+            self._rotation.setdefault(parent, []).extend(own)
+        return out
+
     def embed(
         self,
         gadget: Template,
-        names: str,
-        glue: Dict[str, int],
-        drop: Collection[str],
+        copies: Sequence[Tuple[str, Dict[str, int]]],
+        drop: Collection[str] = (),
         role: Optional[str] = None,
-    ) -> Dict[str, int]:
-        """Copy `gadget` in, returning its name -> id map (glued names included).
+    ) -> List[Dict[str, int]]:
+        """Copy `gadget` in once per (names, glue) of `copies`, all in one batch
+        that reads each copy's edges and rotation rows off its slot list, and
+        return each copy's name -> id map of the vertices it added.
 
-        Every vertex that is neither glued nor dropped is added in the
-        gadget's vertex order, named `names.format(name)`, with the gadget's
-        role or `role`.  A glued name is the host vertex `glue[name]`; it must
-        be a pendant of the gadget.  Its host rotation entry for the other
-        glued vertex, the host edge the gadget replaces, becomes the gadget
-        neighbour, which is appended when there is no such entry.  Edges to
-        dropped vertices are left out, and the rotation keeps an `Unfilled`
-        marker in their place.
-        """
-        copied, roles, edges, rows, inners, dropped, markers = gadget.plan(tuple(glue), drop)
-        prefix, suffix = names.split("{}")
-        base = len(self._vertices)
-        new = list(range(base, base + len(copied)))  # one int object per id
-        hosts = list(glue.values())
-        slots = new + hosts + [Unfilled(prefix + name + suffix) for name in dropped]
-        labels = [prefix + name + suffix for name in copied]
-        self._vertices.extend(map(Vertex, new, roles if role is None else repeat(role), labels))
-        self._edges.extend([(slots[a], slots[b]) for a, b in edges])
+        Every copy glues the same one or two names, each to the host vertex
+        `glue[name]`; a glued name must be a pendant of the gadget.  The host's
+        rotation entry for the other host (the host edge the gadget replaces)
+        becomes the gadget neighbour, appended when there is no such entry.
+        The other vertices, bar `drop`, are added in the gadget's order, named
+        `names.format(name)`, with the gadget's role or `role`.  Edges to
+        dropped vertices are left out; `Unfilled` markers keep their place in
+        the rotation."""
+        glued = tuple(copies[0][1]) if copies else ()
+        copied, roles, take, e, degrees, inners, dropped, markers = gadget.plan(glued, drop)
+        c = len(copied)
+        affixes = [names.split("{}") for names, _ in copies]
+        labels = [prefix + name + suffix for prefix, suffix in affixes for name in copied]
+        new = self.add_vertices(roles * len(copies) if role is None else repeat(role), labels)
         rotation = self._rotation
-        rotation.update(zip(new, [[slots[u] for u in row] for row in rows]))
-        self._open += markers
-        for host, inner in zip(hosts, inners):  # replace the host edge, or append
-            entries = rotation.setdefault(host, [])
-            at = next((i for i, u in enumerate(entries) if u in hosts), len(entries))
-            entries[at : at + 1] = [new[inner]]
-        ids = dict(glue)
-        ids.update(zip(copied, new))
-        return ids
+        ends: List[object] = []
+        entries: List[object] = []
+        maps = []
+        for i, ((_, glue), (prefix, suffix)) in enumerate(zip(copies, affixes)):
+            ids = new[i * c : i * c + c]
+            hosts = [glue[name] for name in glued]
+            got = take(ids + hosts + [Unfilled(prefix + name + suffix) for name in dropped])
+            ends += got[:e]
+            entries += got[e:]
+            for host, other, inner in zip(hosts, hosts[::-1], inners):  # replace, or append
+                row = rotation.setdefault(host, [])
+                at = row.index(other) if other in row else len(row)
+                row[at : at + 1] = [ids[inner]]
+            maps.append(dict(zip(copied, ids)))
+        self._edges.extend(zip(ends[::2], ends[1::2]))
+        bounds = list(accumulate(degrees * len(copies), initial=0))
+        rotation.update(zip(new, map(entries.__getitem__, map(slice, bounds, bounds[1:]))))
+        self._open += markers * len(copies)
+        return maps
 
     def link(self, u: int, u_marker: str, v: int, v_marker: str) -> None:
         """Add edge u-v where the rotations of u and v hold the `Unfilled`
@@ -510,8 +546,16 @@ def to_json(
 
 
 def json_object(text: str, keys: Sequence[str], what: str) -> dict:
-    """Parse ``text`` as a JSON object that holds every key in ``keys``."""
-    doc = json.loads(text)
+    """Parse ``text`` as a JSON object that holds every key in ``keys`` and
+    whose objects, at any depth, name no key twice."""
+    def unique(pairs: List[Tuple[str, object]]) -> dict:
+        obj = dict(pairs)
+        if len(obj) != len(pairs):
+            key = Counter(key for key, _ in pairs).most_common(1)[0][0]
+            raise ValidationError(f"{what} JSON repeats the key {key!r} in one object")
+        return obj
+
+    doc = json.loads(text, object_pairs_hook=unique)
     if not isinstance(doc, dict):
         raise ValidationError(f"{what} JSON must be an object, not {type(doc).__name__}")
     missing = [key for key in keys if key not in doc]
@@ -538,16 +582,17 @@ def vertex_key(key: str, what: str) -> int:
 JSON_SHAPE_ERRORS = (AttributeError, KeyError, TypeError, ValueError)
 
 
-def _collector_paused(read):
-    """`read` with the cyclic garbage collector paused if it runs: the many
-    small containers of a stage file's `json.loads` need no cycle search."""
+def collector_paused(fn):
+    """`fn` with the cyclic garbage collector paused while it runs, and
+    restored on return and on raise: the many small containers that a stage
+    builder or a stage file's `json.loads` makes need no cycle search."""
 
-    @wraps(read)
-    def paused(text):
+    @wraps(fn)
+    def paused(*args, **kwargs):
         enabled = gc.isenabled()
         gc.disable()
         try:
-            return read(text)
+            return fn(*args, **kwargs)
         finally:
             if enabled:
                 gc.enable()
@@ -555,7 +600,7 @@ def _collector_paused(read):
     return paused
 
 
-@_collector_paused
+@collector_paused
 def from_json(text: str) -> Tuple[Graph, Optional[RotationSystem], PortMap, Optional[int]]:
     doc = json_object(text, ("vertices", "edges"), "graph")
     try:

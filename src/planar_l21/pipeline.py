@@ -20,6 +20,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cache
+from itertools import repeat
 from typing import Dict, List, Optional, Set, Tuple
 
 from . import chords as chordgeo
@@ -44,12 +45,12 @@ from .graphs import (
     IN_VERTEX,
     ORIGINAL,
     OUT_VERTEX,
-    PENDANT,
     Edge,
     Graph,
     GraphBuilder,
     RotationSystem,
     check_regular,
+    collector_paused,
     edge_key,
     to_json,
     verify_planar,
@@ -166,9 +167,8 @@ def nae_to_cubic(formula: Nae3SatFormula) -> CubicStage:
         raise ValidationError("reduction needs at least one clause")
     src = build_clause_gadget().template
     builder = GraphBuilder()
-    maps = [
-        builder.embed(src, f"c{c}.{{}}", {}, PORT_SLOT_ORDER) for c in range(len(formula.clauses))
-    ]
+    copies = [(f"c{c}.{{}}", {}) for c in range(len(formula.clauses))]
+    maps = builder.embed(src, copies, PORT_SLOT_ORDER)
 
     slots: List[SlotRecord] = []
     for c in range(len(formula.clauses)):
@@ -236,9 +236,7 @@ def planarize(stage: CubicStage) -> PlanarStage:
     """
     per_arc, pairs = chordgeo.arc_crossings(stage.chords.arcs())
 
-    builder = GraphBuilder()
-    for v in stage.graph.vertices:
-        builder.add_vertex(v.role, v.name)
+    builder = GraphBuilder(stage.graph.vertices)
     builder.rotation = {v: list(ns) for v, ns in stage.rotation_template.items()}
     id_edge_set = set(stage.identifying_edges)
     for e in stage.graph.sorted_edges():
@@ -247,7 +245,7 @@ def planarize(stage: CubicStage) -> PlanarStage:
 
     u_src = build_uncrossing().template
     u_pendants = set(_U_PENDANT_OF_GATE.values())
-    uncross_maps = [builder.embed(u_src, f"u{g}.{{}}", {}, u_pendants) for g in range(len(pairs))]
+    uncross_maps = builder.embed(u_src, [(f"u{g}.{{}}", {}) for g in range(len(pairs))], u_pendants)
     gadget_of_pair = {pair: g for g, pair in enumerate(pairs)}
 
     # nae_to_cubic left a marker named after the consumed port in each slot
@@ -325,13 +323,11 @@ def build_auxiliary(stage: PlanarStage) -> AuxStage:
         raise ValidationError("auxiliary construction expects a cubic graph")
     aux_src = build_aux_edge().template
     builder = GraphBuilder()
-    for v in stage.graph.vertices:
-        builder.add_vertex(ORIGINAL, v.name)
+    builder.add_vertices(repeat(ORIGINAL), [v.name for v in stage.graph.vertices])
     builder.rotation = {v: list(ns) for v, ns in stage.rot.rotation.items()}
-    aux_records: Dict[Edge, Dict[str, int]] = {
-        (x, y): builder.embed(aux_src, f"e{x}-{y}.{{}}", {"u": x, "v": y}, ())
-        for x, y in stage.graph.sorted_edges()
-    }
+    edges = stage.graph.sorted_edges()
+    maps = builder.embed(aux_src, [(f"e{x}-{y}.{{}}", {"u": x, "v": y}) for x, y in edges])
+    aux_records = {(x, y): {"u": x, "v": y, **m} for (x, y), m in zip(edges, maps)}
     graph, rot = builder.freeze_with_rotation()
     n, mm = stage.graph.n, stage.graph.m
     if graph.n != n + 6 * mm or graph.m != 8 * mm:
@@ -361,46 +357,20 @@ def build_instance(stage: AuxStage, k: int) -> InstanceStage:
     if k < 4:
         raise ValidationError(f"instance construction needs k >= 4, got {k}")
     h = stage.graph
-    builder = GraphBuilder()
-    for v in h.vertices:
-        builder.add_vertex(v.role, v.name)
+    builder = GraphBuilder(h.vertices)
     builder.rotation = {v: list(ns) for v, ns in stage.rot.rotation.items()}
-    rotation = builder.rotation
+    need = [k - 1 - h.degree(v) for v in range(h.n)]
+    pendant_map = builder.add_leaves([(v, c, f"v{v}") for v, c in enumerate(need) if c > 0])
 
-    pendant_map: Dict[int, List[int]] = {}
-    for v in range(h.n):
-        need = (k - 1) - h.degree(v)
-        leaves = []
-        for idx in range(need):
-            leaf = builder.add_vertex(PENDANT, f"v{v}.leaf{idx}")
-            builder.add_edge(v, leaf)
-            rotation.setdefault(v, []).append(leaf)
-            rotation[leaf] = [v]
-            leaves.append(leaf)
-        if leaves:
-            pendant_map[v] = leaves
+    edges = h.sorted_edges()
+    copies = [(f"e{x}-{y}.{{}}", {"u": x, "v": y}) for x, y in edges]
+    maps = builder.embed(build_edge_gadget(k).template, copies, (), GADGET_INTERNAL)
+    gadget_records = {e: {"a_u": m["a_u"], "a_v": m["a_v"], "interior": m} for e, m in zip(edges, maps)}
 
-    gadget_src = build_edge_gadget(k).template
-    gadget_records: Dict[Edge, Dict[str, object]] = {}
-    for x, y in h.sorted_edges():
-        glue = {"u": x, "v": y}
-        m = builder.embed(gadget_src, f"e{x}-{y}.{{}}", glue, (), GADGET_INTERNAL)
-        interior = {name: vid for name, vid in m.items() if name not in glue}
-        gadget_records[(x, y)] = {"a_u": m["a_u"], "a_v": m["a_v"], "interior": interior}
-
-    w_map: Dict[int, int] = {}
-    for v in sorted(stage.out_vertices()):
-        w = pendant_map[v][0]
-        w_map[v] = w
+    w_map = {v: pendant_map[v][0] for v in sorted(stage.out_vertices())}
+    for w in w_map.values():
         builder.set_role(w, GATE)
-        leaves = []
-        for idx in range(k - 2):
-            leaf = builder.add_vertex(PENDANT, f"w{v}.leaf{idx}")
-            builder.add_edge(w, leaf)
-            rotation[w].append(leaf)
-            rotation[leaf] = [w]
-            leaves.append(leaf)
-        pendant_map[w] = leaves
+    pendant_map.update(builder.add_leaves([(w, k - 2, f"w{v}") for v, w in w_map.items()]))
 
     graph, rot = builder.freeze_with_rotation()
     for v in range(h.n):
@@ -422,6 +392,7 @@ def build_instance(stage: AuxStage, k: int) -> InstanceStage:
     )
 
 
+@collector_paused
 def run_reduction(formula: Nae3SatFormula, k: int, stop_at: str = "instance") -> ReductionTrace:
     stages = ("cubic", "planar", "aux", "instance")
     if stop_at not in stages:

@@ -85,6 +85,26 @@ def test_certify_capacity_exit(capsys):
     assert "certification supports" in err
 
 
+@pytest.mark.parametrize(
+    "k_range, message",
+    [
+        ("4..9", "edge gadget certification supports 4 <= k <= 8"),
+        ("6..10", "H' certification supports 6 <= k <= 9"),
+    ],
+)
+def test_certify_checks_capacity_before_any_lemma(capsys, monkeypatch, k_range, message):
+    from planar_l21 import gadgets
+
+    calls = []
+    lemmas = ["H", "clause_gadget", "uncrossing", "Hprime", "edge_gadget"]
+    for name in [f"certify_{lemma}" for lemma in lemmas]:
+        monkeypatch.setattr(gadgets, name, lambda *args, name=name: calls.append(name))
+    code, reports, err = run_cli(capsys, ["certify", "--k", k_range])
+    assert_bad_input(code, err)
+    assert (calls, reports) == ([], [])
+    assert message in err
+
+
 def test_certify_reports_mutation(capsys, monkeypatch):
     import planar_l21.gadgets as gadgets_mod
     from planar_l21.graphs import Graph
@@ -397,3 +417,32 @@ def test_export_dot_escapes_labels(tmp_path, capsys):
         '  v1 [label="back\\\\", shape=circle];',
         '  v2 [label="p\\"\\\\", shape=circle];',
     ]
+
+
+@pytest.mark.parametrize(
+    "target, old, new",
+    [
+        ("labelling", '"1":2', '"1":0,"1":2'),  # vertex 1 labelled twice; the last label is valid
+        ("instance", '"rotation":{', '"rotation":{"1":[[0,1],[1,2]],'),  # rotation of 1 twice
+        ("instance", '{"id":0,', '{"id":0,"name":"shadow",'),  # a vertex named twice
+    ],
+    ids=["label key", "rotation key", "vertex object key"],
+)
+def test_repeated_json_key_exits_2(tmp_path, capsys, target, old, new):
+    from conftest import any_rotation, path_graph
+    from planar_l21.graphs import to_json
+
+    g = path_graph(3)
+    texts = {
+        "instance": to_json(g, any_rotation(g), k=4),
+        "labelling": '{"k":4,"labels":{"0":0,"1":2,"2":4}}',
+    }
+    assert old in texts[target]
+    texts[target] = texts[target].replace(old, new, 1)
+    for name, text in texts.items():
+        (tmp_path / f"{name}.json").write_text(text)
+    files = [str(tmp_path / f"{name}.json") for name in texts]
+    code, reports, err = run_cli(capsys, ["verify", "--instance", files[0], "--labelling", files[1]])
+    assert_bad_input(code, err)
+    assert reports == []
+    assert "repeats the key" in err

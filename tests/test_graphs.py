@@ -260,20 +260,34 @@ def test_embed_matches_name_space_copy(case):
     build, names, glues, drop, role = EMBEDDINGS[case]
     template = build().template
     compiled, reference = _host_triangle(), _host_triangle()
-    for i, glue in enumerate(glues):
-        ids = compiled.embed(template, names.format(i), glue, drop, role)
-        expected = embed_by_names(reference, template, names.format(i), glue, drop, role)
-        assert list(ids.items()) == list(expected.items())
+    copies = [(names.format(i), glue) for i, glue in enumerate(glues)]
+    maps = compiled.embed(template, copies, drop, role)  # every copy in one batch
+    assert len(maps) == len(copies)
+    for (copy_names, glue), ids in zip(copies, maps):
+        expected = embed_by_names(reference, template, copy_names, glue, drop, role)
+        assert list({**glue, **ids}.items()) == list(expected.items())
     assert compiled.rotation == reference.rotation
     assert compiled.freeze() == reference.freeze()
+
+
+@pytest.mark.parametrize("case", sorted(EMBEDDINGS))
+def test_embed_batch_equals_one_call_per_copy(case):
+    build, names, glues, drop, role = EMBEDDINGS[case]
+    template = build().template
+    batched, single = _host_triangle(), _host_triangle()
+    copies = [(names.format(i), glue) for i, glue in enumerate(glues)]
+    maps = batched.embed(template, copies, drop, role)
+    assert maps == [m for copy in copies for m in single.embed(template, [copy], drop, role)]
+    assert batched.embed(template, [], drop, role) == []
+    assert batched.rotation == single.rotation
+    assert batched.freeze() == single.freeze()
 
 
 def test_freeze_finds_unfilled_markers_from_embed_and_seed():
     template = build_H().template
     builder = GraphBuilder()
     hub = builder.add_vertex(GADGET_INTERNAL, "a")
-    one = builder.embed(template, "{}1", {"a": hub}, ("m", "n"))
-    two = builder.embed(template, "{}2", {"a": hub}, ("m", "n"))
+    one, two = builder.embed(template, [("{}1", {"a": hub}), ("{}2", {"a": hub})], ("m", "n"))
     with pytest.raises(AssertionError, match="unfilled rotation slot"):
         builder.freeze_with_rotation()
     builder.link(one["l"], "n1", two["i"], "m2")
@@ -357,7 +371,7 @@ def test_from_json_rejects_non_integer_ids(path, value, message):
 def test_from_json_pauses_the_collector_and_restores_it(monkeypatch, enabled):
     text = json.dumps(_planar_k4_doc())
     loads, seen = json.loads, []
-    monkeypatch.setattr(json, "loads", lambda s: seen.append(gc.isenabled()) or loads(s))
+    monkeypatch.setattr(json, "loads", lambda s, **kw: seen.append(gc.isenabled()) or loads(s, **kw))
     was = gc.isenabled()
     (gc.enable if enabled else gc.disable)()
     try:

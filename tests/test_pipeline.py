@@ -1,3 +1,4 @@
+import gc
 from collections import Counter
 
 import pytest
@@ -351,6 +352,24 @@ def test_fixed_gadgets_are_built_once(monkeypatch):
     run_reduction(XYZ, 4)
     assert calls["verify_planar"] == 0  # each gadget was Euler-checked when first built
     assert gadgets.build_edge_gadget(4) is gadgets.build_edge_gadget(4)
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_run_reduction_pauses_the_collector_and_restores_it(monkeypatch, enabled):
+    build, seen = pipeline.nae_to_cubic, []
+    monkeypatch.setattr(pipeline, "nae_to_cubic", lambda f: seen.append(gc.isenabled()) or build(f))
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        run_reduction(XYZ, 4, stop_at="cubic")
+        after_return = gc.isenabled()
+        with pytest.raises(ValidationError, match="at least one clause"):
+            run_reduction(Nae3SatFormula(1, ()), 4)
+        after_raise = gc.isenabled()
+    finally:
+        (gc.enable if was else gc.disable)()
+    assert seen == [False, False]
+    assert after_return is after_raise is enabled
 
 
 def test_roundtrip_checks_each_witness_once(tmp_path, monkeypatch, capsys):
