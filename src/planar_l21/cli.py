@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from typing import List, Optional
 
@@ -41,6 +40,16 @@ def _note(message: str) -> None:
     sys.stderr.write(message + "\n")
 
 
+def _read(path: str) -> str:
+    """The UTF-8 text of an input file; `main` reports a file it cannot read
+    as bad input."""
+    try:
+        with open(path, encoding="utf-8") as f:
+            return f.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise L21Error(f"cannot read {path}: {exc}") from exc
+
+
 def _parse_k_range(text: str):
     if ".." in text:
         lo, hi = text.split("..", 1)
@@ -52,11 +61,7 @@ def cmd_reduce(args) -> int:
     if args.k < 4:
         _note(f"reduce: k must be at least 4, got {args.k}")
         return EXIT_INPUT
-    try:
-        formula = parse_formula(open(args.input).read())
-    except OSError as exc:
-        _note(f"reduce: cannot read {args.input}: {exc}")
-        return EXIT_INPUT
+    formula = parse_formula(_read(args.input))
     try:
         trace = pipeline.run_reduction(formula, args.k, stop_at=args.stop_at)
     except AssertionError as exc:
@@ -72,28 +77,20 @@ def cmd_reduce(args) -> int:
     return EXIT_OK
 
 
+# report kind -> the certifier on `gadgets` that writes the report
+_CERTIFIERS = {
+    "H": "certify_H",
+    "ClauseK": "certify_clause_gadget",
+    "UncrossU": "certify_uncrossing",
+    "Hprime": "certify_Hprime",
+    "Gk": "certify_edge_gadget",
+}
+
+
 def _certify_tasks(lo: int, hi: int) -> List[tuple]:
     tasks = [("H", None), ("ClauseK", None), ("UncrossU", None)]
-    for k in range(max(lo, 6), hi + 1):
-        tasks.append(("Hprime", k))
-    for k in range(lo, hi + 1):
-        tasks.append(("Gk", k))
-    return tasks
-
-
-def _run_certifier(task: tuple) -> dict:
-    kind, k = task
-    if kind == "H":
-        report = gadgets.certify_H()
-    elif kind == "ClauseK":
-        report = gadgets.certify_clause_gadget()
-    elif kind == "UncrossU":
-        report = gadgets.certify_uncrossing()
-    elif kind == "Hprime":
-        report = gadgets.certify_Hprime(k)
-    else:
-        report = gadgets.certify_edge_gadget(k)
-    return report.to_doc()
+    tasks += [("Hprime", k) for k in range(max(lo, 6), hi + 1)]
+    return tasks + [("Gk", k) for k in range(lo, hi + 1)]
 
 
 def cmd_certify(args) -> int:
@@ -105,40 +102,25 @@ def cmd_certify(args) -> int:
     if lo < 4 or hi < lo:
         _note(f"certify: k range must satisfy 4 <= lo <= hi, got {args.k}")
         return EXIT_INPUT
-    raw_workers = os.environ.get("L21_WORKERS", "1")
-    if not raw_workers.isdecimal() or int(raw_workers) < 1:
-        _note(f"certify: L21_WORKERS must be a positive integer, got {raw_workers!r}")
-        return EXIT_INPUT
-    workers = int(raw_workers)
     tasks = _certify_tasks(lo, hi)
     for kind, k in tasks:  # every capacity, before any lemma runs
         if kind in gadgets.CERTIFY_RANGE:
             gadgets.check_capacity(kind, k)
-    if workers > 1:
-        import multiprocessing
-
-        with multiprocessing.Pool(workers) as pool:
-            docs = pool.map(_run_certifier, tasks)
-    else:
-        docs = [_run_certifier(t) for t in tasks]
     failed = None
-    for doc in docs:
+    for kind, k in tasks:  # looked up at call time, so a substituted certifier runs
+        doc = getattr(gadgets, _CERTIFIERS[kind])(*(() if k is None else (k,))).to_doc()
         _report(doc)
         if not doc["pass"] and failed is None:
             failed = doc
     if failed is not None:
         _note(f"certify: FAILED at {failed['kind']} (k={failed['k']})")
         return EXIT_FAIL
-    _note(f"certify: all {len(docs)} reports pass")
+    _note(f"certify: all {len(tasks)} reports pass")
     return EXIT_OK
 
 
 def cmd_solve(args) -> int:
-    try:
-        graph, _, _, file_k = from_json(open(args.instance).read())
-    except OSError as exc:
-        _note(f"solve: cannot read {args.instance}: {exc}")
-        return EXIT_INPUT
+    graph, _, _, file_k = from_json(_read(args.instance))
     k = args.k if args.k is not None else file_k
     if k is None:
         _note("solve: no k given and none recorded in the instance")
@@ -150,12 +132,8 @@ def cmd_solve(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    try:
-        graph, _, _, file_k = from_json(open(args.instance).read())
-        labelling = labelling_from_json(open(args.labelling).read())
-    except OSError as exc:
-        _note(f"verify: cannot read input: {exc}")
-        return EXIT_INPUT
+    graph, _, _, file_k = from_json(_read(args.instance))
+    labelling = labelling_from_json(_read(args.labelling))
     if file_k is not None:  # the instance's span bounds the labels
         labelling = Labelling(file_k, labelling.labels)
     ok = verify_labelling(graph, labelling)
@@ -170,11 +148,7 @@ def cmd_roundtrip(args) -> int:
     if args.budget < 0:
         _note(f"roundtrip: node budget must be non-negative, got {args.budget}")
         return EXIT_INPUT
-    try:
-        formula = parse_formula(open(args.formula).read())
-    except OSError as exc:
-        _note(f"roundtrip: cannot read {args.formula}: {exc}")
-        return EXIT_INPUT
+    formula = parse_formula(_read(args.formula))
     assignment = solve_nae_bruteforce(formula)
     trace = pipeline.run_reduction(formula, args.k)
     if assignment is not None:
@@ -223,11 +197,7 @@ def cmd_export(args) -> int:
     if args.format != "dot":
         _note(f"export: unsupported format {args.format!r}")
         return EXIT_INPUT
-    try:
-        graph, _, ports, _ = from_json(open(args.input).read())
-    except OSError as exc:
-        _note(f"export: cannot read {args.input}: {exc}")
-        return EXIT_INPUT
+    graph, _, ports, _ = from_json(_read(args.input))
     sys.stdout.write(to_dot(graph, ports))
     return EXIT_OK
 

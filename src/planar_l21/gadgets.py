@@ -34,7 +34,6 @@ from .graphs import (
     CYCLE_VERTEX,
     Graph,
     GraphBuilder,
-    PortMap,
     RotationSystem,
     Template,
     rotation_from_coordinates,
@@ -63,12 +62,9 @@ def check_capacity(kind: str, k: int) -> None:
 class GadgetInstance:
     graph: Graph
     rot: RotationSystem
-    ports: PortMap
+    ports: Dict[str, int]  # port name -> vertex id
     kind: str
     k: Optional[int] = None
-
-    def port(self, name: str) -> int:
-        return self.ports[name]
 
     @cached_property
     def template(self) -> Template:
@@ -306,7 +302,7 @@ def _build_from_figure(coords, edges, roles, port_names, kind, k=None) -> Gadget
         builder.add_edge(ids[x], ids[y])
     graph = builder.freeze()
     rot = rotation_from_coordinates(graph, {ids[n]: xy for n, xy in coords.items()})
-    ports = PortMap({name: ids[name] for name in port_names})
+    ports = {name: ids[name] for name in port_names}
     instance = GadgetInstance(graph, rot, ports, kind, k)
     if not verify_planar(graph, rot):
         raise AssertionError(f"builder for {kind} produced a non-planar embedding")
@@ -340,7 +336,7 @@ def build_clause_gadget() -> GadgetInstance:
     for t, ids in enumerate(copies, 1):
         for letter in ("o", "p", "q", "r"):
             port_names[f"{letter}{t}"] = ids[letter]
-    instance = GadgetInstance(graph, rot, PortMap(port_names), "ClauseK")
+    instance = GadgetInstance(graph, rot, port_names, "ClauseK")
     if not verify_planar(graph, rot):
         raise AssertionError("clause gadget embedding is not planar")
     return instance
@@ -397,7 +393,7 @@ def build_Hprime(k: int) -> GadgetInstance:
     for j in range(1, k - 2):
         rotation[ids[f"f{j}"]] = [ids["d"], ids["g"]]
     rot = RotationSystem(rotation)
-    instance = GadgetInstance(graph, rot, PortMap({"c": ids["c"], "d": ids["d"]}), "Hprime", k)
+    instance = GadgetInstance(graph, rot, {"c": ids["c"], "d": ids["d"]}, "Hprime", k)
     if not verify_planar(graph, rot):
         raise AssertionError("H' embedding is not planar")
     return instance
@@ -442,8 +438,7 @@ def build_edge_gadget(k: int) -> GadgetInstance:
         for c in cs:
             builder.rotation[c].append(b)
     graph, rot = builder.freeze_with_rotation()
-    ports = PortMap({name: ids[name] for name in _EDGE_PATH})
-    instance = GadgetInstance(graph, rot, ports, "Gk", k)
+    instance = GadgetInstance(graph, rot, {name: ids[name] for name in _EDGE_PATH}, "Gk", k)
     if not verify_planar(graph, rot):
         raise AssertionError(f"G_{k} embedding is not planar")
     return instance
@@ -554,7 +549,7 @@ def certify_Hprime(k: int) -> CertReport:
     """Feasible (L(c), L(d)) pairs match the four-element table exactly."""
     check_capacity("Hprime", k)
     inst = build_Hprime(k)
-    c, d = inst.port("c"), inst.port("d")
+    c, d = inst.ports["c"], inst.ports["d"]
     ids = _names(inst)
     pairs = []
     for xc in range(k + 1):
@@ -598,7 +593,7 @@ def certify_edge_gadget(k: int) -> CertReport:
     """Boundary behaviour of G_k with ends pinned to {0,k} matches the table."""
     check_capacity("Gk", k)
     inst = build_edge_gadget(k)
-    observed = enumerate_boundary_behaviour(inst.graph, inst.ports, k, {0, k})
+    observed = enumerate_boundary_behaviour(inst.graph, inst.ports, k)
     expected = edge_gadget_expected_table(k)
     return CertReport(
         "Gk",

@@ -175,27 +175,6 @@ class RotationSystem:
         return f"RotationSystem({len(self.rotation)} vertices)"
 
 
-class PortMap:
-    """Named access points of a gadget: port-name string -> vertex id."""
-
-    def __init__(self, ports: Dict[str, int]):
-        self.ports = dict(ports)
-
-    def __getitem__(self, name: str) -> int:
-        if name not in self.ports:
-            raise ValidationError(f"missing port {name!r}")
-        return self.ports[name]
-
-    def items(self):
-        return sorted(self.ports.items())
-
-    def __eq__(self, other):
-        return isinstance(other, PortMap) and self.ports == other.ports
-
-    def __repr__(self):
-        return f"PortMap({self.ports})"
-
-
 @dataclass(frozen=True)
 class Template:
     """A graph and its rotation in vertex-name space: the form in which
@@ -515,7 +494,7 @@ _DOT_SHAPES = {
 def to_json(
     graph: Graph,
     rot: Optional[RotationSystem] = None,
-    ports: Optional[PortMap] = None,
+    ports: Optional[Dict[str, int]] = None,
     k: Optional[int] = None,
 ) -> str:
     """The text `json.dumps(doc, sort_keys=True, separators=(",", ":"))` gives,
@@ -536,9 +515,7 @@ def to_json(
     vertices = ",".join(
         [f'{{"id":{i},"name":{esc(name)},"role":{esc(role)}}}' for i, role, name in graph.vertices]
     )
-    port_doc = json.dumps(
-        {} if ports is None else dict(ports.items()), sort_keys=True, separators=(",", ":")
-    )
+    port_doc = json.dumps(ports or {}, sort_keys=True, separators=(",", ":"))
     return (
         f'{{"edges":[{edges}],"k":{json.dumps(k)},"ports":{port_doc},'
         f'"rotation":{rotation},"vertices":[{vertices}]}}\n'
@@ -601,7 +578,7 @@ def collector_paused(fn):
 
 
 @collector_paused
-def from_json(text: str) -> Tuple[Graph, Optional[RotationSystem], PortMap, Optional[int]]:
+def from_json(text: str) -> Tuple[Graph, Optional[RotationSystem], Dict[str, int], Optional[int]]:
     doc = json_object(text, ("vertices", "edges"), "graph")
     try:
         vertices = [Vertex(d["id"], d["role"], d["name"]) for d in doc["vertices"]]
@@ -623,16 +600,22 @@ def from_json(text: str) -> Tuple[Graph, Optional[RotationSystem], PortMap, Opti
                     ns.append(b if a == v else a)
                 rotation[v] = ns
             rot = RotationSystem(rotation)
-        ports = PortMap(doc.get("ports") or {})
     except JSON_SHAPE_ERRORS as exc:
         raise ValidationError(f"graph JSON has the wrong shape: {exc!r}") from exc
+    ports = {} if doc.get("ports") is None else doc["ports"]
+    if not isinstance(ports, dict):
+        raise ValidationError(f"graph JSON ports must be an object, not {type(ports).__name__}")
+    require_type(list(ports.values()), int, "graph JSON port")
+    for name, v in ports.items():
+        if not 0 <= v < graph.n:
+            raise ValidationError(f"graph JSON port {name!r} names foreign vertex {v}")
     k = doc.get("k")
     require_type([] if k is None else [k], int, "graph JSON k")
     return graph, rot, ports, k
 
 
-def to_dot(graph: Graph, ports: Optional[PortMap] = None) -> str:
-    port_names = {} if ports is None else {vid: name for name, vid in ports.items()}
+def to_dot(graph: Graph, ports: Optional[Dict[str, int]] = None) -> str:
+    port_names = {vid: name for name, vid in sorted((ports or {}).items())}
     lines = ["graph g {"]
     for v in graph.vertices:
         shape = _DOT_SHAPES[v.role]

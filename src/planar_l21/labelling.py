@@ -15,7 +15,7 @@ from itertools import chain
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from .errors import ValidationError
-from .graphs import JSON_SHAPE_ERRORS, Graph, PortMap, json_object, require_type, vertex_key
+from .graphs import JSON_SHAPE_ERRORS, Graph, json_object, require_type, vertex_key
 
 SAT = "sat"
 UNSAT = "unsat"
@@ -383,27 +383,18 @@ def solve_labelling(
 
 
 def enumerate_boundary_behaviour(
-    gadget: Graph,
-    ports: PortMap,
-    k: int,
-    boundary_domain: Iterable[int],
+    gadget: Graph, ports: Dict[str, int], k: int
 ) -> Set[Tuple[int, int, int, int]]:
-    """All realizable (L(u), L(v), L(a_u), L(a_v)) tuples of an edge gadget.
-
-    ``boundary_domain`` restricts the labels tried at u and v; the inner
-    labels range over the whole of {0..k}.
-    """
+    """All realizable (L(u), L(v), L(a_u), L(a_v)) tuples of an edge gadget
+    with its ends u and v labelled 0 or k; the inner labels range over the
+    whole of {0..k}."""
     ids = [ports[name] for name in ("u", "v", "a_u", "a_v")]
     if len(set(ids)) != 4:
         raise ValidationError("ports u, v, a_u, a_v must be four distinct vertices")
     u, v, au, av = ids
-    domain = sorted(set(boundary_domain))
-    for x in domain:
-        if not (0 <= x <= k):
-            raise ValidationError(f"boundary label {x} outside [0,{k}]")
     out = set()
-    for xu in domain:
-        for xv in domain:
+    for xu in (0, k):
+        for xv in (0, k):
             for xau in range(k + 1):
                 for xav in range(k + 1):
                     pins = {u: xu, v: xv, au: xau, av: xav}

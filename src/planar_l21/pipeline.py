@@ -98,7 +98,6 @@ class CubicStage:
     # rotation with an Unfilled marker, named c<clause>.<port>, per consumed port
     rotation_template: Dict[int, List[object]]
     literal_vertices: Dict[int, List[int]]  # literal -> port vertices labelled with it
-    arm_vertices: Dict[Tuple[int, int], Dict[str, int]]  # (clause, arm) -> {"o","p"}
     a_vertices: List[int]  # hub vertex per clause
     arm_literals: List[Tuple[int, int, int]]
     identifying_edges: List[Edge]
@@ -123,7 +122,6 @@ class AuxStage:
     rot: RotationSystem
     # per planar edge (x,y): ids of the six inserted vertices
     aux_records: Dict[Edge, Dict[str, int]]
-    original_count: int
     certified_planar: bool  # rot passed the Euler check
 
     def out_vertices(self) -> Set[int]:
@@ -135,7 +133,6 @@ class InstanceStage:
     graph: Graph
     rot: RotationSystem
     k: int
-    h_vertex_count: int
     gadget_records: Dict[Edge, Dict[str, object]]  # per former edge: a_u, a_v, interior
     pendant_map: Dict[int, List[int]]  # parent -> leaf ids
     w_map: Dict[int, int]  # out-vertex -> hub pendant
@@ -202,10 +199,8 @@ def nae_to_cubic(formula: Nae3SatFormula) -> CubicStage:
         raise AssertionError("the linked clause gadgets must form a cubic graph")
 
     literal_vertices: Dict[int, List[int]] = {}
-    arm_vertices: Dict[Tuple[int, int], Dict[str, int]] = {}
     for c, clause in enumerate(formula.clauses):
         for t in (1, 2, 3):
-            arm_vertices[(c, t)] = {"o": maps[c][f"o{t}"], "p": maps[c][f"p{t}"]}
             literal_vertices.setdefault(clause[t - 1], []).extend(
                 [maps[c][f"o{t}"], maps[c][f"p{t}"]]
             )
@@ -214,7 +209,6 @@ def nae_to_cubic(formula: Nae3SatFormula) -> CubicStage:
         chords=chord_system,
         rotation_template=builder.rotation,
         literal_vertices={lit: sorted(vs) for lit, vs in literal_vertices.items()},
-        arm_vertices=arm_vertices,
         a_vertices=[m["a"] for m in maps],
         arm_literals=[tuple(clause) for clause in formula.clauses],
         identifying_edges=sorted(identifying),
@@ -341,7 +335,6 @@ def build_auxiliary(stage: PlanarStage) -> AuxStage:
         graph=graph,
         rot=rot,
         aux_records=aux_records,
-        original_count=n,
         certified_planar=stage.certified_planar,
     )
 
@@ -385,7 +378,6 @@ def build_instance(stage: AuxStage, k: int) -> InstanceStage:
         graph=graph,
         rot=rot,
         k=k,
-        h_vertex_count=h.n,
         gadget_records=gadget_records,
         pendant_map=pendant_map,
         w_map=w_map,
@@ -620,10 +612,10 @@ def _gadget_fill(k: int, lu: int, lv: int, lau: int, lav: int) -> Dict[str, int]
     """Interior labels (by gadget vertex name) for one boundary tuple."""
     inst = build_edge_gadget(k)
     pins = {
-        inst.port("u"): lu,
-        inst.port("v"): lv,
-        inst.port("a_u"): lau,
-        inst.port("a_v"): lav,
+        inst.ports["u"]: lu,
+        inst.ports["v"]: lv,
+        inst.ports["a_u"]: lau,
+        inst.ports["a_v"]: lav,
     }
     result = solve_labelling(inst.graph, k, pins)
     if not result.is_sat:

@@ -13,7 +13,6 @@ from planar_l21.errors import CapacityError, ValidationError
 from planar_l21.graphs import (
     Graph,
     GraphBuilder,
-    PortMap,
     RotationSystem,
     Template,
     Unfilled,
@@ -157,7 +156,7 @@ def embed_by_names(
 def stage_json(
     graph: Graph,
     rot: Optional[RotationSystem] = None,
-    ports: Optional[PortMap] = None,
+    ports: Optional[Dict[str, int]] = None,
     k: Optional[int] = None,
 ) -> str:
     """The stage-file text by its definition: the document, dumped with sorted
@@ -174,6 +173,6 @@ def stage_json(
         "rotation": None
         if rot is None
         else {str(v): [list(edge_key(v, u)) for u in canonical(ns)] for v, ns in rot.rotation.items()},
-        "ports": {} if ports is None else dict(ports.items()),
+        "ports": ports or {},
     }
     return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"

@@ -249,10 +249,10 @@ def test_criterion_9_oracle_equivalence():
 def test_criterion_10_local_refutation_anchors():
     t0 = time.monotonic()
     g5 = build_edge_gadget(5)
-    pins5 = {g5.port("u"): 0, g5.port("v"): 5, g5.port("a_u"): 4, g5.port("a_v"): 2}
+    pins5 = {g5.ports["u"]: 0, g5.ports["v"]: 5, g5.ports["a_u"]: 4, g5.ports["a_v"]: 2}
     r5 = solve_labelling(g5.graph, 5, pins5)
     g4 = build_edge_gadget(4)
-    pins4 = {g4.port("u"): 0, g4.port("v"): 0, g4.port("a_u"): 3}
+    pins4 = {g4.ports["u"]: 0, g4.ports["v"]: 0, g4.ports["a_u"]: 3}
     r4 = solve_labelling(g4.graph, 4, pins4)
     ok = r5.outcome == UNSAT and r4.outcome == UNSAT
     emit(10, ok, f"pinned refutations: G5 (0,5,4,2) and G4 (0,0,3,.) both unsat ({time.monotonic()-t0:.2f}s)")

@@ -121,14 +121,6 @@ def test_certify_reports_mutation(capsys, monkeypatch):
     assert h_report["observed"]["count"] != 6
 
 
-def test_certify_worker_pool_matches_sequential(capsys, monkeypatch):
-    code_seq, seq, _ = run_cli(capsys, ["certify", "--k", "4..4"])
-    monkeypatch.setenv("L21_WORKERS", "2")
-    code_par, par, _ = run_cli(capsys, ["certify", "--k", "4..4"])
-    assert code_seq == code_par == 0
-    assert seq == par
-
-
 def test_solve_and_verify_round_trip(tmp_path, formula_file, capsys):
     out = tmp_path / "out"
     run_cli(capsys, ["reduce", "--k", "4", "--input", str(formula_file), "--out", str(out), "--stop-at", "cubic"])
@@ -291,15 +283,6 @@ def test_reduce_out_is_a_file_exits_2(tmp_path, formula_file, capsys):
     assert "cannot write" in err
 
 
-@pytest.mark.parametrize("value", ["abc", "0"])
-def test_certify_rejects_bad_worker_count(capsys, monkeypatch, value):
-    monkeypatch.setenv("L21_WORKERS", value)
-    code, reports, err = run_cli(capsys, ["certify", "--k", "4..4"])
-    assert_bad_input(code, err)
-    assert reports == []
-    assert "L21_WORKERS" in err
-
-
 def test_roundtrip_over_capacity_exits_2(tmp_path, capsys):
     path = tmp_path / "wide.cnf"
     path.write_text("p cnf 31 1\n1 2 31 0\n")
@@ -403,12 +386,12 @@ def test_non_canonical_rotation_key_exits_2(tmp_path, capsys, command):
 
 
 def test_export_dot_escapes_labels(tmp_path, capsys):
-    from planar_l21.graphs import ORIGINAL, Graph, PortMap, Vertex, to_json
+    from planar_l21.graphs import ORIGINAL, Graph, Vertex, to_json
 
     names = ['x" ] ; evil [', "back\\", "c"]
     g = Graph([Vertex(i, ORIGINAL, name) for i, name in enumerate(names)], [(0, 1), (1, 2)])
     path = tmp_path / "quoted.json"
-    path.write_text(to_json(g, ports=PortMap({'p"\\': 2})))
+    path.write_text(to_json(g, ports={'p"\\': 2}))
     code = cli.main(["export", "--input", str(path)])
     lines = capsys.readouterr().out.splitlines()
     assert code == 0
@@ -446,3 +429,62 @@ def test_repeated_json_key_exits_2(tmp_path, capsys, target, old, new):
     assert_bad_input(code, err)
     assert reports == []
     assert "repeats the key" in err
+
+
+@pytest.mark.parametrize(
+    "ports",
+    ['{"x": true}', '[["x", 0]]', '{"x": 99}', '{"x": "a"}', '{"x": 1.0}'],
+    ids=["bool", "array", "foreign vertex", "string", "float"],
+)
+def test_graph_ports_must_name_vertices(tmp_path, capsys, ports):
+    from conftest import path_graph
+    from planar_l21.graphs import to_json
+
+    text = to_json(path_graph(3))
+    assert '"ports":{}' in text
+    path = tmp_path / "p3.json"
+    path.write_text(text.replace('"ports":{}', f'"ports":{ports}'))
+    code = cli.main(["export", "--input", str(path)])
+    captured = capsys.readouterr()
+    assert_bad_input(code, captured.err)
+    assert "graph JSON port" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("content", [None, b"\xff"], ids=["missing", "undecodable"])
+@pytest.mark.parametrize(
+    "command, option",
+    [
+        ("reduce", "--input"),
+        ("roundtrip", "--formula"),
+        ("solve", "--instance"),
+        ("verify", "--instance"),
+        ("verify", "--labelling"),
+        ("export", "--input"),
+    ],
+)
+def test_unreadable_input_exits_2(tmp_path, formula_file, capsys, command, option, content):
+    from conftest import path_graph
+    from planar_l21.graphs import to_json
+
+    instance = tmp_path / "p3.json"
+    instance.write_text(to_json(path_graph(3), k=4))
+    lab = tmp_path / "lab.json"
+    lab.write_text(labelling_to_json(Labelling(4, {0: 0, 1: 2, 2: 4})))
+    bad = tmp_path / "bad.txt"
+    if content is not None:
+        bad.write_bytes(content + b"p cnf 3 1\n1 2 3 0\n")
+    inputs = {
+        "reduce": {"--input": formula_file, "--out": tmp_path / "out"},
+        "roundtrip": {"--formula": formula_file},
+        "solve": {"--instance": instance},
+        "verify": {"--instance": instance, "--labelling": lab},
+        "export": {"--input": instance},
+    }[command]
+    inputs[option] = bad
+    argv = [command] + [str(x) for flag, path in inputs.items() for x in (flag, path)]
+    code = cli.main(argv)
+    captured = capsys.readouterr()
+    assert_bad_input(code, captured.err)
+    assert captured.err.startswith(f"{command}: cannot read {bad}: ")
+    assert captured.out == ""

@@ -27,10 +27,10 @@ def names(inst):
 def test_base_gadget_census():
     inst = build_H()
     assert inst.graph.n == 18 and inst.graph.m == 22
-    assert inst.graph.degree(inst.port("q")) == 1
-    assert inst.graph.degree(inst.port("b")) == 3
+    assert inst.graph.degree(inst.ports["q"]) == 1
+    assert inst.graph.degree(inst.ports["b"]) == 3
     for pendant in ("a", "m", "n", "q", "r"):
-        assert inst.graph.degree(inst.port(pendant)) == 1
+        assert inst.graph.degree(inst.ports[pendant]) == 1
     assert verify_planar(inst.graph, inst.rot)
 
 
@@ -41,7 +41,7 @@ def test_clause_gadget_census():
     assert not check_regular(inst.graph, 3)
     degree_one = [v for v in range(inst.graph.n) if inst.graph.degree(v) == 1]
     assert sorted(degree_one) == sorted(
-        inst.port(f"{letter}{t}") for t in (1, 2, 3) for letter in ("q", "r")
+        inst.ports[f"{letter}{t}"] for t in (1, 2, 3) for letter in ("q", "r")
     )
     for t, nxt in ((1, 2), (2, 3), (3, 1)):
         assert inst.graph.has_edge(ids[f"l{t}"], ids[f"i{nxt}"])
@@ -51,7 +51,7 @@ def test_clause_gadget_census():
 
 def test_clause_gadget_port_face_order():
     inst = build_clause_gadget()
-    port_of = {inst.port(f"{l}{t}"): f"{l}{t}" for t in (1, 2, 3) for l in ("q", "r")}
+    port_of = {inst.ports[f"{l}{t}"]: f"{l}{t}" for t in (1, 2, 3) for l in ("q", "r")}
     walks = faces(inst.graph, inst.rot)
     orders = []
     for walk in walks:
@@ -69,9 +69,9 @@ def test_uncrossing_census():
     ids = names(inst)
     assert inst.graph.n == 28
     for pendant in ("a", "w", "z2", "z4"):
-        assert inst.graph.degree(inst.port(pendant)) == 1
+        assert inst.graph.degree(inst.ports[pendant]) == 1
     for gate in ("b", "v", "z1", "z3"):
-        assert inst.graph.degree(inst.port(gate)) == 3
+        assert inst.graph.degree(inst.ports[gate]) == 3
     for cycle in (("c", "d", "f", "e"), ("g", "h", "i", "j"), ("k", "l", "n", "m"), ("o", "p", "q", "r")):
         ring = [ids[x] for x in cycle]
         for a, b in zip(ring, ring[1:] + ring[:1]):
@@ -93,7 +93,7 @@ def test_hprime_census_and_planarity():
     for k in range(6, 11):
         inst = build_Hprime(k)
         assert inst.graph.n == k + 3
-        assert inst.graph.degree(inst.port("d")) == k - 1
+        assert inst.graph.degree(inst.ports["d"]) == k - 1
         ids = names(inst)
         assert inst.graph.degree(ids["g"]) == k - 1
         assert verify_planar(inst.graph, inst.rot)

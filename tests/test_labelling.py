@@ -19,7 +19,6 @@ from planar_l21.labelling import (
     verify_labelling,
     _LabelSearch,
 )
-from planar_l21.graphs import PortMap
 
 from conftest import (
     complete_graph,
@@ -64,7 +63,7 @@ def test_solver_examples():
 
 def test_g5_with_pinned_ends_forces_inner_labels():
     inst = build_edge_gadget(5)
-    u, v, au, av = (inst.port(n) for n in ("u", "v", "a_u", "a_v"))
+    u, v, au, av = (inst.ports[n] for n in ("u", "v", "a_u", "a_v"))
     sat_pairs = set()
     for xau in range(6):
         for xav in range(6):
@@ -122,7 +121,7 @@ def test_budget_exhaustion_is_deterministic():
 
 def test_boundary_behaviour_g4():
     inst = build_edge_gadget(4)
-    observed = enumerate_boundary_behaviour(inst.graph, inst.ports, 4, {0, 4})
+    observed = enumerate_boundary_behaviour(inst.graph, inst.ports, 4)
     assert observed == {
         (0, 0, 2, 4),
         (0, 0, 4, 2),
@@ -135,7 +134,7 @@ def test_boundary_behaviour_g4():
 
 def test_boundary_behaviour_g5_has_ten_tuples():
     inst = build_edge_gadget(5)
-    observed = enumerate_boundary_behaviour(inst.graph, inst.ports, 5, {0, 5})
+    observed = enumerate_boundary_behaviour(inst.graph, inst.ports, 5)
     assert len(observed) == 10
     assert {(t[0], t[1], t[2], t[3]) for t in observed if (t[0], t[1]) == (0, 0)} == {
         (0, 0, 2, 5),
@@ -147,9 +146,9 @@ def test_boundary_behaviour_g5_has_ten_tuples():
 
 def test_boundary_behaviour_rejects_identified_ports():
     edge = make_graph(2, [(0, 1)])
-    ports = PortMap({"u": 0, "v": 1, "a_u": 0, "a_v": 1})
+    ports = {"u": 0, "v": 1, "a_u": 0, "a_v": 1}
     with pytest.raises(ValidationError):
-        enumerate_boundary_behaviour(edge, ports, 4, {0, 4})
+        enumerate_boundary_behaviour(edge, ports, 4)
 
 
 @settings(deadline=None, max_examples=25)
