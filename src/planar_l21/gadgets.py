@@ -16,7 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property
-from typing import Callable, Dict, List, Optional, Set, Tuple
+from itertools import product
+from typing import Dict, List, Optional, Set, Tuple
 
 from .colouring import (
     BLACK,
@@ -39,7 +40,7 @@ from .graphs import (
     rotation_from_coordinates,
     verify_planar,
 )
-from .labelling import enumerate_boundary_behaviour, solve_labelling
+from .labelling import enumerate_boundary_behaviour
 
 F = Fraction
 
@@ -496,83 +497,71 @@ def certify_H() -> CertReport:
     return CertReport("H", None, observed, expected, observed == expected, len(colourings))
 
 
-_CLAUSE_BOUNDARY = ["a"] + [f"{letter}{t}" for t in (1, 2, 3) for letter in ("o", "p", "q", "r")]
-
-
-def clause_boundary_condition(pattern: Dict[str, str]) -> bool:
-    """The two-part extension condition: uniform arms, exactly two matching a."""
-    arm_colours = []
-    for t in (1, 2, 3):
-        arm = {pattern[f"{letter}{t}"] for letter in ("o", "p", "q", "r")}
-        if len(arm) != 1:
-            return False
-        arm_colours.append(arm.pop())
-    return sum(1 for c in arm_colours if c == pattern["a"]) == 2
+def _table_report(kind: str, k: Optional[int], observed: Set, expected: Set, count: int) -> CertReport:
+    """A lemma stated as a finite table: the observed against the listed
+    behaviours, both reported sorted."""
+    return CertReport(kind, k, sorted(observed), sorted(expected), observed == expected, count)
 
 
 def _classify_boundary(
-    inst: GadgetInstance, boundary: List[str], extends: Callable[[Dict[str, str]], bool]
+    inst: GadgetInstance, boundary: List[str], groups: List[List[str]], colourings: List[Tuple[int, ...]]
 ) -> CertReport:
-    """Classify all 2^len(boundary) boundary colourings of a gadget: those
-    that extend to an almost-matching against those `extends` predicts."""
+    """Compare the boundary colourings of a gadget that extend to an
+    almost-matching with the listed ones: each group of boundary vertices
+    uniform, the groups coloured as one entry of `colourings` (1 white).
+
+    A pattern sets bit i when ``boundary[i]`` is white; all
+    2^len(boundary) patterns are classified.
+    """
     ids = _names(inst)
     observed = extendable_boundary_patterns(inst.graph, [ids[name] for name in boundary])
-    expected = [
-        bits
-        for bits in range(1 << len(boundary))
-        if extends({name: WHITE if (bits >> i) & 1 else BLACK for i, name in enumerate(boundary)})
-    ]
-    return CertReport(inst.kind, None, observed, expected, observed == expected, 1 << len(boundary))
+    masks = [sum(1 << boundary.index(name) for name in group) for group in groups]
+    expected = {sum(mask for mask, white in zip(masks, whites) if white) for whites in colourings}
+    return _table_report(inst.kind, None, set(observed), expected, 1 << len(boundary))
+
+
+_CLAUSE_ARMS = [[f"{letter}{t}" for letter in ("o", "p", "q", "r")] for t in (1, 2, 3)]
+_CLAUSE_BOUNDARY = ["a"] + [name for arm in _CLAUSE_ARMS for name in arm]
 
 
 def certify_clause_gadget() -> CertReport:
-    """Classify all 2^13 boundary colourings of the clause gadget."""
-    return _classify_boundary(build_clause_gadget(), _CLAUSE_BOUNDARY, clause_boundary_condition)
+    """The 6 extending boundary colourings of the clause gadget: the hub a
+    and three uniform arms, exactly two arms coloured like a."""
+    colourings = [(x,) + tuple(x ^ (t == odd) for t in range(3)) for x in (0, 1) for odd in range(3)]
+    return _classify_boundary(build_clause_gadget(), _CLAUSE_BOUNDARY, [["a"]] + _CLAUSE_ARMS, colourings)
 
 
 _U_BOUNDARY = ["a", "b", "w", "v", "z1", "z2", "z3", "z4"]
 
 
-def uncross_boundary_condition(pattern: Dict[str, str]) -> bool:
-    return (
-        pattern["w"] == pattern["v"] == pattern["z1"] == pattern["z2"]
-        and pattern["a"] == pattern["b"] == pattern["z3"] == pattern["z4"]
-    )
-
-
 def certify_uncrossing() -> CertReport:
-    """Classify all 2^8 boundary colourings of the uncrossing gadget."""
-    return _classify_boundary(build_uncrossing(), _U_BOUNDARY, uncross_boundary_condition)
+    """The 4 extending boundary colourings of the uncrossing gadget:
+    {w, v, z1, z2} uniform and {a, b, z3, z4} uniform."""
+    groups = [["w", "v", "z1", "z2"], ["a", "b", "z3", "z4"]]
+    return _classify_boundary(build_uncrossing(), _U_BOUNDARY, groups, list(product((0, 1), repeat=2)))
 
 
 def certify_Hprime(k: int) -> CertReport:
     """Feasible (L(c), L(d)) pairs match the four-element table exactly."""
     check_capacity("Hprime", k)
     inst = build_Hprime(k)
+    graph, ids, every = inst.graph, _names(inst), range(k + 1)
     c, d = inst.ports["c"], inst.ports["d"]
-    ids = _names(inst)
-    pairs = []
-    for xc in range(k + 1):
-        for xd in range(k + 1):
-            if solve_labelling(inst.graph, k, {c: xc, d: xd}).is_sat:
-                pairs.append((xc, xd))
+    pairs = sorted(enumerate_boundary_behaviour(graph, k, [c, d], [every, every]))
     expected_pairs = sorted({(0, k), (1, k), (k - 1, 0), (k, 0)})
 
     # witness-side forcings, checked by refuting every alternative
     g_forced = True
     fans_forced = True
+    outside = (0, 1, k - 1, k)  # fan labels outside [2, k-2]
     for xc, xd in pairs:
         required_g = k - xd if xd in (0, k) else None
-        for xg in range(k + 1):
-            if xg == required_g:
-                continue
-            if solve_labelling(inst.graph, k, {c: xc, d: xd, ids["g"]: xg}).is_sat:
-                g_forced = False
+        others = [xg for xg in every if xg != required_g]
+        g_forced &= not enumerate_boundary_behaviour(graph, k, [c, d, ids["g"]], [[xc], [xd], others])
         for j in range(1, k - 2):
-            for xf in list(range(0, 2)) + list(range(k - 1, k + 1)):
-                if solve_labelling(inst.graph, k, {c: xc, d: xd, ids[f"f{j}"]: xf}).is_sat:
-                    fans_forced = False
-    observed = {"pairs": sorted(pairs), "g_d_span_ends": g_forced, "fans_inside_2_km2": fans_forced}
+            fan = [c, d, ids[f"f{j}"]]
+            fans_forced &= not enumerate_boundary_behaviour(graph, k, fan, [[xc], [xd], outside])
+    observed = {"pairs": pairs, "g_d_span_ends": g_forced, "fans_inside_2_km2": fans_forced}
     expected = {"pairs": expected_pairs, "g_d_span_ends": True, "fans_inside_2_km2": True}
     return CertReport("Hprime", k, observed, expected, observed == expected, (k + 1) ** 2)
 
@@ -590,16 +579,11 @@ def edge_gadget_expected_table(k: int) -> Set[Tuple[int, int, int, int]]:
 
 
 def certify_edge_gadget(k: int) -> CertReport:
-    """Boundary behaviour of G_k with ends pinned to {0,k} matches the table."""
+    """Boundary behaviour (L(u), L(v), L(a_u), L(a_v)) of G_k, with its ends
+    u and v labelled 0 or k, matches the table."""
     check_capacity("Gk", k)
     inst = build_edge_gadget(k)
-    observed = enumerate_boundary_behaviour(inst.graph, inst.ports, k)
-    expected = edge_gadget_expected_table(k)
-    return CertReport(
-        "Gk",
-        k,
-        sorted(observed),
-        sorted(expected),
-        observed == expected,
-        4 * (k + 1) ** 2,
-    )
+    boundary = [inst.ports[name] for name in ("u", "v", "a_u", "a_v")]
+    ends, inner = (0, k), range(k + 1)
+    observed = enumerate_boundary_behaviour(inst.graph, k, boundary, [ends, ends, inner, inner])
+    return _table_report("Gk", k, observed, edge_gadget_expected_table(k), 4 * (k + 1) ** 2)

@@ -162,12 +162,6 @@ class RotationSystem:
             if not (0 <= v < n):
                 raise ValidationError(f"rotation names foreign vertex {v}")
 
-    def successor(self, v: int, u: int) -> int:
-        """Neighbour following u in the cyclic order around v."""
-        rot = self.rotation[v]
-        i = rot.index(u)
-        return rot[(i + 1) % len(rot)]
-
     def __eq__(self, other):
         return isinstance(other, RotationSystem) and self.rotation == other.rotation
 
@@ -409,37 +403,6 @@ def rotation_from_coordinates(
         ns.sort(key=cmp_to_key(ccw_cmp_from(pos[v])))
         rotation[v] = ns
     return RotationSystem(rotation)
-
-
-def faces(graph: Graph, rot: RotationSystem) -> List[Tuple[Tuple[int, int], ...]]:
-    """Face walks traced from the rotation system.
-
-    Every directed edge side lies on exactly one walk.  Walks are reported in
-    a canonical order (each starts at its smallest directed edge); isolated
-    vertices contribute no walk.
-    """
-    rot.validate(graph)
-    remaining = set()
-    for u, v in graph.edges:
-        remaining.add((u, v))
-        remaining.add((v, u))
-    walks = []
-    for start in sorted(remaining):
-        if start not in remaining:
-            continue
-        walk = []
-        cur = start
-        while True:
-            walk.append(cur)
-            remaining.discard(cur)
-            u, v = cur
-            cur = (v, rot.successor(v, u))
-            if cur == start:
-                break
-            if cur not in remaining:
-                raise ValidationError(f"face tracing revisited {cur}; rotation malformed")
-        walks.append(tuple(walk))
-    return walks
 
 
 def verify_planar(graph: Graph, rot: RotationSystem) -> bool:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, product
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from .errors import ValidationError
@@ -383,24 +383,20 @@ def solve_labelling(
 
 
 def enumerate_boundary_behaviour(
-    gadget: Graph, ports: Dict[str, int], k: int
-) -> Set[Tuple[int, int, int, int]]:
-    """All realizable (L(u), L(v), L(a_u), L(a_v)) tuples of an edge gadget
-    with its ends u and v labelled 0 or k; the inner labels range over the
-    whole of {0..k}."""
-    ids = [ports[name] for name in ("u", "v", "a_u", "a_v")]
-    if len(set(ids)) != 4:
-        raise ValidationError("ports u, v, a_u, a_v must be four distinct vertices")
-    u, v, au, av = ids
-    out = set()
-    for xu in (0, k):
-        for xv in (0, k):
-            for xau in range(k + 1):
-                for xav in range(k + 1):
-                    pins = {u: xu, v: xv, au: xau, av: xav}
-                    if solve_labelling(gadget, k, pins).is_sat:
-                        out.add((xu, xv, xau, xav))
-    return out
+    gadget: Graph, k: int, boundary: Sequence[int], domains: Sequence[Iterable[int]]
+) -> Set[Tuple[int, ...]]:
+    """The label tuples on ``boundary`` that extend to a span-k labelling of
+    the gadget, out of the product of ``domains`` (one per boundary vertex).
+
+    One pinned solve per tuple, in lexicographic order of the product.
+    """
+    if len(set(boundary)) != len(boundary):
+        raise ValidationError("boundary vertices must be distinct")
+    return {
+        labels
+        for labels in product(*domains)
+        if solve_labelling(gadget, k, dict(zip(boundary, labels))).is_sat
+    }
 
 
 def _labelling_doc(labelling: Labelling) -> dict:

@@ -7,6 +7,7 @@ least one true and at least one false literal.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
@@ -16,6 +17,9 @@ Clause = Tuple[int, int, int]
 Assignment = Dict[int, bool]
 
 BRUTE_FORCE_VAR_LIMIT = 30
+
+# a DIMACS number: ASCII digits only, so no "+1", "3_0" or non-ASCII digit
+_DIMACS_INT = re.compile(r"-?[0-9]+")
 
 
 @dataclass(frozen=True)
@@ -35,7 +39,8 @@ class Nae3SatFormula:
 
 
 def parse_formula(text: str) -> Nae3SatFormula:
-    """Parse DIMACS CNF text, requiring exactly three literals per clause line."""
+    """Parse DIMACS CNF text, requiring exactly three literals per clause line
+    and every number in ASCII ``-?[0-9]+`` form."""
     num_vars = None
     num_clauses = None
     clauses = []
@@ -49,17 +54,16 @@ def parse_formula(text: str) -> Nae3SatFormula:
             parts = line.split()
             if len(parts) != 4 or parts[0] != "p" or parts[1] != "cnf":
                 raise FormulaParseError(f"malformed header {line!r}", lineno)
-            try:
-                num_vars, num_clauses = int(parts[2]), int(parts[3])
-            except ValueError:
+            if not all(map(_DIMACS_INT.fullmatch, parts[2:])):
                 raise FormulaParseError(f"malformed header {line!r}", lineno)
+            num_vars, num_clauses = int(parts[2]), int(parts[3])
             continue
         if num_vars is None:
             raise FormulaParseError("clause before header", lineno)
-        try:
-            lits = [int(tok) for tok in line.split()]
-        except ValueError:
+        tokens = line.split()
+        if not all(map(_DIMACS_INT.fullmatch, tokens)):
             raise FormulaParseError(f"non-integer token in {line!r}", lineno)
+        lits = [int(tok) for tok in tokens]
         if not lits or lits[-1] != 0:
             raise FormulaParseError("clause line must end with 0", lineno)
         lits = lits[:-1]

@@ -470,58 +470,27 @@ def matching_to_good_orientation(trace: ReductionTrace, colouring: TwoColouring)
         else:
             dichromatic.append((x, y))
 
-    out_used: Set[Edge] = set()
-    in_used: Set[Edge] = set()
+    # One walk per dichromatic cycle, entered at the black end of its edge
+    # with the smallest out-vertex; each step lays one path.
     records = aux.aux_records
-
-    def cycle_vertex_at(e: Edge, endpoint: int) -> int:
-        m = records[e]
-        return m["cu"] if endpoint == m["u"] else m["cv"]
-
-    def other_endpoint(e: Edge, endpoint: int) -> int:
-        return e[0] if e[1] == endpoint else e[1]
-
-    def run_path(e: Edge, through: int) -> Optional[Tuple[Edge, int]]:
-        m = records[e]
-        shade = colouring[through]
-        for vtx in (m["out"], m["cout"], cycle_vertex_at(e, through)):
-            colours[vtx] = shade
-        orient(m["out"], m["cout"])
-        orient(m["cout"], cycle_vertex_at(e, through))
-        orient(cycle_vertex_at(e, through), through)
-        out_used.add(e)
-        nxt = [d for d in _dichromatic_edges_at(through) if d != e]
-        if len(nxt) != 1:
-            raise AssertionError("a matched vertex has exactly two dichromatic edges")
-        f = nxt[0]
-        fm = records[f]
-        for vtx in (cycle_vertex_at(f, through), fm["cin"], fm["in"]):
-            colours[vtx] = shade
-        orient(through, cycle_vertex_at(f, through))
-        orient(cycle_vertex_at(f, through), fm["cin"])
-        orient(fm["cin"], fm["in"])
-        in_used.add(f)
-        if f not in out_used:
-            return f, other_endpoint(f, through)
-        return None
-
-    def _dichromatic_edges_at(v: int) -> List[Edge]:
-        return [edge_key(v, u) for u in _dichromatic_partners(planar.graph, colouring, v)]
-
-    pending: Optional[Tuple[Edge, int]] = None
-    remaining = set(dichromatic)
-    while remaining or pending:
-        if pending is not None:
-            e, through = pending
-        else:
-            e = min(
-                (d for d in remaining if d not in out_used),
-                key=lambda d: records[d]["out"],
-            )
-            x, y = e
-            through = x if colouring[x] == BLACK else y
-        pending = run_path(e, through)
-        remaining.discard(e)
+    walked: Set[Edge] = set()
+    for start in sorted(dichromatic, key=lambda d: records[d]["out"]):
+        e, through = start, start[0] if colouring[start[0]] == BLACK else start[1]
+        while e not in walked:
+            walked.add(e)
+            nxt = [edge_key(through, u) for u in _dichromatic_partners(planar.graph, colouring, through)]
+            nxt.remove(e)
+            if len(nxt) != 1:
+                raise AssertionError("a matched vertex has exactly two dichromatic edges")
+            f = nxt[0]
+            m, fm = records[e], records[f]
+            path = [m["out"], m["cout"], m["cu"] if through == m["u"] else m["cv"], through]
+            path += [fm["cu"] if through == fm["u"] else fm["cv"], fm["cin"], fm["in"]]
+            for a, b in zip(path, path[1:]):
+                orient(a, b)
+            for vtx in path:
+                colours[vtx] = colouring[through]
+            e, through = f, f[1] if f[0] == through else f[0]
 
     return ColouredOrientation(colours, orientation)
 

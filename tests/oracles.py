@@ -17,7 +17,6 @@ from planar_l21.graphs import (
     Template,
     Unfilled,
     edge_key,
-    faces,
 )
 from planar_l21.labelling import SAT, UNSAT, Labelling, SolveResult, verify_labelling
 
@@ -107,6 +106,43 @@ def solve_labelling_bruteforce(
     labelling = Labelling(k, dict(labels))
     assert verify_labelling(graph, labelling)
     return SolveResult(SAT, labelling=labelling)
+
+
+def successor(rot: RotationSystem, v: int, u: int) -> int:
+    """Neighbour following u in the cyclic order around v."""
+    ns = rot.rotation[v]
+    return ns[(ns.index(u) + 1) % len(ns)]
+
+
+def faces(graph: Graph, rot: RotationSystem) -> List[Tuple[Tuple[int, int], ...]]:
+    """Face walks traced from the rotation system, dart by dart.
+
+    Every directed edge side lies on exactly one walk.  Walks are reported in
+    a canonical order (each starts at its smallest directed edge); isolated
+    vertices contribute no walk.
+    """
+    rot.validate(graph)
+    remaining = set()
+    for u, v in graph.edges:
+        remaining.add((u, v))
+        remaining.add((v, u))
+    walks = []
+    for start in sorted(remaining):
+        if start not in remaining:
+            continue
+        walk = []
+        cur = start
+        while True:
+            walk.append(cur)
+            remaining.discard(cur)
+            u, v = cur
+            cur = (v, successor(rot, v, u))
+            if cur == start:
+                break
+            if cur not in remaining:
+                raise ValidationError(f"face tracing revisited {cur}; rotation malformed")
+        walks.append(tuple(walk))
+    return walks
 
 
 def euler_planar(graph: Graph, rot: RotationSystem) -> bool:

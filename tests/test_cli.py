@@ -65,6 +65,24 @@ def test_reduce_rejects_bad_formula(tmp_path, capsys):
     assert "line 2" in err
 
 
+@pytest.mark.parametrize(
+    "text",
+    ["p cnf 3_0 1\n1 2 3 0\n", "p cnf \u0663 1\n1 2 3 0\n", "p cnf 3 1\n+1 2 3 0\n"],
+    ids=["underscore", "non-ascii digit", "plus sign"],
+)
+@pytest.mark.parametrize("command", ["reduce", "roundtrip"])
+def test_non_dimacs_number_exits_2(tmp_path, capsys, command, text):
+    bad = tmp_path / "bad.cnf"
+    bad.write_text(text, encoding="utf-8")
+    option = {"reduce": "--input", "roundtrip": "--formula"}[command]
+    argv = [command, option, str(bad)] + (["--out", str(tmp_path / "o")] if command == "reduce" else [])
+    code = cli.main(argv)
+    captured = capsys.readouterr()
+    assert_bad_input(code, captured.err)
+    assert captured.out == ""
+    assert not (tmp_path / "o").exists()
+
+
 def test_certify_small_range(capsys):
     code, reports, err = run_cli(capsys, ["certify", "--k", "4..4"])
     assert code == 0

@@ -14,10 +14,13 @@ from planar_l21.gadgets import (
     certify_clause_gadget,
     certify_edge_gadget,
     certify_uncrossing,
-    clause_boundary_condition,
     edge_gadget_expected_table,
+    _CLAUSE_BOUNDARY,
+    _U_BOUNDARY,
 )
-from planar_l21.graphs import check_regular, faces, to_json, verify_planar
+from planar_l21.graphs import check_regular, to_json, verify_planar
+
+from oracles import faces
 
 
 def names(inst):
@@ -144,13 +147,56 @@ def test_certify_uncrossing():
     assert len(report.observed) == 4  # two free colour choices, one per class
 
 
-def test_clause_boundary_condition_examples():
-    all_white = {name: WHITE for name in ["a"] + [f"{l}{t}" for t in (1, 2, 3) for l in ("o", "p", "q", "r")]}
-    assert not clause_boundary_condition(all_white)  # all three arms match a
+def clause_boundary_condition(pattern):
+    """The clause lemma's extension condition: uniform arms, exactly two
+    coloured like the hub a."""
+    arm_colours = []
+    for t in (1, 2, 3):
+        arm = {pattern[f"{letter}{t}"] for letter in ("o", "p", "q", "r")}
+        if len(arm) != 1:
+            return False
+        arm_colours.append(arm.pop())
+    return sum(1 for c in arm_colours if c == pattern["a"]) == 2
+
+
+def uncross_boundary_condition(pattern):
+    """The uncrossing lemma's extension condition: two uniform classes."""
+    return (
+        pattern["w"] == pattern["v"] == pattern["z1"] == pattern["z2"]
+        and pattern["a"] == pattern["b"] == pattern["z3"] == pattern["z4"]
+    )
+
+
+def pattern_bits(boundary, pattern):
+    return sum(1 << i for i, name in enumerate(boundary) if pattern[name] == WHITE)
+
+
+@pytest.mark.parametrize(
+    "certify,boundary,condition",
+    [
+        (certify_clause_gadget, _CLAUSE_BOUNDARY, clause_boundary_condition),
+        (certify_uncrossing, _U_BOUNDARY, uncross_boundary_condition),
+    ],
+    ids=["clause", "uncrossing"],
+)
+def test_listed_table_is_the_lemma_condition(certify, boundary, condition):
+    # the listed table against every one of the 2^b boundary colourings
+    satisfying = [
+        bits
+        for bits in range(1 << len(boundary))
+        if condition({name: WHITE if (bits >> i) & 1 else BLACK for i, name in enumerate(boundary)})
+    ]
+    assert certify().expected == satisfying
+
+
+def test_clause_table_membership_examples():
+    table = certify_clause_gadget().expected
+    all_white = {name: WHITE for name in _CLAUSE_BOUNDARY}
+    assert pattern_bits(_CLAUSE_BOUNDARY, all_white) not in table  # all three arms match a
     two_match = dict(all_white)
     for l in ("o", "p", "q", "r"):
         two_match[f"{l}3"] = BLACK
-    assert clause_boundary_condition(two_match)
+    assert pattern_bits(_CLAUSE_BOUNDARY, two_match) in table
 
 
 def test_certify_clause_gadget():

@@ -29,7 +29,6 @@ from planar_l21.graphs import (
     Unfilled,
     Vertex,
     check_regular,
-    faces,
     from_json,
     rotation_from_coordinates,
     to_dot,
@@ -38,7 +37,7 @@ from planar_l21.graphs import (
 )
 
 from conftest import any_rotation, complete_graph, make_graph, random_graph, triangle
-from oracles import embed_by_names, euler_planar, stage_json
+from oracles import embed_by_names, euler_planar, faces, stage_json
 
 
 def planar_k4():

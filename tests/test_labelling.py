@@ -121,7 +121,8 @@ def test_budget_exhaustion_is_deterministic():
 
 def test_boundary_behaviour_g4():
     inst = build_edge_gadget(4)
-    observed = enumerate_boundary_behaviour(inst.graph, inst.ports, 4)
+    boundary = [inst.ports[name] for name in ("u", "v", "a_u", "a_v")]
+    observed = enumerate_boundary_behaviour(inst.graph, 4, boundary, [(0, 4), (0, 4), range(5), range(5)])
     assert observed == {
         (0, 0, 2, 4),
         (0, 0, 4, 2),
@@ -134,7 +135,8 @@ def test_boundary_behaviour_g4():
 
 def test_boundary_behaviour_g5_has_ten_tuples():
     inst = build_edge_gadget(5)
-    observed = enumerate_boundary_behaviour(inst.graph, inst.ports, 5)
+    boundary = [inst.ports[name] for name in ("u", "v", "a_u", "a_v")]
+    observed = enumerate_boundary_behaviour(inst.graph, 5, boundary, [(0, 5), (0, 5), range(6), range(6)])
     assert len(observed) == 10
     assert {(t[0], t[1], t[2], t[3]) for t in observed if (t[0], t[1]) == (0, 0)} == {
         (0, 0, 2, 5),
@@ -146,9 +148,8 @@ def test_boundary_behaviour_g5_has_ten_tuples():
 
 def test_boundary_behaviour_rejects_identified_ports():
     edge = make_graph(2, [(0, 1)])
-    ports = {"u": 0, "v": 1, "a_u": 0, "a_v": 1}
     with pytest.raises(ValidationError):
-        enumerate_boundary_behaviour(edge, ports, 4)
+        enumerate_boundary_behaviour(edge, 4, [0, 1, 0, 1], [(0, 4), (0, 4), range(5), range(5)])
 
 
 @settings(deadline=None, max_examples=25)

@@ -58,6 +58,22 @@ def test_parse_errors_carry_line_numbers():
         parse_formula("p cnf 3 2\n1 2 3 0\n")
 
 
+NON_DIMACS_NUMBERS = [
+    ("p cnf 3_0 1\n1 2 1_0 0\n", "line 1"),  # int() reads 30
+    ("p cnf 30 1\n1 2 1_0 0\n", "line 2"),  # int() reads literal 10
+    ("p cnf \u0663 1\n1 2 3 0\n", "line 1"),  # Arabic-Indic three
+    ("p cnf 3 1\n+1 2 3 0\n", "line 2"),
+]
+
+
+@pytest.mark.parametrize(
+    "text, where", NON_DIMACS_NUMBERS, ids=["underscore header", "underscore literal", "non-ascii digit", "plus sign"]
+)
+def test_parse_accepts_only_ascii_dimacs_numbers(text, where):
+    with pytest.raises(FormulaParseError, match=where):
+        parse_formula(text)
+
+
 def test_format_parse_round_trip():
     f = Nae3SatFormula(4, ((1, -2, 3), (2, 4, -4)))
     assert parse_formula(format_formula(f)) == f
