@@ -20,6 +20,8 @@ BRUTE_FORCE_VAR_LIMIT = 30
 
 # a DIMACS number: ASCII digits only, so no "+1", "3_0" or non-ASCII digit
 _DIMACS_INT = re.compile(r"-?[0-9]+")
+# what separates tokens: ASCII space and tab only, so no U+00A0 or U+2003
+_BLANKS = re.compile(r"[ \t]+")
 
 
 @dataclass(frozen=True)
@@ -40,18 +42,23 @@ class Nae3SatFormula:
 
 def parse_formula(text: str) -> Nae3SatFormula:
     """Parse DIMACS CNF text, requiring exactly three literals per clause line
-    and every number in ASCII ``-?[0-9]+`` form."""
+    and every number in ASCII ``-?[0-9]+`` form.
+
+    Lines end at ``\n`` (a trailing ``\r`` is dropped) and tokens are
+    separated by ASCII spaces and tabs, so any other Unicode whitespace is
+    part of a token and line numbers count ``\n`` only.
+    """
     num_vars = None
     num_clauses = None
     clauses = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
+    for lineno, raw in enumerate(text.split("\n"), start=1):
+        line = raw.removesuffix("\r").strip(" \t")
         if not line or line.startswith("c"):
             continue
         if line.startswith("p"):
             if num_vars is not None:
                 raise FormulaParseError("duplicate header", lineno)
-            parts = line.split()
+            parts = _BLANKS.split(line)
             if len(parts) != 4 or parts[0] != "p" or parts[1] != "cnf":
                 raise FormulaParseError(f"malformed header {line!r}", lineno)
             if not all(map(_DIMACS_INT.fullmatch, parts[2:])):
@@ -60,7 +67,7 @@ def parse_formula(text: str) -> Nae3SatFormula:
             continue
         if num_vars is None:
             raise FormulaParseError("clause before header", lineno)
-        tokens = line.split()
+        tokens = _BLANKS.split(line)
         if not all(map(_DIMACS_INT.fullmatch, tokens)):
             raise FormulaParseError(f"non-integer token in {line!r}", lineno)
         lits = [int(tok) for tok in tokens]
@@ -105,16 +112,21 @@ def check_nae(formula: Nae3SatFormula, assignment: Assignment) -> bool:
     return True
 
 
-def solve_nae_bruteforce(formula: Nae3SatFormula) -> Optional[Assignment]:
+def solve_nae_bruteforce(formula: Nae3SatFormula, budget: Optional[int] = None) -> Optional[Assignment]:
     """Lexicographically first NAE-satisfying assignment, or None.
 
     Variable 1 is most significant and False < True, so assignments are
-    scanned in the order 00..0, 00..1, ...
+    scanned in the order 00..0, 00..1, ...  NAE is closed under complement,
+    so only those with variable 1 False are scanned: the first witness is
+    among them.  Raises `CapacityError` rather than scan more than
+    ``budget`` assignments.
     """
     n = formula.num_vars
     if n > BRUTE_FORCE_VAR_LIMIT:
         raise CapacityError(f"{n} variables exceed brute-force limit {BRUTE_FORCE_VAR_LIMIT}")
-    for bits in range(1 << n):
+    for bits in range(1 << max(n - 1, 0)):
+        if budget is not None and bits >= budget:
+            raise CapacityError(f"brute-force NAE check: no verdict within {budget} assignments")
         assignment = {i: bool((bits >> (n - i)) & 1) for i in range(1, n + 1)}
         if check_nae(formula, assignment):
             return assignment

@@ -18,7 +18,15 @@ from planar_l21.graphs import (
     Unfilled,
     edge_key,
 )
-from planar_l21.labelling import SAT, UNSAT, Labelling, SolveResult, verify_labelling
+from planar_l21.gadgets import build_edge_gadget
+from planar_l21.labelling import (
+    SAT,
+    UNSAT,
+    Labelling,
+    SolveResult,
+    enumerate_boundary_behaviour,
+    verify_labelling,
+)
 
 BRUTE_FORCE_STATE_LIMIT = 10**9
 BITMASK_SWEEP_LIMIT = 20
@@ -106,6 +114,16 @@ def solve_labelling_bruteforce(
     labelling = Labelling(k, dict(labels))
     assert verify_labelling(graph, labelling)
     return SolveResult(SAT, labelling=labelling)
+
+
+def edge_gadget_table(k: int) -> Set[Tuple[int, int, int, int]]:
+    """The (L(u), L(v), L(a_u), L(a_v)) tuples of G_k, ends in {0, k}, that
+    extend to a span-k labelling: one pinned solve over the whole gadget per
+    tuple, in lexicographic order."""
+    inst = build_edge_gadget(k)
+    boundary = [inst.ports[name] for name in ("u", "v", "a_u", "a_v")]
+    ends, inner = (0, k), range(k + 1)
+    return enumerate_boundary_behaviour(inst.graph, k, boundary, [ends, ends, inner, inner])
 
 
 def successor(rot: RotationSystem, v: int, u: int) -> int:

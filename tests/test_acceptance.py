@@ -144,8 +144,8 @@ def test_criterion_4_side_gadget_pairs():
 
 def test_criterion_5_edge_gadget_tables():
     t0 = time.monotonic()
-    ok = all(certify_edge_gadget(k).passed for k in (4, 5, 6, 7))
-    emit(5, ok, f"edge gadget boundary tables exact for k=4..7 ({time.monotonic()-t0:.1f}s)")
+    ok = all(certify_edge_gadget(k).passed for k in (4, 5, 6, 7, 8))
+    emit(5, ok, f"edge gadget boundary tables exact for k=4..8 ({time.monotonic()-t0:.1f}s)")
 
 
 def test_criterion_6_forward_witness_chain(forward_runs):

@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -72,6 +73,10 @@ def test_reduce_rejects_bad_formula(tmp_path, capsys):
 )
 @pytest.mark.parametrize("command", ["reduce", "roundtrip"])
 def test_non_dimacs_number_exits_2(tmp_path, capsys, command, text):
+    assert_formula_rejected(tmp_path, capsys, command, text)
+
+
+def assert_formula_rejected(tmp_path, capsys, command, text):
     bad = tmp_path / "bad.cnf"
     bad.write_text(text, encoding="utf-8")
     option = {"reduce": "--input", "roundtrip": "--formula"}[command]
@@ -81,6 +86,28 @@ def test_non_dimacs_number_exits_2(tmp_path, capsys, command, text):
     assert_bad_input(code, captured.err)
     assert captured.out == ""
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["p cnf 3 1\n1\u00a02 3 0\n", "p cnf 5 2\n1 2 3 0\x1c5 1 1 0\n"],
+    ids=["no-break space", "U+001C"],
+)
+@pytest.mark.parametrize("command", ["reduce", "roundtrip"])
+def test_unicode_whitespace_exits_2(tmp_path, capsys, command, text):
+    assert_formula_rejected(tmp_path, capsys, command, text)
+
+
+def test_roundtrip_budget_bounds_the_brute_force_oracle(tmp_path, capsys):
+    # 2^29 assignments to scan: the budget stops it long before
+    path = tmp_path / "wide.cnf"
+    path.write_text("p cnf 30 1\n1 1 1 0\n")
+    t0 = time.monotonic()
+    code = cli.main(["roundtrip", "--formula", str(path), "--k", "4", "--budget", "1000"])
+    captured = capsys.readouterr()
+    assert time.monotonic() - t0 < 30
+    assert_bad_input(code, captured.err)
+    assert "1000 assignments" in captured.err and captured.out == ""
 
 
 def test_certify_small_range(capsys):

@@ -9,6 +9,7 @@ from planar_l21.gadgets import (
     build_clause_gadget,
     build_edge_gadget,
     build_uncrossing,
+    GadgetInstance,
     certify_H,
     certify_Hprime,
     certify_clause_gadget,
@@ -18,9 +19,9 @@ from planar_l21.gadgets import (
     _CLAUSE_BOUNDARY,
     _U_BOUNDARY,
 )
-from planar_l21.graphs import check_regular, to_json, verify_planar
+from planar_l21.graphs import Graph, check_regular, edge_key, to_json, verify_planar
 
-from oracles import faces
+from oracles import edge_gadget_table, faces
 
 
 def names(inst):
@@ -222,6 +223,42 @@ def test_certify_edge_gadget_small():
     assert r5.passed
     with pytest.raises(CapacityError):
         certify_edge_gadget(9)
+
+
+@pytest.mark.parametrize("k", range(4, 9))
+def test_edge_gadget_table_matches_exhaustive_oracle(k):
+    # k >= 6 is composed from the H' table; the oracle solves over all of G_k
+    report = certify_edge_gadget(k)
+    oracle = edge_gadget_table(k)
+    assert report.passed and report.enumeration_count == 4 * (k + 1) ** 2
+    assert set(report.observed) == oracle == edge_gadget_expected_table(k)
+
+
+def _mutated_g7(drop=(), add=()):
+    good = build_edge_gadget(7)
+    ids = names(good)
+    edges = set(good.graph.edges) - {edge_key(ids[x], ids[y]) for x, y in drop}
+    edges |= {edge_key(ids[x], ids[y]) for x, y in add}
+    return GadgetInstance(Graph(good.graph.vertices, edges), good.rot, good.ports, "Gk", 7)
+
+
+@pytest.mark.parametrize(
+    "mutant",
+    [
+        {"add": [("b1", "b2")]},
+        {"add": [("c.l1", "a_u")]},
+        {"drop": [("d.r2", "f1.r2")]},
+    ],
+    ids=["extra middle edge", "extra hanger edge", "missing H' edge"],
+)
+def test_edge_gadget_certifier_rejects_mutated_structure(monkeypatch, mutant):
+    import planar_l21.gadgets as gadgets_mod
+
+    broken = _mutated_g7(**mutant)
+    monkeypatch.setattr(gadgets_mod, "build_edge_gadget", lambda k: broken)
+    report = gadgets_mod.certify_edge_gadget(7)
+    assert not report.passed
+    assert report.observed == []
 
 
 def test_expected_table_complement_closed():

@@ -8,19 +8,22 @@ taken before the gadget-embedding refactor and are never regenerated to make
 a change pass.
 """
 
+import contextlib
 import hashlib
+import io
 import json
 import random
 
 import pytest
 
-from planar_l21 import gadgets
+from planar_l21 import cli, gadgets, labelling
 from planar_l21.graphs import to_json
 from planar_l21.labelling import EXHAUSTED, _LabelSearch, solve_labelling
 from planar_l21.nae3sat import Nae3SatFormula
 from planar_l21.pipeline import run_reduction, write_trace
 
 from conftest import random_graph
+from oracles import edge_gadget_table
 from test_acceptance import CORPUS
 
 GADGET_BUILDERS = {
@@ -163,27 +166,28 @@ def test_trace_files_golden(index, k, tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# Solver golden outputs: every solve_labelling call that `l21 certify --k 4..8`
-# makes (certify_Hprime(6..8) and certify_edge_gadget(4..8)), and the
-# command's stdout.  Both solvers propagate to a unique fixpoint, so a faster
-# propagator must reproduce outcomes, node counts and witnesses exactly.
+# Solver golden outputs.  Both solvers propagate to a unique fixpoint, so a
+# faster propagator must reproduce outcomes, node counts and witnesses
+# exactly.  Two call sequences are pinned: the exhaustive one, certify_Hprime
+# for k = 6..8 and then the oracle's G_k tables for k = 4..8 (one pinned solve
+# per boundary tuple), and the calls `l21 certify --k 4..8` itself makes,
+# which compose G_k for k >= 6 from the H' table instead of solving over G_k.
+# The command's stdout is pinned too.
 # ---------------------------------------------------------------------------
 
 SOLVER_CALLS = 1490
 SOLVER_NODES = 41670
 SOLVER_HASH = "7b7f8e84efe8dd4b3130a291636b9ec2458f305e0aeecf7809fe8deb6998dc8a"
+CERTIFY_SOLVER_CALLS = 908
+CERTIFY_SOLVER_NODES = 122
+CERTIFY_SOLVER_HASH = "592df90935244f55037236b11d3d12f3dac28fa547b5c3527b6547cc8b00f336"
 CERTIFY_STDOUT_HASH = "2fb2dd7e5596fab51d4cea9ee94ee172282145c812958ecc8adc38639b87ddac"
 
 
-@pytest.fixture(scope="module")
-def certify_run():
-    """Run `l21 certify --k 4..8` once, logging every solve_labelling call as
-    (k, sorted pins, outcome, nodes, sorted labels)."""
-    import contextlib
-    import io
-
-    from planar_l21 import cli, labelling
-
+@contextlib.contextmanager
+def logged_solves():
+    """Log every solve_labelling call as (k, sorted pins, outcome, nodes,
+    sorted labels)."""
     original = labelling.solve_labelling
     calls = []
 
@@ -193,28 +197,47 @@ def certify_run():
         calls.append([k, sorted((pinned or {}).items()), result.outcome, result.nodes, labels])
         return result
 
-    patched = [labelling, gadgets]
-    for module in patched:
-        module.solve_labelling = logged
-    out = io.StringIO()
+    labelling.solve_labelling = logged
     try:
+        yield calls
+    finally:
+        labelling.solve_labelling = original
+
+
+def _calls_digest(calls) -> str:
+    return _sha256(json.dumps(calls, separators=(",", ":")))
+
+
+@pytest.fixture(scope="module")
+def certify_run():
+    """Run `l21 certify --k 4..8` once, logging every solve_labelling call."""
+    out = io.StringIO()
+    with logged_solves() as calls:
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
             code = cli.main(["certify", "--k", "4..8"])
-    finally:
-        for module in patched:
-            module.solve_labelling = original
-    return code, out.getvalue(), calls, _sha256(json.dumps(calls, separators=(",", ":")))
+    return code, out.getvalue(), calls
 
 
-def test_certify_solver_calls_golden(certify_run):
-    _, _, calls, digest = certify_run
+def test_certify_solver_calls_golden():
+    with logged_solves() as calls:
+        for k in range(6, 9):
+            assert gadgets.certify_Hprime(k).passed
+        for k in range(4, 9):
+            assert edge_gadget_table(k) == gadgets.edge_gadget_expected_table(k)
     assert len(calls) == SOLVER_CALLS
     assert sum(call[3] for call in calls) == SOLVER_NODES
-    assert digest == SOLVER_HASH
+    assert _calls_digest(calls) == SOLVER_HASH
+
+
+def test_certify_library_solver_calls_golden(certify_run):
+    _, _, calls = certify_run
+    assert len(calls) == CERTIFY_SOLVER_CALLS
+    assert sum(call[3] for call in calls) == CERTIFY_SOLVER_NODES
+    assert _calls_digest(calls) == CERTIFY_SOLVER_HASH
 
 
 def test_certify_stdout_golden(certify_run):
-    code, stdout, _, _ = certify_run
+    code, stdout, _ = certify_run
     assert code == 0
     assert _sha256(stdout) == CERTIFY_STDOUT_HASH
 

@@ -74,6 +74,30 @@ def test_parse_accepts_only_ascii_dimacs_numbers(text, where):
         parse_formula(text)
 
 
+UNICODE_WHITESPACE = [
+    ("p cnf 3 1\n1\u00a02 3 0\n", "line 2"),  # no-break space inside a clause
+    ("p\u2003cnf 3 1\n1 2 3 0\n", "line 1"),  # em space in the header
+    ("p cnf 5 2\n1 2 3 0\x1c5 1 1 0\n", "line 2"),  # U+001C is no line end
+    ("p cnf 5 2\n1 2 3 0\x855 1 1 0\n", "line 2"),  # nor is U+0085
+    ("p cnf 5 2\n1 2 3 0\u20285 1 1 0\n", "line 2"),  # nor U+2028
+]
+
+
+@pytest.mark.parametrize(
+    "text, where", UNICODE_WHITESPACE, ids=["no-break space", "em space", "U+001C", "U+0085", "U+2028"]
+)
+def test_parse_separates_only_on_ascii_blanks(text, where):
+    with pytest.raises(FormulaParseError, match=where):
+        parse_formula(text)
+
+
+def test_parse_accepts_crlf_tabs_and_padding():
+    f = parse_formula("c comment\r\np cnf\t3 2\r\n  1 2\t3 0 \r\n\r\n-1 -2 -3 0")
+    assert f == Nae3SatFormula(3, ((1, 2, 3), (-1, -2, -3)))
+    with pytest.raises(FormulaParseError, match="line 3"):
+        parse_formula("p cnf 3 1\r\n\r\n1 2 0\r\n")
+
+
 def test_format_parse_round_trip():
     f = Nae3SatFormula(4, ((1, -2, 3), (2, 4, -4)))
     assert parse_formula(format_formula(f)) == f
@@ -108,6 +132,19 @@ def test_bruteforce_capacity_bound():
     f = Nae3SatFormula(31, ((1, 2, 3),))
     with pytest.raises(CapacityError):
         solve_nae_bruteforce(f)
+
+
+def test_bruteforce_budget_counts_scanned_assignments():
+    # only the 2^(n-1) assignments with variable 1 False are scanned
+    unsat = Nae3SatFormula(4, ((1, 1, 1),))
+    assert solve_nae_bruteforce(unsat, budget=8) is None
+    with pytest.raises(CapacityError, match="7 assignments"):
+        solve_nae_bruteforce(unsat, budget=7)
+    late = Nae3SatFormula(3, ((2, 2, 3), (2, 3, 3), (1, 2, 3)))  # first witness 0 0 1 is scanned second
+    assert solve_nae_bruteforce(late, budget=2) == solve_nae_bruteforce(late) == {1: False, 2: False, 3: True}
+    with pytest.raises(CapacityError):
+        solve_nae_bruteforce(late, budget=1)
+    assert solve_nae_bruteforce(Nae3SatFormula(0, ()), budget=1) == {}
 
 
 @settings(deadline=None, max_examples=60)
