@@ -41,10 +41,11 @@ def _note(message: str) -> None:
 
 
 def _read(path: str) -> str:
-    """The UTF-8 text of an input file; `main` reports a file it cannot read
-    as bad input."""
+    """The UTF-8 text of an input file, line endings untranslated so that the
+    parsers see a lone ``\r``; `main` reports a file it cannot read as bad
+    input."""
     try:
-        with open(path, encoding="utf-8") as f:
+        with open(path, encoding="utf-8", newline="") as f:
             return f.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise L21Error(f"cannot read {path}: {exc}") from exc

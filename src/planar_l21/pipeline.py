@@ -12,12 +12,13 @@ verdict (`certified_planar`) to the next builder.  The witness translators
 execute the constructive arguments in both directions; each validates its
 input, raising `ValidationError`, and leaves its output to the input check of
 the step that consumes it.  Output assertions remain only for lemma facts
-that no consumer checks.
+that no consumer checks, and each stage fact is stored once.
 """
 
 from __future__ import annotations
 
 import json
+import pathlib
 from dataclasses import dataclass
 from functools import cache
 from itertools import repeat
@@ -42,7 +43,6 @@ from .gadgets import build_aux_edge, build_clause_gadget, build_edge_gadget, bui
 from .graphs import (
     GADGET_INTERNAL,
     GATE,
-    IN_VERTEX,
     ORIGINAL,
     OUT_VERTEX,
     Edge,
@@ -56,15 +56,14 @@ from .graphs import (
     verify_planar,
 )
 from .labelling import Labelling, solve_labelling, verify_labelling
-from .nae3sat import Assignment, Nae3SatFormula, literal_value
+from .nae3sat import Assignment, Nae3SatFormula, format_formula, literal_value
 
 PORT_SLOT_ORDER = ("q1", "r1", "q2", "r2", "q3", "r3")
 _SLOT_INDEX = {name: i for i, name in enumerate(PORT_SLOT_ORDER)}
 
 
 @dataclass(frozen=True)
-class SlotRecord:
-    index: int
+class SlotRecord:  # a slot's index is its position in `ChordSystem.slots`
     clause: int
     port: str  # consumed pendant port, q1..r3
     attach: int  # vertex that kept the half-edge
@@ -99,7 +98,6 @@ class CubicStage:
     rotation_template: Dict[int, List[object]]
     literal_vertices: Dict[int, List[int]]  # literal -> port vertices labelled with it
     a_vertices: List[int]  # hub vertex per clause
-    arm_literals: List[Tuple[int, int, int]]
     identifying_edges: List[Edge]
 
 
@@ -107,9 +105,6 @@ class CubicStage:
 class PlanarStage:
     graph: Graph
     rot: RotationSystem
-    literal_vertices: Dict[int, List[int]]
-    a_vertices: List[int]
-    arm_literals: List[Tuple[int, int, int]]
     identifying_edges: List[Edge]
     crossing_count: int
     uncross_maps: List[Dict[str, int]]  # per inserted gadget: figure name -> id
@@ -133,7 +128,7 @@ class InstanceStage:
     graph: Graph
     rot: RotationSystem
     k: int
-    gadget_records: Dict[Edge, Dict[str, object]]  # per former edge: a_u, a_v, interior
+    gadget_records: Dict[Edge, Dict[str, int]]  # per former edge: gadget vertex name -> id
     pendant_map: Dict[int, List[int]]  # parent -> leaf ids
     w_map: Dict[int, int]  # out-vertex -> hub pendant
 
@@ -171,7 +166,7 @@ def nae_to_cubic(formula: Nae3SatFormula) -> CubicStage:
     for c in range(len(formula.clauses)):
         for port in PORT_SLOT_ORDER:
             attach = maps[c]["o" + port[1]] if port[0] == "q" else maps[c]["p" + port[1]]
-            slots.append(SlotRecord(len(slots), c, port, attach))
+            slots.append(SlotRecord(c, port, attach))
 
     occurrences: Dict[int, List[Tuple[int, int]]] = {}
     for c, clause in enumerate(formula.clauses):
@@ -210,7 +205,6 @@ def nae_to_cubic(formula: Nae3SatFormula) -> CubicStage:
         rotation_template=builder.rotation,
         literal_vertices={lit: sorted(vs) for lit, vs in literal_vertices.items()},
         a_vertices=[m["a"] for m in maps],
-        arm_literals=[tuple(clause) for clause in formula.clauses],
         identifying_edges=sorted(identifying),
     )
 
@@ -243,8 +237,8 @@ def planarize(stage: CubicStage) -> PlanarStage:
     gadget_of_pair = {pair: g for g, pair in enumerate(pairs)}
 
     # nae_to_cubic left a marker named after the consumed port in each slot
-    slot_marker = {s.index: f"c{s.clause}.{s.port}" for s in stage.chords.slots}
-    slot_attach = {s.index: s.attach for s in stage.chords.slots}
+    slot_marker = [f"c{s.clause}.{s.port}" for s in stage.chords.slots]
+    slot_attach = [s.attach for s in stage.chords.slots]
     identifying: List[Edge] = []
     for ci, chord in enumerate(stage.chords.chords):
         prev_vertex, prev_marker = slot_attach[chord.slot_lo], slot_marker[chord.slot_lo]
@@ -275,9 +269,6 @@ def planarize(stage: CubicStage) -> PlanarStage:
     return PlanarStage(
         graph=graph,
         rot=rot,
-        literal_vertices=stage.literal_vertices,
-        a_vertices=stage.a_vertices,
-        arm_literals=stage.arm_literals,
         identifying_edges=sorted(identifying),
         crossing_count=len(pairs),
         uncross_maps=uncross_maps,
@@ -301,9 +292,6 @@ def planar_stage_from_graph(graph: Graph, rot: Optional[RotationSystem] = None) 
     return PlanarStage(
         graph=graph,
         rot=rot,
-        literal_vertices={},
-        a_vertices=[],
-        arm_literals=[],
         identifying_edges=[],
         crossing_count=0,
         uncross_maps=[],
@@ -358,7 +346,7 @@ def build_instance(stage: AuxStage, k: int) -> InstanceStage:
     edges = h.sorted_edges()
     copies = [(f"e{x}-{y}.{{}}", {"u": x, "v": y}) for x, y in edges]
     maps = builder.embed(build_edge_gadget(k).template, copies, (), GADGET_INTERNAL)
-    gadget_records = {e: {"a_u": m["a_u"], "a_v": m["a_v"], "interior": m} for e, m in zip(edges, maps)}
+    gadget_records = dict(zip(edges, maps))
 
     w_map = {v: pendant_map[v][0] for v in sorted(stage.out_vertices())}
     for w in w_map.values():
@@ -406,21 +394,19 @@ def run_reduction(formula: Nae3SatFormula, k: int, stop_at: str = "instance") ->
 
 def assignment_to_matching(trace: ReductionTrace, assignment: Assignment) -> TwoColouring:
     """Colour literal ports by truth value, hubs by arm majority, then extend."""
-    formula = trace.formula
-    for idx, clause in enumerate(formula.clauses):
-        values = [literal_value(l, assignment) for l in clause]
-        if all(values) or not any(values):
-            raise ValidationError(f"assignment does not NAE-satisfy clause {idx}: {clause}")
-    planar = trace.planar
+    cubic, planar = trace.cubic, trace.planar
     pins: TwoColouring = {}
-    for lit, vertices in planar.literal_vertices.items():
+    for c, clause in enumerate(trace.formula.clauses):
+        if any(abs(l) not in assignment for l in clause):
+            raise ValidationError(f"assignment leaves a variable of clause {c} unset: {clause}")
+        true_arms = sum(1 for l in clause if literal_value(l, assignment))
+        if true_arms in (0, 3):
+            raise ValidationError(f"assignment does not NAE-satisfy clause {c}: {clause}")
+        pins[cubic.a_vertices[c]] = WHITE if true_arms == 2 else BLACK
+    for lit, vertices in cubic.literal_vertices.items():
         colour = WHITE if literal_value(lit, assignment) else BLACK
         for v in vertices:
             pins[v] = colour
-    for c, lits in enumerate(planar.arm_literals):
-        arm_colours = [WHITE if literal_value(l, assignment) else BLACK for l in lits]
-        majority = WHITE if arm_colours.count(WHITE) == 2 else BLACK
-        pins[planar.a_vertices[c]] = majority
     colouring = solve_2cpm(planar.graph, pins)
     if colouring is None:
         raise AssertionError("a NAE-satisfying assignment must extend to a matching")
@@ -496,10 +482,23 @@ def matching_to_good_orientation(trace: ReductionTrace, colouring: TwoColouring)
 
 
 def canonicalize_orientation(trace: ReductionTrace, co: ColouredOrientation) -> ColouredOrientation:
-    """Normalize each uniform four-cycle's pendants; the result is good."""
+    """Normalize each uniform four-cycle's pendants; the result is good.
+
+    The lemma that the oriented edges form out-to-in paths and circuits
+    follows from goodness, which `orientation_to_matching` checks: in a good
+    orientation each degree-3 vertex has one opposite-colour neighbour, one
+    arc in and one out, and an out-vertex has no arc in.
+    - A uniform four-cycle takes that neighbour at both endpoints and both
+      pendants, so it sits on a monochromatic edge; every other cycle splits
+      into a same-colour pair at each endpoint, coloured like that endpoint.
+    - So the out-vertex side of a split cycle runs out -> cout -> c -> endpoint.
+    - Each original vertex's arc out starts one inward run, endpoint -> c ->
+      cin -> in (cout has its arc in), and there are as many original
+      vertices as dichromatic edges; so every in-vertex side runs inward,
+      and no in-vertex is a tail.
+    """
     aux = trace.aux
-    h = aux.graph
-    if not verify_coloured_orientation(h, co, aux.out_vertices()):
+    if not verify_coloured_orientation(aux.graph, co, aux.out_vertices()):
         raise ValidationError("input is not a coloured orientation")
     colours = dict(co.colouring)
     orientation = dict(co.orientation)
@@ -509,71 +508,9 @@ def canonicalize_orientation(trace: ReductionTrace, co: ColouredOrientation) -> 
             shade = cycle_colours.pop()
             opposite = WHITE if shade == BLACK else BLACK
             for pend, cyc in (("in", "cin"), ("out", "cout")):
-                if colours[m[pend]] != opposite:
-                    colours[m[pend]] = opposite
+                colours[m[pend]] = opposite
                 orientation[edge_key(m[pend], m[cyc])] = UNORIENTED
-    result = ColouredOrientation(colours, orientation)
-    structure = oriented_component_structure(h, result, aux.out_vertices())
-    if any(kind not in ("path", "circuit") for kind, _ in structure):
-        raise AssertionError("oriented components must be paths or circuits")
-    return result
-
-
-def oriented_component_structure(
-    graph: Graph, co: ColouredOrientation, out_vertices: Set[int]
-) -> List[Tuple[str, List[int]]]:
-    """Classify each component of the oriented subgraph.
-
-    Returns (kind, sorted vertices) per non-trivial component, where kind is
-    "path" (out-vertex to in-vertex), "circuit", or "other".
-    """
-    pairs = co.oriented_pairs()
-    adj: Dict[int, List[int]] = {}
-    indeg: Dict[int, int] = {}
-    outdeg: Dict[int, int] = {}
-    for tail, head in pairs:
-        adj.setdefault(tail, []).append(head)
-        adj.setdefault(head, []).append(tail)
-        outdeg[tail] = outdeg.get(tail, 0) + 1
-        indeg[head] = indeg.get(head, 0) + 1
-    seen: Set[int] = set()
-    out: List[Tuple[str, List[int]]] = []
-    for start in sorted(adj):
-        if start in seen:
-            continue
-        comp = [start]
-        seen.add(start)
-        queue = [start]
-        while queue:
-            v = queue.pop()
-            for u in adj[v]:
-                if u not in seen:
-                    seen.add(u)
-                    comp.append(u)
-                    queue.append(u)
-        comp.sort()
-        degrees = [(indeg.get(v, 0), outdeg.get(v, 0)) for v in comp]
-        if all(d == (1, 1) for d in degrees):
-            out.append(("circuit", comp))
-            continue
-        sources = [v for v in comp if indeg.get(v, 0) == 0 and outdeg.get(v, 0) == 1]
-        sinks = [v for v in comp if indeg.get(v, 0) == 1 and outdeg.get(v, 0) == 0]
-        middles = all(
-            (indeg.get(v, 0), outdeg.get(v, 0)) == (1, 1)
-            for v in comp
-            if v not in sources and v not in sinks
-        )
-        if (
-            len(sources) == 1
-            and len(sinks) == 1
-            and middles
-            and sources[0] in out_vertices
-            and graph.vertices[sinks[0]].role == IN_VERTEX
-        ):
-            out.append(("path", comp))
-        else:
-            out.append(("other", comp))
-    return out
+    return ColouredOrientation(colours, orientation)
 
 
 @cache
@@ -621,7 +558,7 @@ def orientation_to_labelling(trace: ReductionTrace, co: ColouredOrientation, k: 
         lau, lav = _boundary_tuple(k, labels[x], labels[y], co.orientation[(x, y)])
         fill = _gadget_fill(k, labels[x], labels[y], lau, lav)
         for name, label in fill.items():
-            labels[record["interior"][name]] = label
+            labels[record[name]] = label
     for v, w in sorted(inst.w_map.items()):
         labels[w] = k - labels[v]
     for parent in sorted(inst.pendant_map):
@@ -689,7 +626,7 @@ def matching_to_assignment(trace: ReductionTrace, colouring: TwoColouring) -> As
         if colouring[u] != colouring[v]:
             raise ValidationError(f"identifying edge ({u},{v}) is dichromatic")
     literal_truth: Dict[int, bool] = {}
-    for lit, vertices in sorted(planar.literal_vertices.items()):
+    for lit, vertices in sorted(trace.cubic.literal_vertices.items()):
         shades = {colouring[v] for v in vertices}
         if len(shades) != 1:
             raise InconsistencyError(f"vertices of literal {lit} are not monochromatic")
@@ -720,8 +657,8 @@ def trace_manifest(trace: ReductionTrace) -> dict:
         "num_vars": trace.formula.num_vars,
         "clauses": [list(c) for c in trace.formula.clauses],
         "slots": [
-            {"index": s.index, "clause": s.clause, "port": s.port, "attach": s.attach}
-            for s in trace.cubic.chords.slots
+            {"index": i, "clause": s.clause, "port": s.port, "attach": s.attach}
+            for i, s in enumerate(trace.cubic.chords.slots)
         ],
         "chords": [
             {"slot_lo": c.slot_lo, "slot_hi": c.slot_hi, "literal": c.literal}
@@ -738,8 +675,8 @@ def trace_manifest(trace: ReductionTrace) -> dict:
         doc["aux_records"] = {f"{x}-{y}": m for (x, y), m in sorted(trace.aux.aux_records.items())}
     if trace.instance is not None:
         doc["gadget_records"] = {
-            f"{x}-{y}": {"a_u": r["a_u"], "a_v": r["a_v"], "interior": r["interior"]}
-            for (x, y), r in sorted(trace.instance.gadget_records.items())
+            f"{x}-{y}": {"a_u": m["a_u"], "a_v": m["a_v"], "interior": m}
+            for (x, y), m in sorted(trace.instance.gadget_records.items())
         }
         doc["pendants"] = {str(p): ls for p, ls in sorted(trace.instance.pendant_map.items())}
         doc["out_hubs"] = {str(v): w for v, w in sorted(trace.instance.w_map.items())}
@@ -748,8 +685,6 @@ def trace_manifest(trace: ReductionTrace) -> dict:
 
 def write_trace(trace: ReductionTrace, outdir) -> List[str]:
     """Write one JSON file per constructed stage plus the manifest."""
-    import pathlib
-
     outdir = pathlib.Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     written = []
@@ -757,8 +692,6 @@ def write_trace(trace: ReductionTrace, outdir) -> List[str]:
     def emit(name: str, text: str) -> None:
         (outdir / name).write_text(text)
         written.append(name)
-
-    from .nae3sat import format_formula
 
     emit("formula.cnf", format_formula(trace.formula))
     emit("cubic.json", to_json(trace.cubic.graph))

@@ -8,9 +8,10 @@ with the solver or verifier it checks.
 import json
 from typing import Collection, Dict, List, Optional, Set, Tuple
 
-from planar_l21.colouring import BLACK, WHITE, TwoColouring
+from planar_l21.colouring import BLACK, WHITE, ColouredOrientation, TwoColouring
 from planar_l21.errors import CapacityError, ValidationError
 from planar_l21.graphs import (
+    IN_VERTEX,
     Graph,
     GraphBuilder,
     RotationSystem,
@@ -124,6 +125,63 @@ def edge_gadget_table(k: int) -> Set[Tuple[int, int, int, int]]:
     boundary = [inst.ports[name] for name in ("u", "v", "a_u", "a_v")]
     ends, inner = (0, k), range(k + 1)
     return enumerate_boundary_behaviour(inst.graph, k, boundary, [ends, ends, inner, inner])
+
+
+def oriented_component_structure(
+    graph: Graph, co: ColouredOrientation, out_vertices: Set[int]
+) -> List[Tuple[str, List[int]]]:
+    """Classify each component of the oriented subgraph.
+
+    Returns (kind, sorted vertices) per non-trivial component, where kind is
+    "path" (out-vertex to in-vertex), "circuit", or "other".
+    """
+    pairs = co.oriented_pairs()
+    adj: Dict[int, List[int]] = {}
+    indeg: Dict[int, int] = {}
+    outdeg: Dict[int, int] = {}
+    for tail, head in pairs:
+        adj.setdefault(tail, []).append(head)
+        adj.setdefault(head, []).append(tail)
+        outdeg[tail] = outdeg.get(tail, 0) + 1
+        indeg[head] = indeg.get(head, 0) + 1
+    seen: Set[int] = set()
+    out: List[Tuple[str, List[int]]] = []
+    for start in sorted(adj):
+        if start in seen:
+            continue
+        comp = [start]
+        seen.add(start)
+        queue = [start]
+        while queue:
+            v = queue.pop()
+            for u in adj[v]:
+                if u not in seen:
+                    seen.add(u)
+                    comp.append(u)
+                    queue.append(u)
+        comp.sort()
+        degrees = [(indeg.get(v, 0), outdeg.get(v, 0)) for v in comp]
+        if all(d == (1, 1) for d in degrees):
+            out.append(("circuit", comp))
+            continue
+        sources = [v for v in comp if indeg.get(v, 0) == 0 and outdeg.get(v, 0) == 1]
+        sinks = [v for v in comp if indeg.get(v, 0) == 1 and outdeg.get(v, 0) == 0]
+        middles = all(
+            (indeg.get(v, 0), outdeg.get(v, 0)) == (1, 1)
+            for v in comp
+            if v not in sources and v not in sinks
+        )
+        if (
+            len(sources) == 1
+            and len(sinks) == 1
+            and middles
+            and sources[0] in out_vertices
+            and graph.vertices[sinks[0]].role == IN_VERTEX
+        ):
+            out.append(("path", comp))
+        else:
+            out.append(("other", comp))
+    return out
 
 
 def successor(rot: RotationSystem, v: int, u: int) -> int:

@@ -42,7 +42,11 @@ from planar_l21.pipeline import (
 )
 
 from conftest import random_graph
-from oracles import enumerate_2cpm_bitmask, solve_labelling_bruteforce
+from oracles import (
+    enumerate_2cpm_bitmask,
+    oriented_component_structure,
+    solve_labelling_bruteforce,
+)
 
 # Corpus: eleven satisfiable formulas, at most three clauses and four
 # variables, mixing repeated literals, negations, crossings and disconnected
@@ -72,6 +76,13 @@ def satisfying_assignments(formula):
         if check_nae(formula, a):
             out.append(a)
     return out
+
+
+def paths_and_circuits(trace, orientation):
+    """The oracle's verdict that the oriented edges form out-to-in paths and
+    circuits, the lemma the library leaves to the goodness check."""
+    structure = oriented_component_structure(trace.aux.graph, orientation, trace.aux.out_vertices())
+    return all(kind in ("path", "circuit") for kind, _ in structure)
 
 
 def emit(criterion, passed, detail):
@@ -157,6 +168,7 @@ def test_criterion_6_forward_witness_chain(forward_runs):
         ok &= is_good_orientation(
             trace.aux.graph, run["orientation"], trace.aux.out_vertices()
         )
+        ok &= paths_and_circuits(trace, run["orientation"])
         ok &= verify_labelling(trace.instance.graph, run["labelling"])
     emit(
         6,
@@ -174,6 +186,7 @@ def test_criterion_7_backward_witness_chain(forward_runs):
         orientation = canonicalize_orientation(
             trace, labelling_to_orientation(trace, run["labelling"])
         )
+        ok &= paths_and_circuits(trace, orientation)
         matching = orientation_to_matching(trace, orientation)
         assignment = matching_to_assignment(trace, matching)
         ok &= check_nae(trace.formula, assignment)

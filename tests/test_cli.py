@@ -98,6 +98,23 @@ def test_unicode_whitespace_exits_2(tmp_path, capsys, command, text):
     assert_formula_rejected(tmp_path, capsys, command, text)
 
 
+@pytest.mark.parametrize("command", ["reduce", "roundtrip"])
+def test_lone_carriage_return_exits_2(tmp_path, capsys, command):
+    # a lone \r does not end a DIMACS line, so line 2 holds eight numbers
+    assert_formula_rejected(tmp_path, capsys, command, "p cnf 5 2\n1 2 3 0\r5 1 1 0\n")
+
+
+@pytest.mark.parametrize("command", ["reduce", "roundtrip"])
+def test_crlf_formula_exits_0(tmp_path, capsys, command):
+    path = tmp_path / "crlf.cnf"
+    path.write_bytes(b"p cnf 3 1\r\n1 2 3 0\r\n")
+    option = {"reduce": "--input", "roundtrip": "--formula"}[command]
+    argv = [command, option, str(path), "--k", "4"]
+    code, reports, _ = run_cli(capsys, argv + (["--out", str(tmp_path / "o")] if command == "reduce" else []))
+    assert code == 0
+    assert reports[0]["command"] == command
+
+
 def test_roundtrip_budget_bounds_the_brute_force_oracle(tmp_path, capsys):
     # 2^29 assignments to scan: the budget stops it long before
     path = tmp_path / "wide.cnf"

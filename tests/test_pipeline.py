@@ -28,7 +28,6 @@ from planar_l21.pipeline import (
     nae_to_cubic,
     orientation_to_labelling,
     orientation_to_matching,
-    oriented_component_structure,
     planar_stage_from_graph,
     planarize,
     run_reduction,
@@ -36,7 +35,7 @@ from planar_l21.pipeline import (
 )
 
 from conftest import complete_graph, make_graph
-from oracles import swap_colours
+from oracles import oriented_component_structure, swap_colours
 
 XXX = Nae3SatFormula(1, ((1, 1, 1),))
 XYZ = Nae3SatFormula(3, ((1, 2, 3),))
@@ -249,6 +248,22 @@ def test_component_structure_is_paths_and_circuits(reduced):
         assert kinds <= {"path", "circuit"}
 
 
+def test_component_oracle_flags_an_in_vertex_tail(reduced):
+    trace = reduced(XYZ, 4)
+    matching = assignment_to_matching(trace, all_satisfying(XYZ)[0])
+    good = matching_to_good_orientation(trace, matching)
+    m = next(m for (x, y), m in sorted(trace.aux.aux_records.items()) if matching[x] != matching[y])
+
+    def kinds_at_in_vertex(co):
+        structure = oriented_component_structure(trace.aux.graph, co, trace.aux.out_vertices())
+        return [kind for kind, comp in structure if m["in"] in comp]
+
+    assert kinds_at_in_vertex(good) == ["path"]
+    arcs = dict(good.orientation)
+    arcs[edge_key(m["in"], m["cin"])] = "F" if m["in"] < m["cin"] else "B"  # in -> cin
+    assert kinds_at_in_vertex(ColouredOrientation(good.colouring, arcs)) == ["other"]
+
+
 def test_canonicalize_is_identity_on_good_orientations(reduced):
     trace = reduced(XYZ, 4)
     assignment = all_satisfying(XYZ)[0]
@@ -287,7 +302,7 @@ def test_matching_to_assignment_rejects_inconsistent_colours(reduced):
     trace = reduced(Nae3SatFormula(3, ((1, 2, 3), (1, 2, 3))), 4)
     assignment = {1: True, 2: False, 3: False}
     matching = assignment_to_matching(trace, assignment)
-    lit_vertices = trace.planar.literal_vertices[1]
+    lit_vertices = trace.cubic.literal_vertices[1]
     broken = dict(matching)
     # flipping one literal vertex breaks the matching itself
     broken[lit_vertices[0]] = BLACK if matching[lit_vertices[0]] == WHITE else WHITE
@@ -401,6 +416,7 @@ def forward_chain(reduced):
 @pytest.mark.parametrize(
     "step",
     [
+        "assignment_to_matching",
         "matching_to_good_orientation",
         "orientation_to_labelling",
         "labelling_to_orientation",
@@ -421,6 +437,7 @@ def test_translators_validate_their_input(forward_chain, step):
     u, v = min(trace.instance.graph.edges)
     clashing = Labelling(4, {**labelling.labels, u: labelling.labels[v]})
     call, message = {
+        "assignment_to_matching": (lambda: assignment_to_matching(trace, {1: True, 2: False}), "unset"),
         "matching_to_good_orientation": (
             lambda: matching_to_good_orientation(trace, flipped),
             "perfect matching",
