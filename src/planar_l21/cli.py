@@ -24,7 +24,7 @@ from .labelling import (
     solve_result_to_json,
     verify_labelling,
 )
-from .nae3sat import check_nae, parse_formula, solve_nae_bruteforce
+from .nae3sat import DIMACS_INT, check_nae, parse_formula, solve_nae_bruteforce
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -51,11 +51,17 @@ def _read(path: str) -> str:
         raise L21Error(f"cannot read {path}: {exc}") from exc
 
 
+def _integer(text: str) -> int:
+    """An integer option in ASCII ``-?[0-9]+`` form, as a DIMACS number is;
+    ``int`` also takes ``1_000``, ``+4``, blanks and non-ASCII digits."""
+    if not DIMACS_INT.fullmatch(text):
+        raise argparse.ArgumentTypeError(f"invalid integer {text!r}")
+    return int(text)
+
+
 def _parse_k_range(text: str):
-    if ".." in text:
-        lo, hi = text.split("..", 1)
-        return int(lo), int(hi)
-    return int(text), int(text)
+    lo, hi = text.split("..", 1) if ".." in text else (text, text)
+    return _integer(lo), _integer(hi)
 
 
 def cmd_reduce(args) -> int:
@@ -97,7 +103,7 @@ def _certify_tasks(lo: int, hi: int) -> List[tuple]:
 def cmd_certify(args) -> int:
     try:
         lo, hi = _parse_k_range(args.k)
-    except ValueError:
+    except argparse.ArgumentTypeError:
         _note(f"certify: bad k range {args.k!r}")
         return EXIT_INPUT
     if lo < 4 or hi < lo:
@@ -212,7 +218,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("reduce", help="run the reduction pipeline on a formula")
-    p.add_argument("--k", type=int, default=4)
+    p.add_argument("--k", type=_integer, default=4)
     p.add_argument("--input", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--stop-at", choices=["cubic", "planar", "aux", "instance"], default="instance")
@@ -224,8 +230,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve", help="decide span-k labellability of an instance file")
     p.add_argument("--instance", required=True)
-    p.add_argument("--k", type=int, default=None)
-    p.add_argument("--budget", type=int, default=10**6)
+    p.add_argument("--k", type=_integer, default=None)
+    p.add_argument("--budget", type=_integer, default=10**6)
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("verify", help="check a labelling file against an instance file")
@@ -235,8 +241,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("roundtrip", help="full witness chain or refutation attempt")
     p.add_argument("--formula", required=True)
-    p.add_argument("--k", type=int, default=4)
-    p.add_argument("--budget", type=int, default=10**6)
+    p.add_argument("--k", type=_integer, default=4)
+    p.add_argument("--budget", type=_integer, default=10**6)
     p.set_defaults(func=cmd_roundtrip)
 
     p = sub.add_parser("export", help="export a graph file")

@@ -545,8 +545,8 @@ def certify_uncrossing() -> CertReport:
 
 
 def _hprime_pairs(k: int) -> Set[Tuple[int, int]]:
-    """The (L(c), L(d)) pairs that extend to a span-k labelling of H', one
-    pinned solve per pair."""
+    """The (L(c), L(d)) pairs that extend to a span-k labelling of H': one
+    enumeration, each pair a pinned solve from the root fixpoint of H'."""
     inst = build_Hprime(k)
     every = range(k + 1)
     return enumerate_boundary_behaviour(inst.graph, k, [inst.ports["c"], inst.ports["d"]], [every, every])

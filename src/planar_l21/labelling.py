@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from itertools import chain, product
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 from .errors import ValidationError
 from .graphs import JSON_SHAPE_ERRORS, Graph, json_object, require_type, vertex_key
@@ -35,8 +35,8 @@ class Labelling:
                 raise ValidationError(f"label {x} at vertex {v} outside [0,{self.k}]")
 
 
-@dataclass(frozen=True)
-class SolveResult:
+# a named tuple, cheaper to build than a frozen dataclass: one per boundary tuple
+class SolveResult(NamedTuple):
     outcome: str  # SAT / UNSAT / EXHAUSTED
     labelling: Optional[Labelling] = None
     nodes: int = 0
@@ -138,6 +138,15 @@ class _LabelSearch:
     fixpoint (or the same wipeout) in any queue order, and the Hall check
     only reads that fixpoint: neither the queue order nor the way the
     touched vertices are gathered can change a verdict.
+
+    Pinned solves share one set-up: the constructor propagates the unpinned
+    domains to the root fixpoint, and ``solve`` narrows the pins on a copy of
+    it and propagates from them only.  Narrowing is monotone, so that reaches
+    the fixpoint a fresh solve reaches from the initial domains and pins (a
+    wipeout or failed Hall check at the root persists under any pins), and a
+    hub none of whose neighbours the pins narrow passed its Hall check at the
+    root on the same domains: outcome, node count and witness are a fresh
+    solve's.
     """
 
     def __init__(self, graph: Graph, k: int):
@@ -156,6 +165,11 @@ class _LabelSearch:
         self.trail: List[Tuple[int, int]] = []  # (vertex, previous mask)
         self.queued = [False] * graph.n  # propagation queue membership
         self.nodes = 0
+        # the unpinned domains and their fixpoint, each None when infeasible
+        self.initial = list(self.domains) if self.initial_domains() else None
+        ok = self.initial is not None and self.propagate(range(graph.n))
+        self.root = list(self.domains) if ok else None
+        self.trail.clear()
 
     def initial_domains(self) -> bool:
         self.domains = []
@@ -321,27 +335,47 @@ class _LabelSearch:
         finally:
             self.nodes = nodes
 
+    def solve(self, pins: Dict[int, int], budget: Optional[int]) -> SolveResult:
+        """One pinned solve from a copy of the root fixpoint; the pins name
+        vertices of the graph and labels in [0, k]."""
+        items = sorted(pins.items())
+        for i, (u, xu) in enumerate(items):
+            for v, xv in items[i + 1 :]:
+                if abs(xu - xv) < 2 and v in self.adj[u]:
+                    return SolveResult(UNSAT, reason=f"pins {u}={xu}, {v}={xv} violate the adjacency gap")
+                if xu == xv and v in self.d2[u]:
+                    return SolveResult(UNSAT, reason=f"pins {u}={xu}, {v}={xv} collide at distance two")
+        if self.initial is None:
+            return SolveResult(UNSAT, reason=f"a vertex of degree >= {self.k} cannot be labelled")
+        for v, x in pins.items():
+            if not self.initial[v] >> x & 1:
+                return SolveResult(UNSAT, reason=f"pin {x} at vertex {v} conflicts with its degree")
+        if self.root is None:
+            return SolveResult(UNSAT)
+        self.domains = domains = self.root.copy()
+        self.trail.clear()
+        self.nodes = 0
+        for v, x in pins.items():
+            domains[v] &= 1 << x
+        if not all(domains[v] for v in pins) or not self.propagate(list(pins)):
+            return SolveResult(UNSAT)
+        outcome = self.search(budget)
+        if outcome != SAT:
+            return SolveResult(outcome, nodes=self.nodes)
+        labelling = Labelling(self.k, {v: dv.bit_length() - 1 for v, dv in enumerate(domains)})
+        if not verify_labelling(self.graph, labelling):
+            raise AssertionError("solver produced an invalid witness")
+        return SolveResult(SAT, labelling=labelling, nodes=self.nodes)
 
-def _apply_pins(graph: Graph, k: int, pinned: Optional[Dict[int, int]]):
-    pins = dict(pinned or {})
-    for v, x in pins.items():
+
+def _check_pins(graph: Graph, k: int, pins: Iterable[Tuple[int, int]]) -> None:
+    if k < 0:
+        raise ValidationError(f"span must be non-negative, got {k}")
+    for v, x in pins:
         if not (0 <= v < graph.n):
             raise ValidationError(f"pinned vertex {v} not in graph")
         if not (0 <= x <= k):
             raise ValidationError(f"pin {x} at vertex {v} outside [0,{k}]")
-    return pins
-
-
-def _pins_conflict(graph: Graph, pins: Dict[int, int]) -> Optional[str]:
-    items = sorted(pins.items())
-    for i in range(len(items)):
-        for j in range(i + 1, len(items)):
-            (u, xu), (v, xv) = items[i], items[j]
-            if graph.has_edge(u, v) and abs(xu - xv) < 2:
-                return f"pins {u}={xu}, {v}={xv} violate the adjacency gap"
-            if xu == xv and v in graph.distance2[u]:
-                return f"pins {u}={xu}, {v}={xv} collide at distance two"
-    return None
 
 
 def solve_labelling(
@@ -355,31 +389,11 @@ def solve_labelling(
     Returns SAT with a verified witness, UNSAT when the search space is
     exhausted, or EXHAUSTED when the node budget runs out first.
     """
-    if k < 0:
-        raise ValidationError(f"span must be non-negative, got {k}")
+    pins = dict(pinned or {})
+    _check_pins(graph, k, pins.items())
     if budget is not None and budget < 0:
         raise ValidationError(f"node budget must be non-negative, got {budget}")
-    pins = _apply_pins(graph, k, pinned)
-    reason = _pins_conflict(graph, pins)
-    if reason is not None:
-        return SolveResult(UNSAT, reason=reason)
-    search = _LabelSearch(graph, k)
-    if not search.initial_domains():
-        return SolveResult(UNSAT, reason=f"a vertex of degree >= {k} cannot be labelled")
-    for v, x in pins.items():
-        search.domains[v] &= 1 << x
-        if search.domains[v] == 0:
-            return SolveResult(UNSAT, reason=f"pin {x} at vertex {v} conflicts with its degree")
-    if not search.propagate(range(graph.n)):
-        return SolveResult(UNSAT, nodes=search.nodes)
-    outcome = search.search(budget)
-    if outcome == SAT:
-        labels = {v: search.domains[v].bit_length() - 1 for v in range(graph.n)}
-        labelling = Labelling(k, labels)
-        if not verify_labelling(graph, labelling):
-            raise AssertionError("solver produced an invalid witness")
-        return SolveResult(SAT, labelling=labelling, nodes=search.nodes)
-    return SolveResult(outcome, nodes=search.nodes)
+    return _LabelSearch(graph, k).solve(pins, budget)
 
 
 def enumerate_boundary_behaviour(
@@ -388,14 +402,20 @@ def enumerate_boundary_behaviour(
     """The label tuples on ``boundary`` that extend to a span-k labelling of
     the gadget, out of the product of ``domains`` (one per boundary vertex).
 
-    One pinned solve per tuple, in lexicographic order of the product.
+    One search set-up per call, propagated once to the gadget's unpinned root
+    fixpoint; each tuple, in lexicographic order of the product, is a pinned
+    solve from a copy of it that decides as a fresh ``solve_labelling`` does
+    (see ``_LabelSearch``).
     """
     if len(set(boundary)) != len(boundary):
         raise ValidationError("boundary vertices must be distinct")
+    domains = [tuple(labels) for labels in domains]
+    _check_pins(gadget, k, [(v, x) for v, labels in zip(boundary, domains) for x in labels])
+    search = _LabelSearch(gadget, k)
     return {
         labels
         for labels in product(*domains)
-        if solve_labelling(gadget, k, dict(zip(boundary, labels))).is_sat
+        if search.solve(dict(zip(boundary, labels)), None).is_sat
     }
 
 

@@ -19,7 +19,7 @@ Assignment = Dict[int, bool]
 BRUTE_FORCE_VAR_LIMIT = 30
 
 # a DIMACS number: ASCII digits only, so no "+1", "3_0" or non-ASCII digit
-_DIMACS_INT = re.compile(r"-?[0-9]+")
+DIMACS_INT = re.compile(r"-?[0-9]+")
 # what separates tokens: ASCII space and tab only, so no U+00A0 or U+2003
 _BLANKS = re.compile(r"[ \t]+")
 
@@ -61,14 +61,14 @@ def parse_formula(text: str) -> Nae3SatFormula:
             parts = _BLANKS.split(line)
             if len(parts) != 4 or parts[0] != "p" or parts[1] != "cnf":
                 raise FormulaParseError(f"malformed header {line!r}", lineno)
-            if not all(map(_DIMACS_INT.fullmatch, parts[2:])):
+            if not all(map(DIMACS_INT.fullmatch, parts[2:])):
                 raise FormulaParseError(f"malformed header {line!r}", lineno)
             num_vars, num_clauses = int(parts[2]), int(parts[3])
             continue
         if num_vars is None:
             raise FormulaParseError("clause before header", lineno)
         tokens = _BLANKS.split(line)
-        if not all(map(_DIMACS_INT.fullmatch, tokens)):
+        if not all(map(DIMACS_INT.fullmatch, tokens)):
             raise FormulaParseError(f"non-integer token in {line!r}", lineno)
         lits = [int(tok) for tok in tokens]
         if not lits or lits[-1] != 0:

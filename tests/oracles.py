@@ -6,6 +6,7 @@ with the solver or verifier it checks.
 """
 
 import json
+from itertools import product
 from typing import Collection, Dict, List, Optional, Set, Tuple
 
 from planar_l21.colouring import BLACK, WHITE, ColouredOrientation, TwoColouring
@@ -25,7 +26,7 @@ from planar_l21.labelling import (
     UNSAT,
     Labelling,
     SolveResult,
-    enumerate_boundary_behaviour,
+    solve_labelling,
     verify_labelling,
 )
 
@@ -117,14 +118,28 @@ def solve_labelling_bruteforce(
     return SolveResult(SAT, labelling=labelling)
 
 
+def boundary_table(
+    graph: Graph, k: int, boundary: List[int], domains: List[Collection[int]], solve=solve_labelling
+) -> Set[Tuple[int, ...]]:
+    """The tuples of the product of ``domains`` that extend to a span-k
+    labelling of ``graph`` with ``boundary`` pinned to them: one fresh
+    ``solve`` per tuple, in the product's order, sharing no search set-up
+    with `enumerate_boundary_behaviour`."""
+    return {
+        labels
+        for labels in product(*domains)
+        if solve(graph, k, dict(zip(boundary, labels))).outcome == SAT
+    }
+
+
 def edge_gadget_table(k: int) -> Set[Tuple[int, int, int, int]]:
     """The (L(u), L(v), L(a_u), L(a_v)) tuples of G_k, ends in {0, k}, that
-    extend to a span-k labelling: one pinned solve over the whole gadget per
-    tuple, in lexicographic order."""
+    extend to a span-k labelling: one fresh `solve_labelling` over the whole
+    gadget per tuple."""
     inst = build_edge_gadget(k)
     boundary = [inst.ports[name] for name in ("u", "v", "a_u", "a_v")]
     ends, inner = (0, k), range(k + 1)
-    return enumerate_boundary_behaviour(inst.graph, k, boundary, [ends, ends, inner, inner])
+    return boundary_table(inst.graph, k, boundary, [ends, ends, inner, inner])
 
 
 def oriented_component_structure(

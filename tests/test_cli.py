@@ -377,6 +377,48 @@ def test_negative_span_or_budget_exits_2(tmp_path, capsys, argv, message):
     assert message in err
 
 
+@pytest.mark.parametrize(
+    "k_range", ["\u0664..\u0664", "4..\u0665", "+4..4", " 4..4", "0_4..4", "4..4\n"]
+)
+def test_certify_k_range_takes_ascii_digits_only(capsys, k_range):
+    # each bound must be ASCII -?[0-9]+, as a DIMACS number must; int() takes all of these
+    code, reports, err = run_cli(capsys, ["certify", "--k", k_range])
+    assert_bad_input(code, err)
+    assert reports == []
+    assert "bad k range" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["reduce", "--k", "\u0664"],
+        ["solve", "--k", "+4"],
+        ["solve", "--budget", "1_000"],
+        ["roundtrip", "--k", "\u0664"],
+        ["roundtrip", "--budget", "1_000"],
+        ["roundtrip", "--budget", " 1000"],
+    ],
+    ids=" ".join,
+)
+def test_integer_option_takes_ascii_digits_only(tmp_path, formula_file, capsys, argv):
+    from conftest import path_graph
+    from planar_l21.graphs import to_json
+
+    instance = tmp_path / "p3.json"
+    instance.write_text(to_json(path_graph(3), k=4))
+    source = {
+        "reduce": ["--input", str(formula_file), "--out", str(tmp_path / "o")],
+        "solve": ["--instance", str(instance)],
+        "roundtrip": ["--formula", str(formula_file)],
+    }[argv[0]]
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv[:1] + source + argv[1:])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert "invalid integer" in captured.err and captured.out == ""
+    assert not (tmp_path / "o").exists()
+
+
 def test_roundtrip_rejects_negative_budget_before_reducing(formula_file, capsys, monkeypatch):
     import planar_l21.pipeline as pipeline_mod
 

@@ -16,7 +16,7 @@ import random
 
 import pytest
 
-from planar_l21 import cli, gadgets, labelling
+from planar_l21 import cli, gadgets
 from planar_l21.graphs import to_json
 from planar_l21.labelling import EXHAUSTED, _LabelSearch, solve_labelling
 from planar_l21.nae3sat import Nae3SatFormula
@@ -169,10 +169,11 @@ def test_trace_files_golden(index, k, tmp_path):
 # Solver golden outputs.  Both solvers propagate to a unique fixpoint, so a
 # faster propagator must reproduce outcomes, node counts and witnesses
 # exactly.  Two call sequences are pinned: the exhaustive one, certify_Hprime
-# for k = 6..8 and then the oracle's G_k tables for k = 4..8 (one pinned solve
-# per boundary tuple), and the calls `l21 certify --k 4..8` itself makes,
-# which compose G_k for k >= 6 from the H' table instead of solving over G_k.
-# The command's stdout is pinned too.
+# for k = 6..8 and then the oracle's G_k tables for k = 4..8 (one fresh
+# solve_labelling per boundary tuple), and the calls `l21 certify --k 4..8`
+# itself makes, which compose G_k for k >= 6 from the H' table instead of
+# solving over G_k.  Each pinned solve is logged, whether solve_labelling or
+# a shared-root enumeration makes it.  The command's stdout is pinned too.
 # ---------------------------------------------------------------------------
 
 SOLVER_CALLS = 1490
@@ -186,22 +187,23 @@ CERTIFY_STDOUT_HASH = "2fb2dd7e5596fab51d4cea9ee94ee172282145c812958ecc8adc38639
 
 @contextlib.contextmanager
 def logged_solves():
-    """Log every solve_labelling call as (k, sorted pins, outcome, nodes,
+    """Log every pinned solve, the one path that solve_labelling and
+    enumerate_boundary_behaviour share, as (k, sorted pins, outcome, nodes,
     sorted labels)."""
-    original = labelling.solve_labelling
+    original = _LabelSearch.solve
     calls = []
 
-    def logged(graph, k, pinned=None, budget=None):
-        result = original(graph, k, pinned, budget)
+    def logged(search, pins, budget):
+        result = original(search, pins, budget)
         labels = None if result.labelling is None else sorted(result.labelling.labels.items())
-        calls.append([k, sorted((pinned or {}).items()), result.outcome, result.nodes, labels])
+        calls.append([search.k, sorted(pins.items()), result.outcome, result.nodes, labels])
         return result
 
-    labelling.solve_labelling = logged
+    _LabelSearch.solve = logged
     try:
         yield calls
     finally:
-        labelling.solve_labelling = original
+        _LabelSearch.solve = original
 
 
 def _calls_digest(calls) -> str:
@@ -210,7 +212,7 @@ def _calls_digest(calls) -> str:
 
 @pytest.fixture(scope="module")
 def certify_run():
-    """Run `l21 certify --k 4..8` once, logging every solve_labelling call."""
+    """Run `l21 certify --k 4..8` once, logging every pinned solve."""
     out = io.StringIO()
     with logged_solves() as calls:
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):

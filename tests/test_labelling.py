@@ -28,7 +28,7 @@ from conftest import (
     random_graph,
     star_graph,
 )
-from oracles import distance2_pairs, solve_labelling_bruteforce
+from oracles import boundary_table, distance2_pairs, solve_labelling_bruteforce
 
 
 def test_verify_examples():
@@ -150,6 +150,78 @@ def test_boundary_behaviour_rejects_identified_ports():
     edge = make_graph(2, [(0, 1)])
     with pytest.raises(ValidationError):
         enumerate_boundary_behaviour(edge, 4, [0, 1, 0, 1], [(0, 4), (0, 4), range(5), range(5)])
+
+
+@pytest.mark.parametrize(
+    "graph, k, boundary, domains, refuted",
+    [
+        (path_graph(3), 4, [0, 1], [range(5), range(5)], (2, 3)),
+        (path_graph(3), 4, [0, 2], [range(5), range(5)], (1, 1)),
+        (star_graph(3), 4, [0, 1], [range(5), range(5)], (2, 0)),
+        (path_graph(3), 4, [0, 1], [range(5), []], None),
+        (cycle_graph(5), 4, [], [], None),
+        (complete_graph(4), 4, [], [], None),
+        (star_graph(4), 4, [1, 2], [range(5), range(5)], (0, 2)),
+        (complete_graph(4), 4, [0, 1], [range(5), range(5)], (0, 4)),
+    ],
+    ids=[
+        "adjacent pins one apart",
+        "equal labels at distance two",
+        "degree k-1 pinned inside (0,k)",
+        "empty domain",
+        "empty boundary",
+        "empty boundary, root fails",
+        "vertex of degree k",
+        "root Hall check fails",
+    ],
+)
+def test_boundary_enumeration_matches_fresh_solves(graph, k, boundary, domains, refuted):
+    observed = enumerate_boundary_behaviour(graph, k, boundary, domains)
+    assert observed == boundary_table(graph, k, boundary, domains)
+    if refuted is not None:
+        assert refuted not in observed
+        result = solve_labelling(graph, k, dict(zip(boundary, refuted)))
+        assert (result.outcome, result.nodes) == (UNSAT, 0)
+
+
+def test_boundary_enumeration_matches_fresh_solves_on_random_graphs():
+    rng = random.Random(20261019)
+    sat_tuples = 0
+    for _ in range(300):
+        k = rng.randint(3, 7)
+        g = random_graph(rng, rng.randint(3, 11), rng.uniform(0.15, 0.5))
+        boundary = rng.sample(range(g.n), rng.randint(0, min(3, g.n)))
+        domains = [rng.sample(range(k + 1), rng.randint(0, k + 1)) for _ in boundary]
+        observed = enumerate_boundary_behaviour(g, k, boundary, domains)
+        assert observed == boundary_table(g, k, boundary, domains)
+        if g.n <= 7:  # and against the brute-force oracle, which shares no solver code
+            assert observed == boundary_table(g, k, boundary, domains, solve_labelling_bruteforce)
+        sat_tuples += len(observed)
+    assert sat_tuples > 1000
+
+
+@pytest.mark.parametrize(
+    "k, boundary, domains, message",
+    [
+        (4, [0, 7], [range(5), range(5)], "vertex 7 not in graph"),
+        (4, [0, 7], [[], [1]], "vertex 7 not in graph"),
+        (4, [0, 1], [range(5), [5]], "outside"),
+        (4, [0, 1], [[], [-1]], "outside"),
+        (-1, [0], [[0]], "span"),
+    ],
+    ids=[
+        "foreign vertex",
+        "foreign vertex, other domain empty",
+        "label above k",
+        "negative label",
+        "negative span",
+    ],
+)
+def test_boundary_enumeration_validates_its_input(k, boundary, domains, message):
+    # checked once, before any tuple is solved, so an empty product still
+    # raises; a repeated vertex is test_boundary_behaviour_rejects_identified_ports
+    with pytest.raises(ValidationError, match=message):
+        enumerate_boundary_behaviour(path_graph(3), k, boundary, domains)
 
 
 @settings(deadline=None, max_examples=25)
