@@ -69,11 +69,7 @@ def cmd_reduce(args) -> int:
         _note(f"reduce: k must be at least 4, got {args.k}")
         return EXIT_INPUT
     formula = parse_formula(_read(args.input))
-    try:
-        trace = pipeline.run_reduction(formula, args.k, stop_at=args.stop_at)
-    except AssertionError as exc:
-        _note(f"reduce: internal invariant violated: {exc}")
-        return EXIT_INTERNAL
+    trace = pipeline.run_reduction(formula, args.k, stop_at=args.stop_at)
     try:
         written = pipeline.write_trace(trace, args.out)
     except OSError as exc:
@@ -261,6 +257,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         _note(f"{args.command}: malformed JSON: {exc}")
     except L21Error as exc:
         _note(f"{args.command}: {exc}")
+    except AssertionError as exc:
+        _note(f"{args.command}: internal invariant violated: {exc}")
+        return EXIT_INTERNAL
     return EXIT_INPUT
 
 

@@ -43,7 +43,7 @@ from .graphs import (
     rotation_from_coordinates,
     verify_planar,
 )
-from .labelling import enumerate_boundary_behaviour
+from .labelling import _LabelSearch, enumerate_boundary_behaviour
 
 F = Fraction
 
@@ -544,21 +544,27 @@ def certify_uncrossing() -> CertReport:
     return _classify_boundary(build_uncrossing(), _U_BOUNDARY, groups, list(product((0, 1), repeat=2)))
 
 
-def _hprime_pairs(k: int) -> Set[Tuple[int, int]]:
+def _hprime_pairs(k: int, search: Optional[_LabelSearch] = None) -> Set[Tuple[int, int]]:
     """The (L(c), L(d)) pairs that extend to a span-k labelling of H': one
-    enumeration, each pair a pinned solve from the root fixpoint of H'."""
+    enumeration, each pair a pinned solve from the root fixpoint of H', on
+    ``search`` (set up over ``build_Hprime(k)``) or else on a new search."""
     inst = build_Hprime(k)
+    search = _LabelSearch(inst.graph, k) if search is None else search
     every = range(k + 1)
-    return enumerate_boundary_behaviour(inst.graph, k, [inst.ports["c"], inst.ports["d"]], [every, every])
+    return search.extensions([inst.ports["c"], inst.ports["d"]], [every, every])
 
 
 def certify_Hprime(k: int) -> CertReport:
-    """Feasible (L(c), L(d)) pairs match the four-element table exactly."""
+    """Feasible (L(c), L(d)) pairs match the four-element table exactly, g
+    takes k - L(d) and every fan f<j> a label in [2, k-2].  The pair table
+    and every forcing check run on one search over H', so its root fixpoint
+    is propagated once."""
     check_capacity("Hprime", k)
     inst = build_Hprime(k)
     graph, ids, every = inst.graph, _names(inst), range(k + 1)
     c, d = inst.ports["c"], inst.ports["d"]
-    pairs = sorted(_hprime_pairs(k))
+    search = _LabelSearch(graph, k)
+    pairs = sorted(_hprime_pairs(k, search))
     expected_pairs = sorted({(0, k), (1, k), (k - 1, 0), (k, 0)})
 
     # witness-side forcings, checked by refuting every alternative
@@ -568,10 +574,10 @@ def certify_Hprime(k: int) -> CertReport:
     for xc, xd in pairs:
         required_g = k - xd if xd in (0, k) else None
         others = [xg for xg in every if xg != required_g]
-        g_forced &= not enumerate_boundary_behaviour(graph, k, [c, d, ids["g"]], [[xc], [xd], others])
+        g_forced &= not search.extensions([c, d, ids["g"]], [[xc], [xd], others])
         for j in range(1, k - 2):
             fan = [c, d, ids[f"f{j}"]]
-            fans_forced &= not enumerate_boundary_behaviour(graph, k, fan, [[xc], [xd], outside])
+            fans_forced &= not search.extensions(fan, [[xc], [xd], outside])
     observed = {"pairs": pairs, "g_d_span_ends": g_forced, "fans_inside_2_km2": fans_forced}
     expected = {"pairs": expected_pairs, "g_d_span_ends": True, "fans_inside_2_km2": True}
     return CertReport("Hprime", k, observed, expected, observed == expected, (k + 1) ** 2)

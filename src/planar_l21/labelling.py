@@ -56,18 +56,18 @@ def verify_labelling(graph: Graph, labelling: Labelling) -> bool:
     neighbours are either adjacent (gap) or at distance two.
     """
     lab = labelling.labels
-    for v in range(graph.n):
-        if v not in lab:
-            raise ValidationError(f"labelling misses vertex {v}")
+    labels = list(map(lab.get, range(graph.n)))  # a Labelling holds no None
+    if None in labels:
+        raise ValidationError(f"labelling misses vertex {labels.index(None)}")
     if len(lab) != graph.n:
         foreign = min(set(lab).difference(range(graph.n)))
         raise ValidationError(f"labelling names vertex {foreign}, which is not in the graph")
     for u, v in graph.edges:
-        if abs(lab[u] - lab[v]) < 2:
+        if abs(labels[u] - labels[v]) < 2:
             return False
-    for w in range(graph.n):
-        ns = graph.neighbours(w)
-        if len(ns) > 1 and len({lab[u] for u in ns}) < len(ns):
+    at = labels.__getitem__
+    for ns in map(graph.neighbours, range(graph.n)):
+        if len(ns) > 1 and len(set(map(at, ns))) < len(ns):
             return False
     return True
 
@@ -367,6 +367,25 @@ class _LabelSearch:
             raise AssertionError("solver produced an invalid witness")
         return SolveResult(SAT, labelling=labelling, nodes=self.nodes)
 
+    def extensions(
+        self, boundary: Sequence[int], domains: Sequence[Iterable[int]]
+    ) -> Set[Tuple[int, ...]]:
+        """The label tuples on ``boundary`` that extend to a span-k labelling,
+        out of the product of ``domains`` (one per boundary vertex): one
+        pinned ``solve`` per tuple, in lexicographic order of the product.
+
+        Every solve starts from a copy of the root fixpoint, and the gap and
+        Hall tables it keeps are functions of the domains alone, so the
+        enumerations run on this search before, over any boundary, cannot
+        change a verdict: each tuple decides as a fresh ``solve_labelling``.
+        """
+        if len(set(boundary)) != len(boundary):
+            raise ValidationError("boundary vertices must be distinct")
+        domains = [tuple(labels) for labels in domains]
+        _check_pins(self.graph, self.k, [(v, x) for v, labels in zip(boundary, domains) for x in labels])
+        solve = self.solve
+        return {labels for labels in product(*domains) if solve(dict(zip(boundary, labels)), None).is_sat}
+
 
 def _check_pins(graph: Graph, k: int, pins: Iterable[Tuple[int, int]]) -> None:
     if k < 0:
@@ -399,24 +418,8 @@ def solve_labelling(
 def enumerate_boundary_behaviour(
     gadget: Graph, k: int, boundary: Sequence[int], domains: Sequence[Iterable[int]]
 ) -> Set[Tuple[int, ...]]:
-    """The label tuples on ``boundary`` that extend to a span-k labelling of
-    the gadget, out of the product of ``domains`` (one per boundary vertex).
-
-    One search set-up per call, propagated once to the gadget's unpinned root
-    fixpoint; each tuple, in lexicographic order of the product, is a pinned
-    solve from a copy of it that decides as a fresh ``solve_labelling`` does
-    (see ``_LabelSearch``).
-    """
-    if len(set(boundary)) != len(boundary):
-        raise ValidationError("boundary vertices must be distinct")
-    domains = [tuple(labels) for labels in domains]
-    _check_pins(gadget, k, [(v, x) for v, labels in zip(boundary, domains) for x in labels])
-    search = _LabelSearch(gadget, k)
-    return {
-        labels
-        for labels in product(*domains)
-        if search.solve(dict(zip(boundary, labels)), None).is_sat
-    }
+    """``_LabelSearch.extensions`` on a search set up for this call."""
+    return _LabelSearch(gadget, k).extensions(boundary, domains)
 
 
 def _labelling_doc(labelling: Labelling) -> dict:

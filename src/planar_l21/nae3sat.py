@@ -74,7 +74,9 @@ def parse_formula(text: str) -> Nae3SatFormula:
         if not lits or lits[-1] != 0:
             raise FormulaParseError("clause line must end with 0", lineno)
         lits = lits[:-1]
-        if len(lits) != 3 or any(l == 0 for l in lits):
+        if 0 in lits:
+            raise FormulaParseError(f"literal 0 before the end of the line in {line!r}", lineno)
+        if len(lits) != 3:
             raise FormulaParseError(f"clause has {len(lits)} literals, expected 3", lineno)
         for lit in lits:
             if abs(lit) > num_vars:

@@ -124,7 +124,7 @@ def boundary_table(
     """The tuples of the product of ``domains`` that extend to a span-k
     labelling of ``graph`` with ``boundary`` pinned to them: one fresh
     ``solve`` per tuple, in the product's order, sharing no search set-up
-    with `enumerate_boundary_behaviour`."""
+    with `_LabelSearch.extensions`."""
     return {
         labels
         for labels in product(*domains)

@@ -88,6 +88,18 @@ def assert_formula_rejected(tmp_path, capsys, command, text):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("command", ["reduce", "roundtrip"])
+def test_zero_inside_a_clause_exits_2(tmp_path, capsys, command):
+    bad = tmp_path / "bad.cnf"
+    bad.write_text("p cnf 3 1\n1 0 3 0\n")
+    option = {"reduce": "--input", "roundtrip": "--formula"}[command]
+    argv = [command, option, str(bad)] + (["--out", str(tmp_path / "o")] if command == "reduce" else [])
+    code, reports, err = run_cli(capsys, argv)
+    assert_bad_input(code, err)
+    assert reports == []
+    assert "line 2: literal 0 before the end of the line" in err
+
+
 @pytest.mark.parametrize(
     "text",
     ["p cnf 3 1\n1\u00a02 3 0\n", "p cnf 5 2\n1 2 3 0\x1c5 1 1 0\n"],
@@ -181,6 +193,73 @@ def test_certify_reports_mutation(capsys, monkeypatch):
     assert "FAILED at H" in err
     h_report = next(r for r in reports if r["kind"] == "H")
     assert h_report["observed"]["count"] != 6
+
+
+def test_certify_sets_up_one_label_search_per_lemma(capsys, monkeypatch):
+    from planar_l21.labelling import _LabelSearch
+
+    spans = []
+    original = _LabelSearch.__init__
+
+    def counted(search, graph, k):
+        spans.append(k)
+        original(search, graph, k)
+
+    monkeypatch.setattr(_LabelSearch, "__init__", counted)
+    code, _, _ = run_cli(capsys, ["certify", "--k", "4..8"])
+    assert code == 0
+    # H' for k = 6..8; G_4 and G_5; the H' pair table of each of G_6..G_8
+    assert spans == [6, 7, 8, 4, 5, 6, 7, 8]
+
+
+def assert_internal_error(code, err, out, command):
+    assert code == 3
+    assert len(err.strip().splitlines()) == 1
+    assert err.startswith(f"{command}: internal invariant violated: ")
+    assert "Traceback" not in err and out == ""
+
+
+@pytest.mark.parametrize("command", ["reduce", "roundtrip"])
+def test_reduction_invariant_violation_exits_3(tmp_path, formula_file, capsys, monkeypatch, command):
+    import planar_l21.pipeline as pipeline_mod
+
+    def broken(*args, **kwargs):
+        raise AssertionError("instance graph failed the Euler check")
+
+    monkeypatch.setattr(pipeline_mod, "build_instance", broken)
+    option = {"reduce": "--input", "roundtrip": "--formula"}[command]
+    argv = [command, option, str(formula_file)] + (["--out", str(tmp_path / "o")] if command == "reduce" else [])
+    code = cli.main(argv)
+    captured = capsys.readouterr()
+    assert_internal_error(code, captured.err, captured.out, command)
+    assert "Euler check" in captured.err
+    assert not (tmp_path / "o").exists()
+
+
+def test_solve_witness_check_failure_exits_3(tmp_path, capsys, monkeypatch):
+    import planar_l21.labelling as labelling_mod
+    from conftest import cycle_graph
+    from planar_l21.graphs import to_json
+
+    instance = tmp_path / "c5.json"
+    instance.write_text(to_json(cycle_graph(5), k=4))
+    monkeypatch.setattr(labelling_mod, "verify_labelling", lambda graph, labelling: False)
+    code = cli.main(["solve", "--instance", str(instance)])
+    captured = capsys.readouterr()
+    assert_internal_error(code, captured.err, captured.out, "solve")
+    assert "invalid witness" in captured.err
+
+
+def test_certify_euler_check_failure_exits_3(capsys, monkeypatch):
+    import planar_l21.gadgets as gadgets_mod
+
+    # an uncached builder whose Euler check fails
+    monkeypatch.setattr(gadgets_mod, "build_H", gadgets_mod.build_H.__wrapped__)
+    monkeypatch.setattr(gadgets_mod, "verify_planar", lambda graph, rot: False)
+    code = cli.main(["certify", "--k", "4..4"])
+    captured = capsys.readouterr()
+    assert_internal_error(code, captured.err, captured.out, "certify")
+    assert "non-planar embedding" in captured.err
 
 
 def test_solve_and_verify_round_trip(tmp_path, formula_file, capsys):

@@ -188,7 +188,7 @@ CERTIFY_STDOUT_HASH = "2fb2dd7e5596fab51d4cea9ee94ee172282145c812958ecc8adc38639
 @contextlib.contextmanager
 def logged_solves():
     """Log every pinned solve, the one path that solve_labelling and
-    enumerate_boundary_behaviour share, as (k, sorted pins, outcome, nodes,
+    _LabelSearch.extensions share, as (k, sorted pins, outcome, nodes,
     sorted labels)."""
     original = _LabelSearch.solve
     calls = []

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from planar_l21.errors import CapacityError, ValidationError
-from planar_l21.gadgets import build_edge_gadget
+from planar_l21.gadgets import build_edge_gadget, build_Hprime
 from planar_l21.labelling import (
     EXHAUSTED,
     SAT,
@@ -198,6 +198,66 @@ def test_boundary_enumeration_matches_fresh_solves_on_random_graphs():
             assert observed == boundary_table(g, k, boundary, domains, solve_labelling_bruteforce)
         sat_tuples += len(observed)
     assert sat_tuples > 1000
+
+
+def assert_shared_search_matches_fresh_solves(graph, k, queries):
+    """Run every (boundary, domains) query, in order, as an enumeration on
+    one search; each must give the table of fresh per-tuple solves.  Then
+    the first query's tuples, solved once more on that used search, must
+    give a fresh solve's outcome, node count, witness and reason."""
+    search = _LabelSearch(graph, k)
+    tables = []
+    for boundary, domains in queries:
+        tables.append(search.extensions(boundary, domains))
+        assert tables[-1] == boundary_table(graph, k, boundary, domains)
+    boundary, domains = queries[0]
+    for labels in itertools.product(*domains):
+        pins = dict(zip(boundary, labels))
+        assert search.solve(pins, None) == solve_labelling(graph, k, pins)
+    return tables
+
+
+def test_shared_search_enumerations_match_fresh_solves_on_random_graphs():
+    # per graph: a query with many SAT tuples, one whose every tuple a
+    # propagation or search refutes, then the first again
+    rng = random.Random(15)
+    cases = 0
+    while cases < 40:
+        k = rng.randint(4, 6)
+        g = random_graph(rng, rng.randint(5, 10), rng.uniform(0.2, 0.45))
+        if not solve_labelling(g, k).is_sat:
+            continue
+        refuted = {}
+        for v in range(g.n):
+            for x in range(k + 1):
+                result = solve_labelling(g, k, {v: x})
+                if result.outcome == UNSAT and result.reason is None:
+                    refuted.setdefault(v, []).append(x)
+        if not refuted:
+            continue
+        v = rng.choice(sorted(refuted))
+        w = rng.choice([u for u in range(g.n) if u != v])
+        many = (rng.sample(range(g.n), 2), [range(k + 1), range(k + 1)])
+        none = ([v, w], [refuted[v], rng.sample(range(k + 1), 3)])
+        tables = assert_shared_search_matches_fresh_solves(g, k, [many, none, many])
+        if len(tables[0]) < 4:
+            continue
+        assert tables[1] == set() and tables[2] == tables[0]
+        cases += 1
+
+
+@pytest.mark.parametrize("k", [6, 7, 8])
+def test_shared_search_enumerations_match_fresh_solves_on_hprime(k):
+    inst = build_Hprime(k)
+    ids = {v.name: v.id for v in inst.graph.vertices}
+    c, d, g, f1 = inst.ports["c"], inst.ports["d"], ids["g"], ids["f1"]
+    every = range(k + 1)
+    many = ([g, f1], [every, every])
+    none = ([c, d, g], [[0], [k], range(1, k + 1)])  # L(g) = k - L(d) is forced
+    pairs = ([c, d], [every, every])
+    tables = assert_shared_search_matches_fresh_solves(inst.graph, k, [many, none, many, pairs])
+    assert len(tables[0]) >= 4 and tables[1] == set() and tables[2] == tables[0]
+    assert tables[3] == {(0, k), (1, k), (k - 1, 0), (k, 0)}
 
 
 @pytest.mark.parametrize(

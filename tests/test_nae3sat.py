@@ -47,6 +47,14 @@ def test_parse_rejects_two_literal_clause():
         parse_formula("p cnf 2 1\n1 2 0\n")
 
 
+@pytest.mark.parametrize("clause", ["1 0 3 0", "1 -0 3 0", "0 2 3 0"])
+def test_parse_names_a_zero_inside_a_clause(clause):
+    # the clause has 3 numbers before its final 0, but one of them is 0
+    with pytest.raises(FormulaParseError, match="line 2: literal 0 before the end of the line") as exc:
+        parse_formula(f"p cnf 3 1\n{clause}\n")
+    assert "literals, expected 3" not in str(exc.value)
+
+
 def test_parse_errors_carry_line_numbers():
     with pytest.raises(FormulaParseError, match="line 1"):
         parse_formula("p dimacs 2 1\n")
