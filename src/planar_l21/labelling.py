@@ -73,44 +73,25 @@ def verify_labelling(graph: Graph, labelling: Labelling) -> bool:
 
 
 def _has_distinct_representatives(masks: Sequence[int]) -> bool:
-    """Whether label bitmasks admit pairwise distinct representatives.
-
-    A greedy pass places every set that still has a free label; each set
-    left over then looks for an augmenting path (Kuhn), visiting each label
-    at most once per augmentation.
-    """
+    """Whether label bitmasks admit pairwise distinct representatives: each
+    set in turn looks for an augmenting path (Kuhn), visiting each label at
+    most once per augmentation."""
     holder: Dict[int, int] = {}  # label bit -> index of the set using it
-    used = 0
-    pending = []
-    for i, mask in enumerate(masks):
-        free = mask & ~used
-        if free:
-            low = free & -free
-            used |= low
-            holder[low] = i
-        else:
-            pending.append(i)
     seen = 0
 
     def augment(i: int) -> bool:
-        nonlocal used, seen
+        nonlocal seen
         cands = masks[i] & ~seen
-        free = cands & ~used
-        if free:
-            low = free & -free
-            used |= low
-            holder[low] = i
-            return True
         seen |= cands
         while cands:
             low = cands & -cands
             cands ^= low
-            if augment(holder[low]):
+            if low not in holder or augment(holder[low]):
                 holder[low] = i
                 return True
         return False
 
-    for i in pending:
+    for i in range(len(masks)):
         seen = 0
         if not augment(i):
             return False
@@ -136,8 +117,17 @@ class _LabelSearch:
 
     Propagation narrows domains monotonically, so it reaches the same
     fixpoint (or the same wipeout) in any queue order, and the Hall check
-    only reads that fixpoint: neither the queue order nor the way the
-    touched vertices are gathered can change a verdict.
+    only reads that fixpoint.  ``propagate(seeds)`` requires that every
+    vertex outside ``seeds`` is consistent (its neighbours lie inside its gap
+    mask, a singleton's label is off its distance-two set) and that every set
+    S of them around one hub meets Hall's condition |union of D(S)| >= |S|;
+    each caller starts at a fixpoint (the root seeds every vertex, a decision
+    its vertex, a pinned solve its pins).  So a narrowed vertex is queued
+    again only when it becomes a singleton or its gap mask changes, since its
+    constraints on others read nothing else.  And a hub is Hall-checked only
+    when a seeded or narrowed neighbour is left with fewer than deg(w) labels:
+    at any other hub, a set S holding such a neighbour keeps at least
+    deg(w) >= |S| labels, and a set without one meets the condition already.
 
     Pinned solves share one set-up: the constructor propagates the unpinned
     domains to the root fixpoint, and ``solve`` narrows the pins on a copy of
@@ -163,7 +153,6 @@ class _LabelSearch:
         self.order = sorted(range(graph.n), key=lambda v: (-deg[v], v))
         self.domains: List[int] = []
         self.trail: List[Tuple[int, int]] = []  # (vertex, previous mask)
-        self.queued = [False] * graph.n  # propagation queue membership
         self.nodes = 0
         # the unpinned domains and their fixpoint, each None when infeasible
         self.initial = list(self.domains) if self.initial_domains() else None
@@ -183,82 +172,85 @@ class _LabelSearch:
         return True
 
     def _gap_mask(self, dv: int) -> int:
-        # all labels except those within distance 1 of every candidate in dv
+        # all labels except those within distance 1 of every candidate in dv; cached
+        if dv in self.gap:
+            return self.gap[dv]
         lo = (dv & -dv).bit_length() - 1
         hi = dv.bit_length() - 1
         band_lo = max(0, hi - 1)
         band_hi = min(self.k, lo + 1)
-        if band_lo > band_hi:
-            return self.full
-        return self.full & ~(((1 << (band_hi + 1)) - 1) ^ ((1 << band_lo) - 1))
+        mask = self.full
+        if band_lo <= band_hi:
+            mask &= ~(((1 << (band_hi + 1)) - 1) ^ ((1 << band_lo) - 1))
+        self.gap[dv] = mask
+        return mask
 
     def propagate(self, seeds: Sequence[int]) -> bool:
-        domains, trail, adj, d2, gap = self.domains, self.trail, self.adj, self.d2, self.gap
-        full, queued = self.full, self.queued
+        domains, trail, adj, d2, gap, full = self.domains, self.trail, self.adj, self.d2, self.gap, self.full
         mark = len(trail)
         queue = list(seeds)
-        for v in queue:
-            queued[v] = True
         while queue:
             v = queue.pop()
-            queued[v] = False
             dv = domains[v]
-            allowed = gap.get(dv)
-            if allowed is None:
-                allowed = gap[dv] = self._gap_mask(dv)
+            try:
+                allowed = gap[dv]
+            except KeyError:
+                allowed = self._gap_mask(dv)
             if allowed != full:
                 for u in adj[v]:
                     du = domains[u]
                     new = du & allowed
                     if new != du:
                         if not new:
-                            for w in queue:
-                                queued[w] = False
                             return False
                         trail.append((u, du))
                         domains[u] = new
-                        if not queued[u]:
-                            queued[u] = True
+                        if new & (new - 1) == 0:
                             queue.append(u)
+                        else:
+                            try:
+                                moved = gap[new] != gap[du]
+                            except KeyError:
+                                moved = self._gap_mask(new) != self._gap_mask(du)
+                            if moved:
+                                queue.append(u)
             if dv & (dv - 1) == 0:
                 for u in d2[v]:
                     du = domains[u]
                     if du & dv:
                         new = du ^ dv
                         if not new:
-                            for w in queue:
-                                queued[w] = False
                             return False
                         trail.append((u, du))
                         domains[u] = new
-                        if not queued[u]:
-                            queued[u] = True
+                        if new & (new - 1) == 0:
                             queue.append(u)
-        # touched: the seeds and every vertex this call narrowed
-        return self._hall_check(chain(seeds, [u for u, _ in trail[mark:]]))
-
-    def _hall_check(self, touched: Iterable[int]) -> bool:
-        # A vertex's neighbours take pairwise distinct labels (gap >= 2 when
-        # adjacent, distance two otherwise), so their domains must admit a
-        # system of distinct representatives.  Checking it at every fixpoint
-        # kills pigeonhole dead-ends that arc pruning cannot see.  A hub whose
-        # neighbours all keep at least deg(w) labels passes by counting.
-        domains, adj, hubs = self.domains, self.adj, self.hubs
+                        else:
+                            try:
+                                moved = gap[new] != gap[du]
+                            except KeyError:
+                                moved = self._gap_mask(new) != self._gap_mask(du)
+                            if moved:
+                                queue.append(u)
+        # the Hall filter: hubs of a seed or narrowed vertex left with fewer labels than their degree
+        hubs, deg = self.hubs, self.deg
         dirty = set()
-        for v in touched:
-            dirty.update(hubs[v])
-        for w in dirty:
-            ns = adj[w]
-            deg = len(ns)
-            for u in ns:
-                if domains[u].bit_count() < deg:
-                    break
-            else:
-                continue
-            masks = tuple([domains[u] for u in ns])
-            ok = self.sdr.get(masks)
+        for u in chain(seeds, [u for u, _ in trail[mark:]]):
+            size = domains[u].bit_count()
+            for w in hubs[u]:
+                if size < deg[w]:
+                    dirty.add(w)
+        return self._hall_check(dirty)
+
+    def _hall_check(self, hubs: Iterable[int]) -> bool:
+        # whether the neighbours of each given hub can take pairwise distinct
+        # labels: pigeonhole dead-ends that arc pruning cannot see
+        domains, adj, sdr = self.domains, self.adj, self.sdr
+        for w in hubs:
+            masks = tuple([domains[u] for u in adj[w]])
+            ok = sdr.get(masks)
             if ok is None:
-                ok = self.sdr[masks] = _has_distinct_representatives(masks)
+                ok = sdr[masks] = _has_distinct_representatives(masks)
             if not ok:
                 return False
         return True
@@ -346,7 +338,7 @@ class _LabelSearch:
                 if xu == xv and v in self.d2[u]:
                     return SolveResult(UNSAT, reason=f"pins {u}={xu}, {v}={xv} collide at distance two")
         if self.initial is None:
-            return SolveResult(UNSAT, reason=f"a vertex of degree >= {self.k} cannot be labelled")
+            return SolveResult(UNSAT, reason=f"a vertex of degree >= {max(self.k, 1)} cannot be labelled")
         for v, x in pins.items():
             if not self.initial[v] >> x & 1:
                 return SolveResult(UNSAT, reason=f"pin {x} at vertex {v} conflicts with its degree")
@@ -382,6 +374,10 @@ class _LabelSearch:
         if len(set(boundary)) != len(boundary):
             raise ValidationError("boundary vertices must be distinct")
         domains = [tuple(labels) for labels in domains]
+        if len(domains) != len(boundary):
+            raise ValidationError(
+                f"expected one label domain per boundary vertex ({len(boundary)}), got {len(domains)}"
+            )
         _check_pins(self.graph, self.k, [(v, x) for v, labels in zip(boundary, domains) for x in labels])
         solve = self.solve
         return {labels for labels in product(*domains) if solve(dict(zip(boundary, labels)), None).is_sat}

@@ -142,6 +142,44 @@ def edge_gadget_table(k: int) -> Set[Tuple[int, int, int, int]]:
     return boundary_table(inst.graph, k, boundary, [ends, ends, inner, inner])
 
 
+def propagate_to_fixpoint(graph: Graph, k: int, domains: List[int]) -> Optional[List[int]]:
+    """The label search's propagation verdict from the rules alone: the
+    domains (label bitmasks over [0, k]) narrowed by sweeping every vertex
+    with the gap rule (a neighbour keeps only labels at distance >= 2 from
+    some candidate) and the distance-two rule (a singleton's label leaves its
+    distance-two vertices) until a sweep changes nothing.  None when a domain
+    empties, or when the neighbours of some vertex of degree >= 3 admit no
+    system of distinct representatives (found by trying every pick)."""
+    labels = [{x for x in range(k + 1) if mask >> x & 1} for mask in domains]
+    far: Dict[int, List[int]] = {v: [] for v in range(graph.n)}
+    for u, v in distance2_pairs(graph):
+        far[u].append(v)
+        far[v].append(u)
+    changed = True
+    while changed:
+        changed = False
+        for v in range(graph.n):
+            for u in graph.neighbours(v):
+                keep = {y for y in labels[u] if any(abs(x - y) >= 2 for x in labels[v])}
+                changed |= keep != labels[u]
+                labels[u] = keep
+            if len(labels[v]) == 1:
+                for u in far[v]:
+                    changed |= bool(labels[u] & labels[v])
+                    labels[u] = labels[u] - labels[v]
+            if not all(labels[u] for u in graph.neighbours(v) + tuple(far[v])):
+                return None
+
+    def distinct_picks(sets: List[Set[int]], used: Set[int]) -> bool:
+        return not sets or any(distinct_picks(sets[1:], used | {x}) for x in sets[0] - used)
+
+    for v in range(graph.n):
+        ns = graph.neighbours(v)
+        if len(ns) >= 3 and not distinct_picks(sorted((labels[u] for u in ns), key=len), set()):
+            return None
+    return [sum(1 << x for x in ls) for ls in labels]
+
+
 def oriented_component_structure(
     graph: Graph, co: ColouredOrientation, out_vertices: Set[int]
 ) -> List[Tuple[str, List[int]]]:

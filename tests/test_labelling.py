@@ -28,7 +28,7 @@ from conftest import (
     random_graph,
     star_graph,
 )
-from oracles import boundary_table, distance2_pairs, solve_labelling_bruteforce
+from oracles import boundary_table, distance2_pairs, propagate_to_fixpoint, solve_labelling_bruteforce
 
 
 def test_verify_examples():
@@ -94,6 +94,13 @@ def test_inconsistent_pins_unsat_with_reason():
     d2 = path_graph(3)
     result = solve_labelling(d2, 4, {0: 3, 2: 3})
     assert result.outcome == UNSAT and "distance two" in result.reason
+
+
+def test_degree_reason_at_span_zero():
+    # at k = 0 only a vertex of degree 0 is labellable
+    assert solve_labelling(make_graph(1, []), 0).is_sat
+    result = solve_labelling(path_graph(2), 0)
+    assert result.outcome == UNSAT and result.reason == "a vertex of degree >= 1 cannot be labelled"
 
 
 def test_pins_validated():
@@ -268,6 +275,8 @@ def test_shared_search_enumerations_match_fresh_solves_on_hprime(k):
         (4, [0, 1], [range(5), [5]], "outside"),
         (4, [0, 1], [[], [-1]], "outside"),
         (-1, [0], [[0]], "span"),
+        (4, [0, 2], [range(5)], r"per boundary vertex \(2\), got 1"),
+        (4, [0], [range(5), range(5)], r"per boundary vertex \(1\), got 2"),
     ],
     ids=[
         "foreign vertex",
@@ -275,6 +284,8 @@ def test_shared_search_enumerations_match_fresh_solves_on_hprime(k):
         "label above k",
         "negative label",
         "negative span",
+        "fewer domains than boundary vertices",
+        "more domains than boundary vertices",
     ],
 )
 def test_boundary_enumeration_validates_its_input(k, boundary, domains, message):
@@ -341,9 +352,124 @@ def test_hall_check_matches_bruteforce_sdr():
         masks = [(rng.randint(1, search.full) & rng.randint(1, search.full)) or 1 for _ in range(leaves)]
         search.domains = [search.full] + masks
         expected = _has_sdr(masks)
-        assert search._hall_check(set(range(1, leaves + 1))) == expected, (k, masks)
+        assert search._hall_check({0}) == expected, (k, masks)
         seen.add(expected)
     assert seen == {True, False}
+
+
+def test_hall_filter_skips_a_hub_whose_narrowed_neighbours_keep_enough_labels():
+    # From a fixpoint that passes every Hall check, narrowing a leaf to a set
+    # of at least deg(centre) labels cannot break the centre's: propagate
+    # skips the centre, and its verdict still matches brute force.  A leaf
+    # left with fewer labels gets the centre checked, unless a domain empties.
+    rng = random.Random(12)
+    skipped = checked_below = 0
+    for _ in range(200):
+        leaves = rng.randint(3, 5)
+        k = rng.randint(leaves + 1, 9)
+        search = _LabelSearch(star_graph(leaves), k)
+        leaf_masks = [rng.randint(1, search.full) | rng.randint(1, search.full) for _ in range(leaves)]
+        search.domains = [search.full] + leaf_masks
+        if not search.propagate(range(leaves + 1)):
+            continue
+        leaf = rng.randint(1, leaves)
+        labels = [x for x in range(k + 1) if search.domains[leaf] >> x & 1]
+        if len(labels) <= 1:
+            continue
+        kept = rng.randint(1, len(labels) - 1)
+        search.domains[leaf] = sum(1 << x for x in rng.sample(labels, kept))
+        checked = []
+        hall_check = search._hall_check
+
+        def recording(hubs):
+            checked.extend(hubs)
+            return hall_check(hubs)
+
+        search._hall_check = recording
+        ok = search.propagate([leaf])
+        if kept >= leaves:
+            assert 0 not in checked
+            assert ok == _has_sdr(search.domains[1:])
+            skipped += 1
+        elif checked:  # else a domain emptied before the Hall check
+            assert checked == [0] and ok == _has_sdr(search.domains[1:])
+            checked_below += 1
+    assert skipped > 30 and checked_below > 30
+
+
+def _narrow_root(rng, search):
+    """A copy of the root fixpoint with a few random narrowings, and the
+    vertices they narrowed: some keep the gap mask (the lowest and highest
+    label stay), some make a singleton, some take any non-empty sub-mask, some
+    narrow every neighbour of a hub to a shared set of deg - 1 labels, and
+    some make an end pair {0, 1} or {k - 1, k}, whose gap mask is that of its
+    end label alone, with a neighbour two labels away that leaves only that
+    end."""
+    domains = list(search.root)
+    seeds = set()
+
+    def narrow(v, mask):
+        if 0 != mask & domains[v] != domains[v]:
+            domains[v] &= mask
+            seeds.add(v)
+
+    hubs = [w for w in range(len(domains)) if search.deg[w] >= 3]
+    for _ in range(rng.randint(1, 4)):
+        v = rng.randrange(len(domains))
+        labels = [x for x in range(search.k + 1) if domains[v] >> x & 1]
+        kind = rng.choice(["keep gap", "singleton", "sub-mask", "pigeonhole", "end pair"])
+        if kind == "keep gap" and len(labels) >= 3:
+            middle = rng.sample(labels[1:-1], rng.randint(0, len(labels) - 3))
+            narrow(v, sum(1 << x for x in [labels[0], labels[-1]] + middle))
+        elif kind == "singleton":
+            narrow(v, 1 << rng.choice(labels))
+        elif kind == "sub-mask":
+            narrow(v, rng.randint(1, search.full))
+        elif kind == "pigeonhole" and hubs:
+            w = rng.choice(hubs)
+            shared = sum(1 << x for x in rng.sample(range(search.k + 1), search.deg[w] - 1))
+            for u in search.adj[w]:
+                narrow(u, shared)
+        elif kind == "end pair" and search.adj[v]:
+            end = rng.choice([0, search.k])
+            narrow(v, 3 if end == 0 else 3 << (end - 1))
+            narrow(rng.choice(search.adj[v]), 1 << (2 if end == 0 else end - 2))
+    return domains, sorted(seeds)
+
+
+def _assert_propagate_matches_oracle(graph, k, rng, trials):
+    search = _LabelSearch(graph, k)
+    if search.root is None:
+        return 0
+    compared = 0
+    for _ in range(trials):
+        domains, seeds = _narrow_root(rng, search)
+        if not seeds:
+            continue
+        search.domains = list(domains)
+        search.trail.clear()
+        expected = propagate_to_fixpoint(graph, k, domains)
+        assert search.propagate(seeds) == (expected is not None), (k, domains, seeds)
+        if expected is not None:
+            assert search.domains == expected, (k, domains, seeds)
+        compared += 1
+    return compared
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.integers(min_value=0, max_value=10_000), st.integers(min_value=3, max_value=8))
+def test_propagate_matches_fixpoint_oracle(seed, k):
+    rng = random.Random(seed)
+    graph = random_graph(rng, rng.randint(4, 12), rng.uniform(0.15, 0.45))
+    _assert_propagate_matches_oracle(graph, k, rng, 12)
+
+
+def test_propagate_matches_fixpoint_oracle_on_reduction_instance():
+    from planar_l21.nae3sat import Nae3SatFormula
+    from planar_l21.pipeline import run_reduction
+
+    graph = run_reduction(Nae3SatFormula(1, ((1, 1, 1),)), 4).instance.graph
+    assert _assert_propagate_matches_oracle(graph, 4, random.Random(5), 20) >= 10
 
 
 def _verify_by_distance2_pairs(graph, labelling):
