@@ -9,6 +9,7 @@ never wall-clock time.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 from itertools import chain, product
@@ -98,6 +99,33 @@ def _has_distinct_representatives(masks: Sequence[int]) -> bool:
     return True
 
 
+_HALL_VERDICTS: Dict[Tuple[int, ...], bool] = {}  # neighbour domains around a hub -> Hall verdict
+_GAP_LIST_SPAN = 12  # the widest span whose gap table is a list (2^13 domains)
+
+
+class _GapMasks(dict):
+    """Domain -> the labels a neighbour may keep: all of [0, k] but those
+    within distance 1 of every candidate.  Each is computed on first lookup."""
+
+    def __init__(self, k: int):
+        super().__init__()
+        self.full = (1 << (k + 1)) - 1
+
+    def __missing__(self, dv: int) -> int:
+        lo = (dv & -dv).bit_length() - 1
+        band_lo = max(0, dv.bit_length() - 2)  # the highest candidate - 1
+        mask = self[dv] = self.full & ~(((1 << (lo + 2)) - 1) >> band_lo << band_lo)
+        return mask
+
+
+@functools.cache
+def _gap_table(k: int):
+    """The span's gap masks, built once per process: up to ``_GAP_LIST_SPAN``
+    an exact list over every domain (fastest to subscript), else ``_GapMasks``."""
+    masks = _GapMasks(k)
+    return masks if k > _GAP_LIST_SPAN else [masks[dv] for dv in range(1 << (k + 1))]
+
+
 class _LabelSearch:
     """Backtracking with per-vertex candidate bitmasks and an undo trail.
 
@@ -137,6 +165,11 @@ class _LabelSearch:
     hub none of whose neighbours the pins narrow passed its Hall check at the
     root on the same domains: outcome, node count and witness are a fresh
     solve's.
+
+    The lookup tables live for the process, not the search: ``gap`` is the
+    span's ``_gap_table(k)``, the Hall verdicts are ``_HALL_VERDICTS``.  Each
+    entry is a pure function of its key (span and domain, or the domains
+    around a hub), so sharing them across searches cannot change a verdict.
     """
 
     def __init__(self, graph: Graph, k: int):
@@ -148,8 +181,7 @@ class _LabelSearch:
         # per vertex, its neighbours of degree >= 3: the Hall check's centres
         self.hubs = [[u for u in ns if deg[u] >= 3] for ns in self.adj]
         self.d2 = graph.distance2
-        self.gap: Dict[int, int] = {}  # domain -> labels a neighbour may keep
-        self.sdr: Dict[Tuple[int, ...], bool] = {}  # neighbour domains -> Hall verdict
+        self.gap = _gap_table(k)  # domain -> labels a neighbour may keep, shared per span
         self.order = sorted(range(graph.n), key=lambda v: (-deg[v], v))
         self.domains: List[int] = []
         self.trail: List[Tuple[int, int]] = []  # (vertex, previous mask)
@@ -161,29 +193,11 @@ class _LabelSearch:
         self.trail.clear()
 
     def initial_domains(self) -> bool:
-        self.domains = []
-        for d in self.deg:
-            if d >= self.k and d > 0:
-                return False  # its neighbours would need d distinct far labels
-            if d == self.k - 1 and d > 0:
-                self.domains.append((1 << 0) | (1 << self.k))
-            else:
-                self.domains.append(self.full)
+        k = self.k
+        if any(d >= k and d > 0 for d in self.deg):
+            return False  # its neighbours would need d distinct far labels
+        self.domains = [1 | 1 << k if d == k - 1 and d > 0 else self.full for d in self.deg]
         return True
-
-    def _gap_mask(self, dv: int) -> int:
-        # all labels except those within distance 1 of every candidate in dv; cached
-        if dv in self.gap:
-            return self.gap[dv]
-        lo = (dv & -dv).bit_length() - 1
-        hi = dv.bit_length() - 1
-        band_lo = max(0, hi - 1)
-        band_hi = min(self.k, lo + 1)
-        mask = self.full
-        if band_lo <= band_hi:
-            mask &= ~(((1 << (band_hi + 1)) - 1) ^ ((1 << band_lo) - 1))
-        self.gap[dv] = mask
-        return mask
 
     def propagate(self, seeds: Sequence[int]) -> bool:
         domains, trail, adj, d2, gap, full = self.domains, self.trail, self.adj, self.d2, self.gap, self.full
@@ -192,10 +206,7 @@ class _LabelSearch:
         while queue:
             v = queue.pop()
             dv = domains[v]
-            try:
-                allowed = gap[dv]
-            except KeyError:
-                allowed = self._gap_mask(dv)
+            allowed = gap[dv]
             if allowed != full:
                 for u in adj[v]:
                     du = domains[u]
@@ -205,15 +216,8 @@ class _LabelSearch:
                             return False
                         trail.append((u, du))
                         domains[u] = new
-                        if new & (new - 1) == 0:
+                        if new & (new - 1) == 0 or gap[new] != gap[du]:
                             queue.append(u)
-                        else:
-                            try:
-                                moved = gap[new] != gap[du]
-                            except KeyError:
-                                moved = self._gap_mask(new) != self._gap_mask(du)
-                            if moved:
-                                queue.append(u)
             if dv & (dv - 1) == 0:
                 for u in d2[v]:
                     du = domains[u]
@@ -223,15 +227,8 @@ class _LabelSearch:
                             return False
                         trail.append((u, du))
                         domains[u] = new
-                        if new & (new - 1) == 0:
+                        if new & (new - 1) == 0 or gap[new] != gap[du]:
                             queue.append(u)
-                        else:
-                            try:
-                                moved = gap[new] != gap[du]
-                            except KeyError:
-                                moved = self._gap_mask(new) != self._gap_mask(du)
-                            if moved:
-                                queue.append(u)
         # the Hall filter: hubs of a seed or narrowed vertex left with fewer labels than their degree
         hubs, deg = self.hubs, self.deg
         dirty = set()
@@ -245,12 +242,12 @@ class _LabelSearch:
     def _hall_check(self, hubs: Iterable[int]) -> bool:
         # whether the neighbours of each given hub can take pairwise distinct
         # labels: pigeonhole dead-ends that arc pruning cannot see
-        domains, adj, sdr = self.domains, self.adj, self.sdr
+        domains, adj, verdicts = self.domains, self.adj, _HALL_VERDICTS
         for w in hubs:
             masks = tuple([domains[u] for u in adj[w]])
-            ok = sdr.get(masks)
+            ok = verdicts.get(masks)
             if ok is None:
-                ok = sdr[masks] = _has_distinct_representatives(masks)
+                ok = verdicts[masks] = _has_distinct_representatives(masks)
             if not ok:
                 return False
         return True
@@ -367,9 +364,9 @@ class _LabelSearch:
         pinned ``solve`` per tuple, in lexicographic order of the product.
 
         Every solve starts from a copy of the root fixpoint, and the gap and
-        Hall tables it keeps are functions of the domains alone, so the
-        enumerations run on this search before, over any boundary, cannot
-        change a verdict: each tuple decides as a fresh ``solve_labelling``.
+        Hall tables are process-wide functions of the domains alone (see the
+        class docstring), so no earlier solve, on this search or any other,
+        can change a verdict: each tuple decides as a fresh ``solve_labelling``.
         """
         if len(set(boundary)) != len(boundary):
             raise ValidationError("boundary vertices must be distinct")

@@ -1,5 +1,10 @@
 import json
+import os
+import resource
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -671,3 +676,32 @@ def test_unreadable_input_exits_2(tmp_path, formula_file, capsys, command, optio
     assert_bad_input(code, captured.err)
     assert captured.err.startswith(f"{command}: cannot read {bad}: ")
     assert captured.out == ""
+
+
+def test_solve_at_a_huge_span_builds_no_dense_table(tmp_path):
+    # As the CI step does: the star K1,3 at k = 10^6 is labelled after one node per
+    # vertex.  A gap table with an entry for every domain would need 2^(k+1)
+    # of them; the child's address space is capped at 1 GiB so that such a
+    # table fails fast instead of taking the host's memory.
+    from conftest import star_graph
+    from planar_l21.graphs import to_json
+
+    def cap_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    instance = tmp_path / "star.json"
+    instance.write_text(to_json(star_graph(3)))
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    argv = ["solve", "--instance", str(instance), "--k", "1000000", "--budget", "100"]
+    done = subprocess.run(
+        [sys.executable, "-m", "planar_l21.cli", *argv],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env=env,
+        preexec_fn=cap_memory,
+    )
+    assert done.returncode == 0, done.stderr
+    result = json.loads(done.stdout)
+    assert (result["outcome"], result["nodes"]) == ("sat", 4)
+    assert done.stderr == "solve: sat after 4 nodes\n"

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from planar_l21.errors import CapacityError, ValidationError
-from planar_l21.gadgets import build_edge_gadget, build_Hprime
+from planar_l21.gadgets import build_edge_gadget, build_Hprime, certify_Hprime
 from planar_l21.labelling import (
     EXHAUSTED,
     SAT,
@@ -17,7 +17,10 @@ from planar_l21.labelling import (
     labelling_to_json,
     solve_labelling,
     verify_labelling,
+    _GapMasks,
+    _HALL_VERDICTS,
     _LabelSearch,
+    _gap_table,
 )
 
 from conftest import (
@@ -565,3 +568,108 @@ def test_select_cursor_matches_full_scan_on_reduction_instance():
     outcome, nodes, selections = _search_with_checked_select(graph, 4, 300)
     assert (outcome, nodes) == (EXHAUSTED, 301)
     assert selections > 100
+
+
+def _kept_by_definition(labels, ys):
+    """The labels y among ys kept next to a vertex whose candidates are
+    labels: some candidate x has |x - y| >= 2."""
+    return {y for y in ys if any(abs(x - y) >= 2 for x in labels)}
+
+
+def test_gap_table_matches_definition():
+    for k in range(13):
+        table = _gap_table(k)
+        assert type(table) is list and len(table) == 1 << (k + 1)
+        for dv in range(1, 1 << (k + 1)):
+            labels = [x for x in range(k + 1) if dv >> x & 1]
+            assert table[dv] == sum(1 << y for y in _kept_by_definition(labels, range(k + 1))), (k, dv)
+    rng = random.Random(17)
+    k, table = 40, _gap_table(40)
+    assert type(table) is _GapMasks
+    # every domain within the ten lowest or highest labels, then random ones
+    sparse = [rng.getrandbits(41) & rng.getrandbits(41) & rng.getrandbits(41) for _ in range(500)]
+    for dv in itertools.chain(range(1, 1 << 10), (d << 31 for d in range(1, 1 << 10)), filter(None, sparse)):
+        labels = [x for x in range(k + 1) if dv >> x & 1]
+        assert table[dv] == sum(1 << y for y in _kept_by_definition(labels, range(k + 1))), (k, dv)
+    k, table = 10**6, _gap_table(10**6)
+    full = (1 << (k + 1)) - 1
+    for _ in range(40):
+        # a few labels, drawn anywhere or near either end, sometimes a run of them
+        picks = [rng.randrange(k + 1), rng.randrange(4), k - rng.randrange(4)]
+        labels = {rng.choice(picks) for _ in range(rng.randint(1, 4))}
+        labels |= {min(k, min(labels) + i) for i in range(rng.randint(0, 3))}
+        mask = table[sum(1 << x for x in labels)]
+        # a label at distance >= 2 from every candidate is kept; the others,
+        # the candidates and their neighbours, are checked one by one
+        near = {y for x in labels for y in (x - 1, x, x + 1) if 0 <= y <= k}
+        assert mask | sum(1 << y for y in near) == full, sorted(labels)
+        assert {y for y in near if mask >> y & 1} == _kept_by_definition(labels, near), sorted(labels)
+    table.clear()  # each k = 10^6 mask takes 125 kB
+
+
+def test_searches_of_one_span_share_one_gap_table():
+    first, second = _LabelSearch(path_graph(4), 5), _LabelSearch(star_graph(3), 5)
+    assert first.gap is second.gap is _gap_table(5)
+    assert _LabelSearch(cycle_graph(5), 6).gap is not first.gap
+    wide = _LabelSearch(path_graph(3), 13)
+    assert type(wide.gap) is _GapMasks and wide.gap is _LabelSearch(star_graph(3), 13).gap
+
+
+def _hprime_extension_calls(monkeypatch):
+    """(k, boundary, domains) of every enumeration certify_Hprime makes at k = 6..8."""
+    calls = []
+    extensions = _LabelSearch.extensions
+
+    def recording(self, boundary, domains):
+        calls.append((self.k, list(boundary), [list(labels) for labels in domains]))
+        return extensions(self, boundary, calls[-1][2])
+
+    with monkeypatch.context() as patch:
+        patch.setattr(_LabelSearch, "extensions", recording)
+        assert all(certify_Hprime(k).passed for k in (6, 7, 8))
+    return calls
+
+
+def test_verdicts_do_not_depend_on_table_state(monkeypatch):
+    # Every solve of the jobs below runs twice: first in order, with the Hall
+    # table emptied (and the gap tables dropped) before each solve, then warm,
+    # in reverse order.  Outcome, nodes, witness and reason must agree.
+    rng = random.Random(40)
+    jobs = []
+    for _ in range(40):
+        k = rng.randint(3, 8)
+        g = random_graph(rng, rng.randint(4, 11), rng.uniform(0.15, 0.5))
+        pins = [{}] + [{rng.randrange(g.n): rng.randint(0, k)} for _ in range(3)]
+        jobs.append(lambda g=g, k=k, pins=pins: [solve_labelling(g, k, p) for p in pins])
+    for k, boundary, domains in _hprime_extension_calls(monkeypatch):
+        graph = build_Hprime(k).graph
+        jobs.append(lambda graph=graph, k=k, b=boundary, d=domains: _LabelSearch(graph, k).extensions(b, d))
+
+    def run(order, cold):
+        solve = _LabelSearch.solve
+        recorded = []
+
+        def recording(self, pins, budget):
+            if cold:
+                _HALL_VERDICTS.clear()
+            recorded.append(solve(self, pins, budget))
+            return recorded[-1]
+
+        runs = {}
+        with monkeypatch.context() as patch:
+            patch.setattr(_LabelSearch, "solve", recording)
+            for i in order:
+                if cold:
+                    _HALL_VERDICTS.clear()
+                    _gap_table.cache_clear()
+                del recorded[:]
+                returned = jobs[i]()
+                runs[i] = (returned, list(recorded))
+        return runs
+
+    cold = run(range(len(jobs)), cold=True)
+    warm = run(reversed(range(len(jobs))), cold=False)
+    assert warm == cold
+    results = [r for _, solves in cold.values() for r in solves]
+    assert {(r.outcome, r.reason is None) for r in results} == {(SAT, True), (UNSAT, True), (UNSAT, False)}
+    assert sum(r.nodes for r in results) > 1000 and _HALL_VERDICTS
