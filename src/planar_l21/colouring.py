@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
-from .errors import CapacityError, ValidationError
+from .errors import ValidationError
 from .graphs import Edge, Graph
 
 BLACK = "B"
@@ -23,9 +23,6 @@ BACKWARD = "B"
 UNORIENTED = "U"
 
 TwoColouring = Dict[int, str]
-
-ENUMERATION_VERTEX_LIMIT = 60
-
 
 def _check_total(graph: Graph, colouring: TwoColouring) -> List[int]:
     bits = []
@@ -181,15 +178,6 @@ class _MatchingSearch:
                 c += 1
 
 
-def _bits_to_colouring(bits: Tuple[int, ...]) -> TwoColouring:
-    return {v: WHITE if b else BLACK for v, b in enumerate(bits)}
-
-
-def _colouring_key(bits: Tuple[int, ...]) -> int:
-    # little-endian: vertex 0 is the least significant bit
-    return sum(b << v for v, b in enumerate(bits))
-
-
 def solve_2cpm(graph: Graph, pinned: Optional[TwoColouring] = None) -> Optional[TwoColouring]:
     """First 2CPM completion respecting the pins, or None.
 
@@ -214,7 +202,7 @@ def _solve_matching(graph: Graph, pinned: Optional[TwoColouring], almost: bool):
             if not search.assign(v, 0 if c == BLACK else 1):
                 return None
     bits = next(search.solutions(), None)
-    return None if bits is None else _bits_to_colouring(bits)
+    return None if bits is None else {v: WHITE if b else BLACK for v, b in enumerate(bits)}
 
 
 def extendable_boundary_patterns(graph: Graph, boundary: Sequence[int]) -> List[int]:
@@ -225,21 +213,12 @@ def extendable_boundary_patterns(graph: Graph, boundary: Sequence[int]) -> List[
     enumeration of every almost-2CPM, projected onto the boundary, serves all
     2^len(boundary) patterns.  The cost grows with the graph's number of
     almost-2CPMs, not with 2^len(boundary): the clause gadget has 6 against
-    2^13 boundary colourings, the uncrossing gadget 4 against 2^8.
+    2^13 boundary colourings, the uncrossing gadget 4 against 2^8.  With
+    ``range(graph.n)`` as the boundary, each pattern is the white set of one
+    almost-2CPM.
     """
     solutions = _MatchingSearch(graph, almost=True).solutions()
     return sorted({sum(bits[v] << i for i, v in enumerate(boundary)) for bits in solutions})
-
-
-def enumerate_almost_2cpm(graph: Graph) -> List[TwoColouring]:
-    """All almost two-coloured perfect matchings, in canonical order."""
-    if graph.n > ENUMERATION_VERTEX_LIMIT:
-        raise CapacityError(
-            f"{graph.n} vertices exceed enumeration limit {ENUMERATION_VERTEX_LIMIT}"
-        )
-    search = _MatchingSearch(graph, almost=True)
-    found = sorted(search.solutions(), key=_colouring_key)
-    return [_bits_to_colouring(bits) for bits in found]
 
 
 # ---------------------------------------------------------------------------

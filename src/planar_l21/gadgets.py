@@ -1,13 +1,17 @@
 """Fixed gadget builders and their exhaustive certifiers.
 
-Every gadget figure is transcribed exactly once into the atlas below: named
-vertices with drawing coordinates and an edge list.  Rotations come from the
-coordinates (counterclockwise, exact rational comparisons), so each builder
-ships its own planarity certificate.  Each builder runs once per process
-(per k): its instance, Euler-checked when built, is cached and shared by the
-stage builders, the witness translators and the certifiers, so it must not be
-mutated.  The certifiers look their builder up by module name at call time,
-machine-check the gadget lemmas and report observed vs expected behaviour.
+Every gadget figure is transcribed exactly once, into the atlas below or,
+for H' (one drawing per k), into its builder: named vertices with drawing
+coordinates and an edge list.  Every figure, H' included, gets its rotation
+from the coordinates (counterclockwise, exact rational comparisons), so each
+builder ships its own planarity certificate.  The composed gadgets reuse
+those rotations: the clause gadget links three copies of H, and G_k for
+k >= 6 sets its path and middle rotations by hand around the embedded H'
+copies.  Each builder runs once per process (per k): its instance,
+Euler-checked when built, is cached and shared by the stage builders, the
+witness translators and the certifiers, so it must not be mutated.  The
+certifiers look their builder up by module name at call time, machine-check
+the gadget lemmas and report observed vs expected behaviour.
 Every table is enumerated exhaustively, except the span-k edge gadget G_k for
 k >= 6: after a structure check of the built graph, its table is composed
 from the exhaustively enumerated (L(c), L(d)) table of H'.
@@ -21,12 +25,7 @@ from functools import cache, cached_property
 from itertools import product
 from typing import Dict, List, Optional, Set, Tuple
 
-from .colouring import (
-    BLACK,
-    WHITE,
-    enumerate_almost_2cpm,
-    extendable_boundary_patterns,
-)
+from .colouring import extendable_boundary_patterns
 from .errors import CapacityError, ValidationError
 from .graphs import (
     GADGET_INTERNAL,
@@ -149,7 +148,7 @@ _H_EDGES = [
 
 _H_PORTS = ["a", "b", "m", "n", "i", "l", "o", "p", "q", "r"]
 _H_PENDANTS = {"a", "m", "n", "q", "r"}
-_H_ROLES = {name: (PORT if name in _H_PENDANTS else GADGET_INTERNAL) for name in _H_COORDS}
+_H_ROLES = dict.fromkeys(_H_PENDANTS, PORT)
 
 _U_COORDS = {
     "z4": (F(4), F("0.5")),
@@ -349,14 +348,7 @@ def build_clause_gadget() -> GadgetInstance:
 @cache
 def build_uncrossing() -> GadgetInstance:
     """The 28-vertex crossing replacement gadget."""
-    roles = {}
-    for name in _U_COORDS:
-        if name in _U_PENDANTS:
-            roles[name] = PORT
-        elif name in _U_GATES:
-            roles[name] = GATE
-        else:
-            roles[name] = GADGET_INTERNAL
+    roles = {**dict.fromkeys(_U_PENDANTS, PORT), **dict.fromkeys(_U_GATES, GATE)}
     return _build_from_figure(
         _U_COORDS, _U_EDGES, roles, sorted(_U_PENDANTS | _U_GATES), "UncrossU"
     )
@@ -373,34 +365,12 @@ def build_Hprime(k: int) -> GadgetInstance:
     """Label-forcing side gadget: d and g of degree k-1 joined by k-3 paths."""
     if k < 6:
         raise ValidationError(f"H' needs k >= 6, got {k}")
-    builder = GraphBuilder()
-    ids = {}
-    for name in ["c", "d", "e"] + [f"f{j}" for j in range(1, k - 2)] + ["g", "h", "i"]:
-        role = PORT if name in ("c", "d") else GADGET_INTERNAL
-        ids[name] = builder.add_vertex(role, name)
-    builder.add_edge(ids["c"], ids["d"])
-    builder.add_edge(ids["d"], ids["e"])
-    builder.add_edge(ids["g"], ids["h"])
-    builder.add_edge(ids["g"], ids["i"])
-    for j in range(1, k - 2):
-        builder.add_edge(ids["d"], ids[f"f{j}"])
-        builder.add_edge(ids["g"], ids[f"f{j}"])
-    graph = builder.freeze()
-    rotation = {
-        ids["c"]: [ids["d"]],
-        ids["e"]: [ids["d"]],
-        ids["h"]: [ids["g"]],
-        ids["i"]: [ids["g"]],
-        ids["d"]: [ids["e"], ids["c"]] + [ids[f"f{j}"] for j in range(k - 3, 0, -1)],
-        ids["g"]: [ids[f"f{j}"] for j in range(1, k - 2)] + [ids["h"], ids["i"]],
-    }
-    for j in range(1, k - 2):
-        rotation[ids[f"f{j}"]] = [ids["d"], ids["g"]]
-    rot = RotationSystem(rotation)
-    instance = GadgetInstance(graph, rot, {"c": ids["c"], "d": ids["d"]}, "Hprime", k)
-    if not verify_planar(graph, rot):
-        raise AssertionError("H' embedding is not planar")
-    return instance
+    fans = [f"f{j}" for j in range(1, k - 2)]
+    coords = {"c": (0, -1), "d": (0, 0), "e": (-1, 0)}
+    coords.update({f: (1, -j) for j, f in enumerate(fans, 1)})
+    coords.update({"g": (2, 0), "h": (2, -1), "i": (3, 0)})
+    edges = [("c", "d"), ("d", "e"), ("g", "h"), ("g", "i")] + [(x, f) for f in fans for x in "dg"]
+    return _build_from_figure(coords, edges, {"c": PORT, "d": PORT}, ["c", "d"], "Hprime", k)
 
 
 @cache
@@ -415,8 +385,7 @@ def build_edge_gadget(k: int) -> GadgetInstance:
     if k <= 5:
         coords = _G5_COORDS if k == 5 else {name: _G5_COORDS[name] for name in _EDGE_PATH}
         edges = _G5_EDGES if k == 5 else list(zip(_EDGE_PATH, _EDGE_PATH[1:]))
-        roles = {name: (PORT if name in _EDGE_PATH else GADGET_INTERNAL) for name in coords}
-        return _build_from_figure(coords, edges, roles, _EDGE_PATH, f"G{k}", k)
+        return _build_from_figure(coords, edges, dict.fromkeys(_EDGE_PATH, PORT), _EDGE_PATH, f"G{k}", k)
 
     builder = GraphBuilder()
     ids = {name: builder.add_vertex(PORT, name) for name in _EDGE_PATH}
@@ -458,36 +427,26 @@ def _names(instance: GadgetInstance) -> Dict[str, int]:
 
 
 def certify_H() -> CertReport:
-    """Exactly six almost-matchings, each with the three forced properties."""
+    """Exactly six almost-matchings, each with the three forced properties.
+
+    With every vertex on the boundary, each extendable pattern is the white
+    set of one almost-matching (bit v set when vertex v is white)."""
     inst = build_H()
-    ids = _names(inst)
-    colourings = enumerate_almost_2cpm(inst.graph)
+    ids, n = _names(inst), inst.graph.n
+    whites = extendable_boundary_patterns(inst.graph, range(n))
 
-    def mono(col, x, y):
-        return col[ids[x]] == col[ids[y]]
+    def mono(w, x, y):
+        return (w >> ids[x] ^ w >> ids[y]) & 1 == 0
 
-    all_one_special = True
-    all_bil_same = True
-    all_opqr_opposite = True
-    all_oq_pr_mono = True
-    encoded = set()
-    for col in colourings:
-        encoded.add(tuple(col[v] for v in range(inst.graph.n)))
-        specials = sum(1 for x, y in (("a", "b"), ("m", "i"), ("l", "n")) if mono(col, x, y))
-        all_one_special &= specials == 1
-        all_bil_same &= col[ids["b"]] == col[ids["i"]] == col[ids["l"]]
-        all_opqr_opposite &= all(col[ids[x]] != col[ids["b"]] for x in ("o", "p", "q", "r"))
-        all_oq_pr_mono &= mono(col, "o", "q") and mono(col, "p", "r")
-    swapped_closed = all(
-        tuple(WHITE if c == BLACK else BLACK for c in enc) in encoded for enc in encoded
-    )
     observed = {
-        "count": len(colourings),
-        "one_special_edge_monochromatic": all_one_special,
-        "b_i_l_same_colour": all_bil_same,
-        "o_p_q_r_opposite": all_opqr_opposite,
-        "oq_pr_monochromatic": all_oq_pr_mono,
-        "closed_under_colour_swap": swapped_closed,
+        "count": len(whites),
+        "one_special_edge_monochromatic": all(
+            sum(mono(w, x, y) for x, y in (("a", "b"), ("m", "i"), ("l", "n"))) == 1 for w in whites
+        ),
+        "b_i_l_same_colour": all(mono(w, "b", "i") and mono(w, "b", "l") for w in whites),
+        "o_p_q_r_opposite": all(not mono(w, x, "b") for w in whites for x in "opqr"),
+        "oq_pr_monochromatic": all(mono(w, "o", "q") and mono(w, "p", "r") for w in whites),
+        "closed_under_colour_swap": set(whites) == {w ^ ((1 << n) - 1) for w in whites},
     }
     expected = {
         "count": 6,
@@ -497,7 +456,7 @@ def certify_H() -> CertReport:
         "oq_pr_monochromatic": True,
         "closed_under_colour_swap": True,
     }
-    return CertReport("H", None, observed, expected, observed == expected, len(colourings))
+    return CertReport("H", None, observed, expected, observed == expected, len(whites))
 
 
 def _table_report(kind: str, k: Optional[int], observed: Set, expected: Set, count: int) -> CertReport:
@@ -544,14 +503,12 @@ def certify_uncrossing() -> CertReport:
     return _classify_boundary(build_uncrossing(), _U_BOUNDARY, groups, list(product((0, 1), repeat=2)))
 
 
-def _hprime_pairs(k: int, search: Optional[_LabelSearch] = None) -> Set[Tuple[int, int]]:
+def _hprime_pairs(k: int, search: _LabelSearch) -> Set[Tuple[int, int]]:
     """The (L(c), L(d)) pairs that extend to a span-k labelling of H': one
-    enumeration, each pair a pinned solve from the root fixpoint of H', on
-    ``search`` (set up over ``build_Hprime(k)``) or else on a new search."""
-    inst = build_Hprime(k)
-    search = _LabelSearch(inst.graph, k) if search is None else search
-    every = range(k + 1)
-    return search.extensions([inst.ports["c"], inst.ports["d"]], [every, every])
+    enumeration on ``search``, set up over ``build_Hprime(k)``, each pair a
+    pinned solve from its root fixpoint."""
+    ports, every = build_Hprime(k).ports, range(k + 1)
+    return search.extensions([ports["c"], ports["d"]], [every, every])
 
 
 def certify_Hprime(k: int) -> CertReport:
@@ -660,7 +617,7 @@ def certify_edge_gadget(k: int) -> CertReport:
         ends, inner = (0, k), range(k + 1)
         observed = enumerate_boundary_behaviour(inst.graph, k, boundary, [ends, ends, inner, inner])
     elif _edge_gadget_structure_holds(inst, k):
-        observed = _composed_edge_table(k, _hprime_pairs(k))
+        observed = _composed_edge_table(k, _hprime_pairs(k, _LabelSearch(build_Hprime(k).graph, k)))
     else:
         observed = set()
     return _table_report("Gk", k, observed, edge_gadget_expected_table(k), 4 * (k + 1) ** 2)

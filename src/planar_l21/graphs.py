@@ -11,7 +11,7 @@ from __future__ import annotations
 import gc
 import json
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, cmp_to_key, wraps
 from itertools import accumulate, islice, repeat
@@ -177,7 +177,6 @@ class Template:
     vertices: Tuple[Tuple[str, str], ...]  # (name, role) in vertex-id order
     edges: Tuple[Tuple[str, str], ...]
     rotation: Dict[str, Tuple[str, ...]]
-    _plans: Dict[tuple, tuple] = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @classmethod
     def of(cls, graph: Graph, rot: RotationSystem) -> "Template":
@@ -189,16 +188,13 @@ class Template:
         )
 
     def plan(self, glued: Tuple[str, ...], drop: Collection[str]) -> tuple:
-        """The copy with `glued` names glued and `drop` names left out, compiled
-        once: (names, roles, take, ends, degrees, inner, dropped, markers).  A
+        """The compiled copy with `glued` names glued and `drop` names left out:
+        (names, roles, take, ends, degrees, inner, dropped, markers).  A
         copy's slots are its copied vertices, glued hosts and `dropped` markers;
         `take` maps them to its edge ends (`ends` of them, in pairs), then its
         rotation rows (`degrees` long, `markers` markers in all).  `inner` is
         the copied neighbour of each glued name."""
-        key = (glued, frozenset(drop))
-        if key in self._plans:
-            return self._plans[key]
-        names = tuple(name for name, _ in self.vertices if name not in glued and name not in key[1])
+        names = tuple(name for name, _ in self.vertices if name not in glued and name not in drop)
         slot = {name: i for i, name in enumerate(names + glued)}
         dropped: Dict[str, int] = {}  # name -> marker slot
         rows = [
@@ -219,7 +215,7 @@ class Template:
         ]
         index = ends + [u for row in rows for u in row]
         role = dict(self.vertices)
-        self._plans[key] = plan = (  # tuples throughout: the gadget is shared
+        return (
             names,
             tuple(role[name] for name in names),
             itemgetter(*index) if len(index) > 1 else lambda slots: tuple(slots[i] for i in index),
@@ -229,7 +225,6 @@ class Template:
             tuple(dropped),
             sum(u >= len(slot) for row in rows for u in row),
         )
-        return plan
 
 
 @dataclass(frozen=True)

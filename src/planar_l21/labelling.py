@@ -173,6 +173,8 @@ class _LabelSearch:
     """
 
     def __init__(self, graph: Graph, k: int):
+        if k < 0:
+            raise ValidationError(f"span must be non-negative, got {k}")
         self.graph = graph
         self.k = k
         self.full = (1 << (k + 1)) - 1
@@ -381,8 +383,6 @@ class _LabelSearch:
 
 
 def _check_pins(graph: Graph, k: int, pins: Iterable[Tuple[int, int]]) -> None:
-    if k < 0:
-        raise ValidationError(f"span must be non-negative, got {k}")
     for v, x in pins:
         if not (0 <= v < graph.n):
             raise ValidationError(f"pinned vertex {v} not in graph")
@@ -401,11 +401,12 @@ def solve_labelling(
     Returns SAT with a verified witness, UNSAT when the search space is
     exhausted, or EXHAUSTED when the node budget runs out first.
     """
+    search = _LabelSearch(graph, k)  # checks the span first
     pins = dict(pinned or {})
     _check_pins(graph, k, pins.items())
     if budget is not None and budget < 0:
         raise ValidationError(f"node budget must be non-negative, got {budget}")
-    return _LabelSearch(graph, k).solve(pins, budget)
+    return search.solve(pins, budget)
 
 
 def enumerate_boundary_behaviour(

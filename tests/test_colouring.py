@@ -12,7 +12,6 @@ from planar_l21.colouring import (
     UNORIENTED,
     WHITE,
     ColouredOrientation,
-    enumerate_almost_2cpm,
     extendable_boundary_patterns,
     is_good_orientation,
     solve_2cpm,
@@ -20,15 +19,30 @@ from planar_l21.colouring import (
     verify_2cpm,
     verify_coloured_orientation,
 )
-from planar_l21.errors import CapacityError, ValidationError
+from planar_l21.errors import ValidationError
 from planar_l21.gadgets import build_H, build_aux_edge
 from planar_l21.graphs import edge_key
 
 from conftest import cycle_graph, make_graph, path_graph, random_graph, star_graph
-from oracles import enumerate_2cpm_bitmask, swap_colours, verify_almost_2cpm
+from oracles import enumerate_2cpm_bitmask, verify_almost_2cpm
 
 # one of the six almost-matchings of the base gadget, black side listed
 _H_BLACK = {"a", "b", "e", "h", "i", "j", "k", "l"}
+
+
+def white_sets(g):
+    """Every almost-2CPM of g as its white set (bit v set when v is white),
+    ascending: the boundary projection with every vertex on the boundary."""
+    return extendable_boundary_patterns(g, range(g.n))
+
+
+def almost_sweep(g):
+    """The same white sets by sweeping all 2^n colourings."""
+    return [
+        w
+        for w in range(1 << g.n)
+        if verify_almost_2cpm(g, {v: WHITE if w >> v & 1 else BLACK for v in range(g.n)})
+    ]
 
 
 def h_colouring():
@@ -68,11 +82,14 @@ def test_partial_colouring_rejected():
 
 
 def test_enumerate_h_has_six_matchings():
-    inst = build_H()
-    found = enumerate_almost_2cpm(inst.graph)
+    inst, colouring = h_colouring()
+    found = white_sets(inst.graph)
     assert len(found) == 6
-    for col in found:
-        assert verify_almost_2cpm(inst.graph, col)
+    for w in found:
+        assert verify_almost_2cpm(
+            inst.graph, {v: WHITE if w >> v & 1 else BLACK for v in range(inst.graph.n)}
+        )
+    assert sum(1 << v for v, c in colouring.items() if c == WHITE) in found
 
 
 def test_enumerate_h_core_subgraph():
@@ -91,25 +108,13 @@ def test_enumerate_h_core_subgraph():
         if u in remap and v in remap
     ]
     sub = make_graph(len(keep), edges)
-    found = enumerate_almost_2cpm(sub)
-    sweep = [
-        dict(enumerate(bits))
-        for bits in itertools.product([BLACK, WHITE], repeat=sub.n)
-        if verify_almost_2cpm(sub, dict(enumerate(bits)))
-    ]
-    assert len(found) == len(sweep) == 4
-    depicted = {n: (BLACK if n in set("cekoq") else WHITE) for n in "cefmijkoq"}
-    assert {byname[n]: c for n, c in depicted.items()} in found
+    found = white_sets(sub)
+    assert found == almost_sweep(sub) and len(found) == 4
+    assert sum(1 << byname[n] for n in "fmij") in found  # the depicted colouring's white side
 
 
 def test_enumerate_single_vertex():
-    found = enumerate_almost_2cpm(make_graph(1, []))
-    assert found == [{0: BLACK}, {0: WHITE}]
-
-
-def test_enumeration_capacity():
-    with pytest.raises(CapacityError):
-        enumerate_almost_2cpm(make_graph(61, []))
+    assert white_sets(make_graph(1, [])) == [0, 1]  # black, then white
 
 
 def test_solver_first_solutions_are_canonical():
@@ -173,9 +178,10 @@ def test_extendable_boundary_patterns_match_pinned_solves():
 def test_colour_swap_symmetry(seed):
     rng = random.Random(seed)
     g = random_graph(rng, rng.randint(2, 10), rng.uniform(0.2, 0.7))
-    found = enumerate_almost_2cpm(g)
-    encoded = {tuple(sorted(c.items())) for c in found}
-    assert {tuple(sorted(swap_colours(c).items())) for c in found} == encoded
+    found = white_sets(g)
+    assert found == almost_sweep(g)
+    full = (1 << g.n) - 1
+    assert {w ^ full for w in found} == set(found)
     if any(g.degree(v) >= 2 for v in range(g.n)):
         assert len(found) % 2 == 0
 

@@ -19,7 +19,15 @@ from planar_l21.gadgets import (
     _CLAUSE_BOUNDARY,
     _U_BOUNDARY,
 )
-from planar_l21.graphs import Graph, check_regular, edge_key, to_json, verify_planar
+from planar_l21.graphs import (
+    GADGET_INTERNAL,
+    PORT,
+    Graph,
+    check_regular,
+    edge_key,
+    to_json,
+    verify_planar,
+)
 
 from oracles import edge_gadget_table, faces
 
@@ -105,6 +113,25 @@ def test_hprime_census_and_planarity():
         build_Hprime(5)
 
 
+@pytest.mark.parametrize("k", range(6, 13))
+def test_hprime_drawing(k):
+    # the golden hashes pin only k = 6..9; the drawing's orders hold for every k
+    inst = build_Hprime(k)
+    fans = [f"f{j}" for j in range(1, k - 2)]
+    assert [v.name for v in inst.graph.vertices] == ["c", "d", "e"] + fans + ["g", "h", "i"]
+    assert [v.role for v in inst.graph.vertices] == [PORT, PORT] + [GADGET_INTERNAL] * (k + 1)
+    ids = names(inst)
+    assert inst.ports == {"c": ids["c"], "d": ids["d"]}
+
+    def cyclic_from(vertex, first):
+        ns = [inst.graph.vertices[u].name for u in inst.rot.rotation[ids[vertex]]]
+        i = ns.index(first)
+        return ns[i:] + ns[:i]
+
+    assert cyclic_from("d", "e") == ["e", "c"] + fans[::-1]
+    assert cyclic_from("g", "f1") == fans + ["h", "i"]
+
+
 def test_edge_gadget_census():
     assert build_edge_gadget(4).graph.n == 4
     assert build_edge_gadget(5).graph.n == 14
@@ -127,11 +154,10 @@ def test_edge_gadget_census():
 
 def test_builders_are_deterministic():
     # a fresh build, past the per-process cache, equals the shared instance
-    for build in (build_H, build_clause_gadget, build_uncrossing, build_aux_edge):
-        a, b = build(), build.__wrapped__()
+    builds = [(build, ()) for build in (build_H, build_clause_gadget, build_uncrossing, build_aux_edge)]
+    for build, args in builds + [(build_Hprime, (6,)), (build_edge_gadget, (6,))]:
+        a, b = build(*args), build.__wrapped__(*args)
         assert to_json(a.graph, a.rot, a.ports) == to_json(b.graph, b.rot, b.ports)
-    a, b = build_edge_gadget(6), build_edge_gadget.__wrapped__(6)
-    assert to_json(a.graph, a.rot, a.ports) == to_json(b.graph, b.rot, b.ports)
 
 
 def test_certify_H():

@@ -298,6 +298,18 @@ def test_boundary_enumeration_validates_its_input(k, boundary, domains, message)
         enumerate_boundary_behaviour(path_graph(3), k, boundary, domains)
 
 
+@pytest.mark.parametrize("k", [-1, -2, -5])
+def test_negative_span_is_invalid_input(k):
+    # checked when the search is set up, before any shift by k + 1
+    for call in (
+        lambda: enumerate_boundary_behaviour(path_graph(3), k, [0], [[0]]),
+        lambda: _LabelSearch(path_graph(3), k),
+        lambda: solve_labelling(path_graph(3), k, {0: 0}, budget=-1),
+    ):
+        with pytest.raises(ValidationError, match=f"span must be non-negative, got {k}"):
+            call()
+
+
 @settings(deadline=None, max_examples=25)
 @given(st.integers(min_value=0, max_value=10_000), st.sampled_from([4, 5, 6]))
 def test_label_complement_symmetry(seed, k):
