@@ -36,13 +36,13 @@ def white_sets(g):
     return extendable_boundary_patterns(g, range(g.n))
 
 
+def colouring_of(w, n):
+    return {v: WHITE if w >> v & 1 else BLACK for v in range(n)}
+
+
 def almost_sweep(g):
     """The same white sets by sweeping all 2^n colourings."""
-    return [
-        w
-        for w in range(1 << g.n)
-        if verify_almost_2cpm(g, {v: WHITE if w >> v & 1 else BLACK for v in range(g.n)})
-    ]
+    return [w for w in range(1 << g.n) if verify_almost_2cpm(g, colouring_of(w, g.n))]
 
 
 def h_colouring():
@@ -86,9 +86,7 @@ def test_enumerate_h_has_six_matchings():
     found = white_sets(inst.graph)
     assert len(found) == 6
     for w in found:
-        assert verify_almost_2cpm(
-            inst.graph, {v: WHITE if w >> v & 1 else BLACK for v in range(inst.graph.n)}
-        )
+        assert verify_almost_2cpm(inst.graph, colouring_of(w, inst.graph.n))
     assert sum(1 << v for v, c in colouring.items() if c == WHITE) in found
 
 
