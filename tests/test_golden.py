@@ -1,6 +1,6 @@
 """Golden outputs: SHA-256 of every gadget builder's JSON and of every file
 `write_trace` writes for the acceptance corpus at k=4, plus formulas 0 and 2
-at k=5 and k=6.
+at k=5 and k=6 and formula 0 at k=7 and k=8.
 
 Vertex ids, names, roles, rotations, stage files and manifests are part of
 the reduction's contract; any change to them shows up here.  The hashes were
@@ -33,7 +33,7 @@ GADGET_BUILDERS = {
     "AuxEdge": gadgets.build_aux_edge,
 }
 GADGET_BUILDERS.update({f"Hprime{k}": (lambda k=k: gadgets.build_Hprime(k)) for k in range(6, 10)})
-GADGET_BUILDERS.update({f"G{k}": (lambda k=k: gadgets.build_edge_gadget(k)) for k in range(4, 9)})
+GADGET_BUILDERS.update({f"G{k}": (lambda k=k: gadgets.build_edge_gadget(k)) for k in range(4, 13)})
 
 GADGET_HASHES = {
     "H": "7aabbad9d1fe1d4445236a853830c8ad08d9204771671447a2d841e2bbf86d2a",
@@ -49,9 +49,13 @@ GADGET_HASHES = {
     "G6": "bce36ed8b55cd51d8cc554536365e2347af05003f631cbbbc074d414a22957da",
     "G7": "909c88a41340eee350a3d49b09709be6906d715e1a93b6a0f0f5e2ff5b40111d",
     "G8": "c42c3b444a41fb613bda93e88dc8e6ecf091d28a8d611681b333be5ef5300aca",
+    "G9": "2b30cc6cd7841317ed9d2d017bfa75a7aee3e93fa4a0a236e1ea4b30a80d4e4a",
+    "G10": "a67de1848b17d918659534d25e21fc8913065b70bc0bc3b9d91c871f79508fef",
+    "G11": "79e039309ec04b7a87064aae7ec3a5a96402db00e4de19f9a6219154c63fcc84",
+    "G12": "035c8f92dde08b8a59b638167df089fbce347efba43f86d303a1beedb1c8f69a",
 }
 
-TRACE_ITEMS = [(i, 4) for i in range(len(CORPUS))] + [(0, 5), (2, 5), (0, 6), (2, 6)]
+TRACE_ITEMS = [(i, 4) for i in range(len(CORPUS))] + [(0, 5), (2, 5), (0, 6), (2, 6), (0, 7), (0, 8)]
 
 TRACE_HASHES = {
     "f0k4/formula.cnf": "80fff472db7c2cf9e907c684b876110c0f47d97e1ef9aacd587016d65d12f221",
@@ -144,6 +148,18 @@ TRACE_HASHES = {
     "f2k6/aux.json": "6339bc806efb895647d89d321106a3508bd580ea3844c3b6717947c4684221a0",
     "f2k6/instance.json": "10aa3d3719bba87d69341e930d41bbb699563cbe3feeb9acae431352b3e41459",
     "f2k6/manifest.json": "bab0b90a93a6b2ba9e2669ec431fd7ab535349ba4955a13496a8ecd33a41eeeb",
+    "f0k7/formula.cnf": "80fff472db7c2cf9e907c684b876110c0f47d97e1ef9aacd587016d65d12f221",
+    "f0k7/cubic.json": "95a023c899975d3a1f3cfbcb93cdfccaee79b33dc3d4ddecaee02fbc6dcb79aa",
+    "f0k7/planar.json": "38fc5eed151f881cf3acbcb262de8fc944cb0ae6af51e08f78becc99ff018868",
+    "f0k7/aux.json": "6339bc806efb895647d89d321106a3508bd580ea3844c3b6717947c4684221a0",
+    "f0k7/instance.json": "d28fe74d962486f77b1b7c047146862d008d2d73c92979d412707747c4e1193f",
+    "f0k7/manifest.json": "6cb19a73f1b7af17d24fed005bd8e00b7bcac9b04b291ba3b059c340c1a7c75a",
+    "f0k8/formula.cnf": "80fff472db7c2cf9e907c684b876110c0f47d97e1ef9aacd587016d65d12f221",
+    "f0k8/cubic.json": "95a023c899975d3a1f3cfbcb93cdfccaee79b33dc3d4ddecaee02fbc6dcb79aa",
+    "f0k8/planar.json": "38fc5eed151f881cf3acbcb262de8fc944cb0ae6af51e08f78becc99ff018868",
+    "f0k8/aux.json": "6339bc806efb895647d89d321106a3508bd580ea3844c3b6717947c4684221a0",
+    "f0k8/instance.json": "da318e22c9a2e4da78130f2a42a5453028366c0f5a00d5667533419885a60f73",
+    "f0k8/manifest.json": "1c88ebc342d01db4896ff71c438ad18619182dc2a7181adb7d5ad9b836a499b5",
 }
 
 
