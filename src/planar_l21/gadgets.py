@@ -1,17 +1,15 @@
 """Fixed gadget builders and their exhaustive certifiers.
 
 Every gadget figure is transcribed exactly once, into the atlas below or,
-for H' (one drawing per k), into its builder: named vertices with drawing
-coordinates and an edge list.  Every figure, H' included, gets its rotation
-from the coordinates (counterclockwise, exact rational comparisons), so each
-builder ships its own planarity certificate.  The composed gadgets reuse
-those rotations: the clause gadget links three copies of H, and G_k for
-k >= 6 sets its path and middle rotations by hand around the embedded H'
-copies.  Each builder runs once per process (per k): its instance,
-Euler-checked when built, is cached and shared by the stage builders, the
-witness translators and the certifiers, so it must not be mutated.  The
-certifiers look their builder up by module name at call time, machine-check
-the gadget lemmas and report observed vs expected behaviour.
+for H' and G_k (one drawing per k), into its builder: named vertices with
+drawing coordinates and an edge list.  Each figure gets its rotation from
+the coordinates, so each builder ships its own planarity certificate.  Only
+the clause gadget is assembled instead, from three copies of H (see
+`build_clause_gadget`).  Each builder runs once per process (per k): its
+instance, Euler-checked when built, is cached and shared by the stage
+builders, the witness translators and the certifiers, so it must not be
+mutated.  The certifiers look their builder up by module name at call time,
+machine-check the gadget lemmas and report observed vs expected behaviour.
 Every table is enumerated exhaustively, except the span-k edge gadget G_k for
 k >= 6: after a structure check of the built graph, its table is composed
 from the exhaustively enumerated (L(c), L(d)) table of H'.
@@ -38,6 +36,7 @@ from .graphs import (
     GraphBuilder,
     RotationSystem,
     Template,
+    Vertex,
     edge_key,
     rotation_from_coordinates,
     verify_planar,
@@ -297,16 +296,11 @@ _AUX_ROLES = {
 
 
 def _build_from_figure(coords, edges, roles, port_names, kind, k=None) -> GadgetInstance:
-    builder = GraphBuilder()
-    ids = {}
-    for name in coords:
-        ids[name] = builder.add_vertex(roles.get(name, GADGET_INTERNAL), name)
-    for x, y in edges:
-        builder.add_edge(ids[x], ids[y])
-    graph = builder.freeze()
-    rot = rotation_from_coordinates(graph, {ids[n]: xy for n, xy in coords.items()})
-    ports = {name: ids[name] for name in port_names}
-    instance = GadgetInstance(graph, rot, ports, kind, k)
+    ids = {name: i for i, name in enumerate(coords)}
+    vertices = [Vertex(i, roles.get(name, GADGET_INTERNAL), name) for name, i in ids.items()]
+    graph = Graph(vertices, [(ids[x], ids[y]) for x, y in edges])
+    rot = rotation_from_coordinates(graph, dict(enumerate(coords.values())))
+    instance = GadgetInstance(graph, rot, {name: ids[name] for name in port_names}, kind, k)
     if not verify_planar(graph, rot):
         raise AssertionError(f"builder for {kind} produced a non-planar embedding")
     return instance
@@ -323,7 +317,9 @@ def build_clause_gadget() -> GadgetInstance:
     """Three modified copies of H sharing the hub vertex a.
 
     The copies lose their m/n pendants; a ring of three edges
-    l1-i2, l2-i3, l3-i1 replaces them.
+    l1-i2, l2-i3, l3-i1 replaces them.  Assembled, not drawn: a drawing has
+    the same cycles, but its rows start elsewhere, and stage files depend on
+    each row's first entry (`GraphBuilder.add_leaves`), so they would change.
     """
     # H straight from the atlas: the clause lemma is about the figure, and a
     # substituted build_H must not change it.
@@ -360,16 +356,23 @@ def build_aux_edge() -> GadgetInstance:
     return _build_from_figure(_AUX_COORDS, _AUX_EDGES, _AUX_ROLES, ["u", "v", "in", "out"], "AuxEdge")
 
 
-@cache
-def build_Hprime(k: int) -> GadgetInstance:
-    """Label-forcing side gadget: d and g of degree k-1 joined by k-3 paths."""
-    if k < 6:
-        raise ValidationError(f"H' needs k >= 6, got {k}")
+def _hprime_figure(k: int):
+    """H' for span k as (coordinates, edges): d and g of degree k-1 joined
+    by the k-3 fans f<j>, c and e hung on d, h and i on g."""
     fans = [f"f{j}" for j in range(1, k - 2)]
     coords = {"c": (0, -1), "d": (0, 0), "e": (-1, 0)}
     coords.update({f: (1, -j) for j, f in enumerate(fans, 1)})
     coords.update({"g": (2, 0), "h": (2, -1), "i": (3, 0)})
     edges = [("c", "d"), ("d", "e"), ("g", "h"), ("g", "i")] + [(x, f) for f in fans for x in "dg"]
+    return coords, edges
+
+
+@cache
+def build_Hprime(k: int) -> GadgetInstance:
+    """Label-forcing side gadget: d and g of degree k-1 joined by k-3 paths."""
+    if k < 6:
+        raise ValidationError(f"H' needs k >= 6, got {k}")
+    coords, edges = _hprime_figure(k)
     return _build_from_figure(coords, edges, {"c": PORT, "d": PORT}, ["c", "d"], "Hprime", k)
 
 
@@ -377,44 +380,28 @@ def build_Hprime(k: int) -> GadgetInstance:
 def build_edge_gadget(k: int) -> GadgetInstance:
     """The span-k edge gadget G_k with boundary path u, a_u, a_v, v.
 
-    k=4 is the bare path, k=5 the fixed 14-vertex figure, and k >= 6 hangs
-    k-5 middle vertices off the path, each carrying two H' copies.
+    k=5 is the fixed 14-vertex figure.  Otherwise, with w = k^2, the path is
+    drawn on the x axis and k-5 middles b<i> (none at k=4) at (w, -i*w) below
+    it, each joined to a_u and a_v and to the c of two H' copies <name>.l<i>
+    and <name>.r<i>: H' turned a quarter clockwise with c on top, so both
+    copies fit below b<i> and above b<i+1>.
     """
     if k < 4:
         raise ValidationError(f"edge gadget needs k >= 4, got {k}")
-    if k <= 5:
-        coords = _G5_COORDS if k == 5 else {name: _G5_COORDS[name] for name in _EDGE_PATH}
-        edges = _G5_EDGES if k == 5 else list(zip(_EDGE_PATH, _EDGE_PATH[1:]))
-        return _build_from_figure(coords, edges, dict.fromkeys(_EDGE_PATH, PORT), _EDGE_PATH, f"G{k}", k)
-
-    builder = GraphBuilder()
-    ids = {name: builder.add_vertex(PORT, name) for name in _EDGE_PATH}
-    middles = [builder.add_vertex(GADGET_INTERNAL, f"b{i}") for i in range(1, k - 4)]
-    hp = build_Hprime(k).template
-    copies = [("{}." + side + str(i), {}) for i in range(1, k - 4) for side in "lr"]
-    cs = [m["c"] for m in builder.embed(hp, copies, (), GADGET_INTERNAL)]
-    hangers = [cs[j : j + 2] for j in range(0, len(cs), 2)]
-    for x, y in zip(_EDGE_PATH, _EDGE_PATH[1:]):
-        builder.add_edge(ids[x], ids[y])
-    builder.rotation.update(
-        {
-            ids["u"]: [ids["a_u"]],
-            ids["v"]: [ids["a_v"]],
-            ids["a_u"]: [ids["a_v"], ids["u"]] + middles[::-1],
-            ids["a_v"]: [ids["v"], ids["a_u"]] + middles,
-        }
-    )
-    for b, cs in zip(middles, hangers):
-        builder.rotation[b] = [ids["a_v"], ids["a_u"]] + cs
-        for w in [ids["a_u"], ids["a_v"]] + cs:
-            builder.add_edge(b, w)
-        for c in cs:
-            builder.rotation[c].append(b)
-    graph, rot = builder.freeze_with_rotation()
-    instance = GadgetInstance(graph, rot, {name: ids[name] for name in _EDGE_PATH}, "Gk", k)
-    if not verify_planar(graph, rot):
-        raise AssertionError(f"G_{k} embedding is not planar")
-    return instance
+    if k == 5:
+        coords, edges = _G5_COORDS, _G5_EDGES
+    else:
+        w = k * k
+        coords = dict(zip(_EDGE_PATH, [(-w, 0), (0, 0), (2 * w, 0), (3 * w, 0)]))
+        coords.update({f"b{i}": (w, -i * w) for i in range(1, k - 4)})
+        edges = list(zip(_EDGE_PATH, _EDGE_PATH[1:]))
+        hp_coords, hp_edges = _hprime_figure(k)
+        for i in range(1, k - 4):
+            edges += [(f"b{i}", "a_u"), (f"b{i}", "a_v")]
+            for copy, cx in ((f".l{i}", w - 2), (f".r{i}", w + k - 2)):
+                coords.update({n + copy: (cx + y + 1, -i * w - 3 - x) for n, (x, y) in hp_coords.items()})
+                edges += [(x + copy, y + copy) for x, y in hp_edges] + [(f"b{i}", "c" + copy)]
+    return _build_from_figure(coords, edges, dict.fromkeys(_EDGE_PATH, PORT), _EDGE_PATH, "Gk", k)
 
 
 # ---------------------------------------------------------------------------

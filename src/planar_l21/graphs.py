@@ -13,7 +13,7 @@ import json
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, cmp_to_key, wraps
+from functools import cached_property, wraps
 from itertools import accumulate, islice, repeat
 from operator import itemgetter
 from json.encoder import encode_basestring_ascii
@@ -284,7 +284,8 @@ class GraphBuilder:
     def add_leaves(self, hangs: Sequence[Tuple[int, int, str]]) -> Dict[int, List[int]]:
         """For each (parent, count, prefix), hang `count` new pendant leaves
         named `prefix.leaf0`, `prefix.leaf1`, ... on `parent`, after the last
-        entry of its rotation; return parent -> its new leaves."""
+        entry of its rotation; return parent -> its new leaves.  Where they
+        land in the cycle depends on the row's first entry, so stage files do."""
         leaves = self.add_vertices(
             repeat(PENDANT), [f"{prefix}.leaf{i}" for _, count, prefix in hangs for i in range(count)]
         )
@@ -366,37 +367,29 @@ class GraphBuilder:
 def rotation_from_coordinates(
     graph: Graph, pos: Dict[int, Tuple[Fraction, Fraction]]
 ) -> RotationSystem:
-    """Counterclockwise neighbour order from exact coordinates.
+    """Counterclockwise neighbour order from exact coordinates, each row
+    starting at the first direction counterclockwise from due east, inclusive.
 
-    Exact rational comparisons, so figure transcriptions with decimal
-    coordinates stay deterministic across platforms.
+    The key is the diamond angle of the direction (dx, dy), in [0, 4) and
+    growing with the true angle: with t = dy / (|dx| + |dy|), 2 - t when
+    dx < 0, t when dy >= 0, else 4 + t.  It is an exact `Fraction`, so
+    decimal coordinates sort alike on every platform.  Two neighbours in one
+    direction, or a zero-length edge, raise `ValidationError`.
     """
 
-    def ccw_cmp_from(origin):
-        ox, oy = origin
-
-        def half(p):
-            dx, dy = p[0] - ox, p[1] - oy
-            # 0 for angles in [0, pi), 1 for [pi, 2pi)
-            return 0 if (dy > 0 or (dy == 0 and dx > 0)) else 1
-
-        def cmp(a, b):
-            pa, pb = pos[a], pos[b]
-            ha, hb = half(pa), half(pb)
-            if ha != hb:
-                return -1 if ha < hb else 1
-            cross = (pa[0] - ox) * (pb[1] - oy) - (pa[1] - oy) * (pb[0] - ox)
-            if cross == 0:
-                raise ValidationError(f"collinear edge directions at vertex near {origin}")
-            return -1 if cross > 0 else 1
-
-        return cmp
+    def diamond(v: int, u: int) -> Fraction:
+        dx, dy = pos[u][0] - pos[v][0], pos[u][1] - pos[v][1]
+        s = abs(dx) + abs(dy)
+        if s == 0:
+            raise ValidationError(f"zero-length edge {v}-{u}")
+        return Fraction(2 * s - dy if dx < 0 else dy if dy >= 0 else 4 * s + dy, s)
 
     rotation = {}
     for v in range(graph.n):
-        ns = list(graph.neighbours(v))
-        ns.sort(key=cmp_to_key(ccw_cmp_from(pos[v])))
-        rotation[v] = ns
+        key = {u: diamond(v, u) for u in graph.neighbours(v)}
+        rotation[v] = row = sorted(key, key=key.__getitem__)
+        if any(key[a] == key[b] for a, b in zip(row, row[1:])):
+            raise ValidationError(f"collinear edge directions at vertex {v}")
     return RotationSystem(rotation)
 
 

@@ -6,6 +6,8 @@ with the solver or verifier it checks.
 """
 
 import json
+from fractions import Fraction
+from functools import cmp_to_key
 from itertools import product
 from typing import Collection, Dict, List, Optional, Set, Tuple
 
@@ -272,6 +274,39 @@ def faces(graph: Graph, rot: RotationSystem) -> List[Tuple[Tuple[int, int], ...]
                 raise ValidationError(f"face tracing revisited {cur}; rotation malformed")
         walks.append(tuple(walk))
     return walks
+
+
+def rotation_by_half_planes(
+    graph: Graph, pos: Dict[int, Tuple[Fraction, Fraction]]
+) -> RotationSystem:
+    """Counterclockwise neighbour order from exact coordinates by pairwise
+    comparison: a direction with angle in [0, pi) comes before one in
+    [pi, 2pi), and two in one half-plane compare by the sign of their cross
+    product.  Raises `ValidationError` when two compared directions are
+    collinear."""
+
+    def ccw_cmp_from(origin):
+        ox, oy = origin
+
+        def half(p):
+            dx, dy = p[0] - ox, p[1] - oy
+            return 0 if (dy > 0 or (dy == 0 and dx > 0)) else 1
+
+        def cmp(a, b):
+            pa, pb = pos[a], pos[b]
+            ha, hb = half(pa), half(pb)
+            if ha != hb:
+                return -1 if ha < hb else 1
+            cross = (pa[0] - ox) * (pb[1] - oy) - (pa[1] - oy) * (pb[0] - ox)
+            if cross == 0:
+                raise ValidationError(f"collinear edge directions at vertex near {origin}")
+            return -1 if cross > 0 else 1
+
+        return cmp
+
+    return RotationSystem(
+        {v: sorted(graph.neighbours(v), key=cmp_to_key(ccw_cmp_from(pos[v]))) for v in range(graph.n)}
+    )
 
 
 def euler_planar(graph: Graph, rot: RotationSystem) -> bool:

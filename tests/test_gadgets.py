@@ -36,6 +36,13 @@ def names(inst):
     return {v.name: v.id for v in inst.graph.vertices}
 
 
+def cyclic_from(inst, vertex, first):
+    """The names around ``vertex`` in rotation order, starting at ``first``."""
+    ns = [inst.graph.vertices[u].name for u in inst.rot.rotation[names(inst)[vertex]]]
+    i = ns.index(first)
+    return ns[i:] + ns[:i]
+
+
 def test_base_gadget_census():
     inst = build_H()
     assert inst.graph.n == 18 and inst.graph.m == 22
@@ -122,14 +129,27 @@ def test_hprime_drawing(k):
     assert [v.role for v in inst.graph.vertices] == [PORT, PORT] + [GADGET_INTERNAL] * (k + 1)
     ids = names(inst)
     assert inst.ports == {"c": ids["c"], "d": ids["d"]}
+    assert cyclic_from(inst, "d", "e") == ["e", "c"] + fans[::-1]
+    assert cyclic_from(inst, "g", "f1") == fans + ["h", "i"]
 
-    def cyclic_from(vertex, first):
-        ns = [inst.graph.vertices[u].name for u in inst.rot.rotation[ids[vertex]]]
-        i = ns.index(first)
-        return ns[i:] + ns[:i]
 
-    assert cyclic_from("d", "e") == ["e", "c"] + fans[::-1]
-    assert cyclic_from("g", "f1") == fans + ["h", "i"]
+@pytest.mark.parametrize("k", range(6, 13))
+def test_edge_gadget_drawing(k):
+    inst = build_edge_gadget(k)
+    path = ["u", "a_u", "a_v", "v"]
+    middles = [f"b{i}" for i in range(1, k - 4)]
+    hprime = ["c", "d", "e"] + [f"f{j}" for j in range(1, k - 2)] + ["g", "h", "i"]
+    copies = [name + copy for i in range(1, k - 4) for copy in (f".l{i}", f".r{i}") for name in hprime]
+    assert [v.name for v in inst.graph.vertices] == path + middles + copies
+    assert [v.role for v in inst.graph.vertices] == [PORT] * 4 + [GADGET_INTERNAL] * (inst.graph.n - 4)
+    ids = names(inst)
+    assert inst.ports == {name: ids[name] for name in path}
+    assert cyclic_from(inst, "a_u", "a_v") == ["a_v", "u"] + middles[::-1]
+    assert cyclic_from(inst, "a_v", "v") == ["v", "a_u"] + middles
+    for i, b in enumerate(middles, 1):
+        assert cyclic_from(inst, b, "a_v") == ["a_v", "a_u", f"c.l{i}", f"c.r{i}"]
+        for copy in (f".l{i}", f".r{i}"):
+            assert cyclic_from(inst, "c" + copy, "d" + copy) == ["d" + copy, b]
 
 
 def test_edge_gadget_census():
@@ -155,7 +175,7 @@ def test_edge_gadget_census():
 def test_builders_are_deterministic():
     # a fresh build, past the per-process cache, equals the shared instance
     builds = [(build, ()) for build in (build_H, build_clause_gadget, build_uncrossing, build_aux_edge)]
-    for build, args in builds + [(build_Hprime, (6,)), (build_edge_gadget, (6,))]:
+    for build, args in builds + [(build_Hprime, (6,)), (build_edge_gadget, (6,)), (build_edge_gadget, (9,))]:
         a, b = build(*args), build.__wrapped__(*args)
         assert to_json(a.graph, a.rot, a.ports) == to_json(b.graph, b.rot, b.ports)
 

@@ -37,7 +37,7 @@ from planar_l21.graphs import (
 )
 
 from conftest import any_rotation, complete_graph, make_graph, random_graph, triangle
-from oracles import embed_by_names, euler_planar, faces, stage_json
+from oracles import embed_by_names, euler_planar, faces, rotation_by_half_planes, stage_json
 
 
 def planar_k4():
@@ -78,6 +78,54 @@ def test_k5_never_planar():
 def test_H_builder_embedding_is_planar():
     inst = build_H()
     assert verify_planar(inst.graph, inst.rot)
+
+
+def _drawn_graph(rng, coordinate):
+    """Up to 12 distinct points drawn by ``coordinate(rng)``, joined at random
+    wherever neither end already has an edge in that direction."""
+    points = list({(coordinate(rng), coordinate(rng)) for _ in range(rng.randint(2, 12))})
+    used, edges = set(), []
+    for u in range(len(points)):
+        for v in range(u + 1, len(points)):
+            (ux, uy), (vx, vy) = points[u], points[v]
+            dx, dy = Fraction(vx - ux), Fraction(vy - uy)
+            m = max(abs(dx), abs(dy))
+            ends = {(u, dx / m, dy / m), (v, -dx / m, -dy / m)}
+            if rng.random() < 0.6 and not ends & used:
+                used |= ends
+                edges.append((u, v))
+    return make_graph(len(points), edges), dict(enumerate(points))
+
+
+COORDINATES = {
+    # a small grid, so axis-aligned and opposite directions are common
+    "int": lambda rng: rng.randint(-3, 3),
+    "decimal": lambda rng: Fraction(f"{rng.randint(-25, 25) / 10}"),
+    "mixed": lambda rng: rng.choice([rng.randint(-3, 3), Fraction(rng.randint(-12, 12), 4)]),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(COORDINATES))
+def test_rotation_from_coordinates_matches_half_plane_reference(kind):
+    rng = random.Random(kind)
+    for _ in range(200):
+        graph, pos = _drawn_graph(rng, COORDINATES[kind])
+        # equal rows, so every row starts at the same neighbour too
+        assert rotation_from_coordinates(graph, pos).rotation == rotation_by_half_planes(graph, pos).rotation
+
+
+def test_rotation_from_coordinates_rejects_collinear_and_zero_length_edges():
+    fork = make_graph(3, [(0, 1), (0, 2)])
+    with pytest.raises(ValidationError, match="collinear edge directions at vertex 0"):
+        rotation_from_coordinates(fork, {0: (0, 0), 1: (1, 1), 2: (Fraction("2.5"), Fraction("2.5"))})
+    with pytest.raises(ValidationError, match="collinear edge directions at vertex 0"):
+        rotation_from_coordinates(fork, {0: (1, 0), 1: (1, -1), 2: (1, -3)})
+    opposite = {0: (0, 0), 1: (0, -1), 2: (0, 1)}
+    assert rotation_from_coordinates(fork, opposite).rotation[0] == (2, 1)
+    with pytest.raises(ValidationError, match="zero-length edge 0-1"):
+        rotation_from_coordinates(fork, {0: (0, 0), 1: (0, 0), 2: (1, 0)})
+    with pytest.raises(ValidationError, match="zero-length edge 0-1"):
+        rotation_from_coordinates(make_graph(2, [(0, 1)]), {0: (Fraction(1, 2), 0), 1: (Fraction("0.5"), 0)})
 
 
 def test_check_regular():
@@ -232,7 +280,9 @@ def _host_triangle():
 U_PENDANTS = set(pipeline._U_PENDANT_OF_GATE.values())
 EDGE_GLUES = [{"u": 0, "v": 1}, {"u": 1, "v": 2}, {"u": 2, "v": 0}]
 # (gadget, names, one glue per copy, drop, role): every embedding that the
-# stage builders and the gadget builders make
+# stage builders and the clause gadget builder make.  No builder makes the H'
+# cases since G_k is drawn; they stay as extra cases, copied with the names
+# and role that G_k's hangers have.
 EMBEDDINGS = {
     "clause gadget, ports dropped": (
         build_clause_gadget, "c{}.{{}}", [{}] * 3, pipeline.PORT_SLOT_ORDER, None
