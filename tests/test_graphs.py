@@ -337,6 +337,24 @@ def test_embed_batch_equals_one_call_per_copy(case):
     assert batched.freeze() == single.freeze()
 
 
+@pytest.mark.parametrize(
+    "build, glued, drop",
+    [
+        (build_aux_edge, ("u", "v", "in"), ()),  # three glued names
+        (build_H, ("b",), ()),  # b is not a pendant
+        (build_H, ("zz",), ()),  # H has no vertex zz
+        (build_H, ("a",), ("b",)),  # a's only neighbour is dropped
+    ],
+    ids=["three names", "not a pendant", "unknown name", "neighbour dropped"],
+)
+def test_embed_refuses_a_bad_glue(build, glued, drop):
+    builder = _host_triangle()
+    glue = dict(zip(glued, [0, 1, 2]))
+    with pytest.raises(ValidationError, match="must name one or two pendants of copied vertices"):
+        builder.embed(build().template, [("x.{}", glue)], drop)
+    assert (builder.freeze(), builder.rotation) == (_host_triangle().freeze(), _host_triangle().rotation)
+
+
 def test_freeze_finds_unfilled_markers_from_embed_and_seed():
     template = build_H().template
     builder = GraphBuilder()
