@@ -231,16 +231,6 @@ class ColouredOrientation:
     colouring: Dict[int, str]
     orientation: Dict[Edge, str]  # edge_key -> FORWARD / BACKWARD / UNORIENTED
 
-    def oriented_pairs(self) -> List[Tuple[int, int]]:
-        """Directed edges (tail, head) of the oriented part."""
-        out = []
-        for (u, v), d in sorted(self.orientation.items()):
-            if d == FORWARD:
-                out.append((u, v))
-            elif d == BACKWARD:
-                out.append((v, u))
-        return out
-
 
 def _orientation_degrees(
     graph: Graph, co: ColouredOrientation, out_vertices: Set[int]

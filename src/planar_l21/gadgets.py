@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, cached_property
+from functools import cache
 from itertools import product
 from typing import Dict, List, Optional, Set, Tuple
 
@@ -35,7 +35,6 @@ from .graphs import (
     Graph,
     GraphBuilder,
     RotationSystem,
-    Template,
     Vertex,
     edge_key,
     rotation_from_coordinates,
@@ -67,11 +66,6 @@ class GadgetInstance:
     ports: Dict[str, int]  # port name -> vertex id
     kind: str
     k: Optional[int] = None
-
-    @cached_property
-    def template(self) -> Template:
-        """The gadget in vertex-name space, built once, for `GraphBuilder.embed`."""
-        return Template.of(self.graph, self.rot)
 
 
 @dataclass(frozen=True)
@@ -323,7 +317,7 @@ def build_clause_gadget() -> GadgetInstance:
     """
     # H straight from the atlas: the clause lemma is about the figure, and a
     # substituted build_H must not change it.
-    h = _build_from_figure(_H_COORDS, _H_EDGES, _H_ROLES, _H_PORTS, "H").template
+    h = _build_from_figure(_H_COORDS, _H_EDGES, _H_ROLES, _H_PORTS, "H")
     builder = GraphBuilder()
     hub = builder.add_vertex(GADGET_INTERNAL, "a")
     copies = builder.embed(h, [("{}" + str(t), {"a": hub}) for t in (1, 2, 3)], ("m", "n"))

@@ -17,9 +17,12 @@ from functools import cached_property, wraps
 from itertools import accumulate, islice, repeat
 from operator import itemgetter
 from json.encoder import encode_basestring_ascii
-from typing import Collection, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Collection, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import ValidationError
+
+if TYPE_CHECKING:  # gadgets builds on this module
+    from .gadgets import GadgetInstance
 
 # Role tags, in the vocabulary used by every construction stage.
 ORIGINAL = "Original"
@@ -170,64 +173,6 @@ class RotationSystem:
 
 
 @dataclass(frozen=True)
-class Template:
-    """A graph and its rotation in vertex-name space: the form in which
-    `GraphBuilder.embed` copies a gadget."""
-
-    vertices: Tuple[Tuple[str, str], ...]  # (name, role) in vertex-id order
-    edges: Tuple[Tuple[str, str], ...]
-    rotation: Dict[str, Tuple[str, ...]]
-
-    @classmethod
-    def of(cls, graph: Graph, rot: RotationSystem) -> "Template":
-        name = [v.name for v in graph.vertices]
-        return cls(
-            tuple((v.name, v.role) for v in graph.vertices),
-            tuple((name[u], name[v]) for u, v in graph.sorted_edges()),
-            {name[v]: tuple(name[u] for u in ns) for v, ns in rot.rotation.items()},
-        )
-
-    def plan(self, glued: Tuple[str, ...], drop: Collection[str]) -> tuple:
-        """The compiled copy with `glued` names glued and `drop` names left out:
-        (names, roles, take, ends, degrees, inner, dropped, markers).  A
-        copy's slots are its copied vertices, glued hosts and `dropped` markers;
-        `take` maps them to its edge ends (`ends` of them, in pairs), then its
-        rotation rows (`degrees` long, `markers` markers in all).  `inner` is
-        the copied neighbour of each glued name."""
-        names = tuple(name for name, _ in self.vertices if name not in glued and name not in drop)
-        slot = {name: i for i, name in enumerate(names + glued)}
-        dropped: Dict[str, int] = {}  # name -> marker slot
-        rows = [
-            [
-                slot[u] if u in slot else dropped.setdefault(u, len(slot) + len(dropped))
-                for u in self.rotation[name]
-            ]
-            for name in names
-        ]
-        inner = [self.rotation.get(name, ()) for name in glued]
-        if len(glued) > 2 or any(len(ns) != 1 or ns[0] not in slot or ns[0] in glued for ns in inner):
-            raise ValidationError(f"glue {glued} must name one or two pendants of copied vertices")
-        c = len(names)  # hosts precede the copy, so a host end comes first
-        ends = [
-            x
-            for a, b in ((slot[x], slot[y]) for x, y in self.edges if x in slot and y in slot)
-            for x in ((a, b) if a >= c or (a < b < c) else (b, a))
-        ]
-        index = ends + [u for row in rows for u in row]
-        role = dict(self.vertices)
-        return (
-            names,
-            tuple(role[name] for name in names),
-            itemgetter(*index) if len(index) > 1 else lambda slots: tuple(slots[i] for i in index),
-            len(ends),
-            tuple(map(len, rows)),
-            tuple(slot[ns[0]] for ns in inner),
-            tuple(dropped),
-            sum(u >= len(slot) for row in rows for u in row),
-        )
-
-
-@dataclass(frozen=True)
 class Unfilled:
     """Rotation entry left where a dropped gadget vertex was a neighbour.
 
@@ -300,14 +245,13 @@ class GraphBuilder:
 
     def embed(
         self,
-        gadget: Template,
+        gadget: GadgetInstance,
         copies: Sequence[Tuple[str, Dict[str, int]]],
         drop: Collection[str] = (),
         role: Optional[str] = None,
     ) -> List[Dict[str, int]]:
-        """Copy `gadget` in once per (names, glue) of `copies`, all in one batch
-        that reads each copy's edges and rotation rows off its slot list, and
-        return each copy's name -> id map of the vertices it added.
+        """Copy `gadget` in once per (names, glue) of `copies`, all in one batch,
+        and return each copy's name -> id map of the vertices it added.
 
         Every copy glues the same one or two names, each to the host vertex
         `glue[name]`; a glued name must be a pendant of the gadget.  The host's
@@ -316,32 +260,59 @@ class GraphBuilder:
         The other vertices, bar `drop`, are added in the gadget's order, named
         `names.format(name)`, with the gadget's role or `role`.  Edges to
         dropped vertices are left out; `Unfilled` markers keep their place in
-        the rotation."""
+        the rotation.
+
+        The copy is compiled once per call from the gadget's own graph and
+        rotation.  A copy's slots are its copied vertices, then its glued
+        hosts, then one marker per dropped vertex; one `itemgetter` reads its
+        edge ends, in pairs, and then its rotation rows off that slot list."""
         glued = tuple(copies[0][1]) if copies else ()
-        copied, roles, take, e, degrees, inners, dropped, markers = gadget.plan(glued, drop)
+        graph, gadget_rows = gadget.graph, gadget.rot.rotation
+        copied = [v for v in graph.vertices if v.name not in glued and v.name not in drop]
+        copied_names = [v.name for v in copied]
+        named = {v.name: v.id for v in graph.vertices}
+        slot = {u: i for i, u in enumerate([v.id for v in copied] + [named.get(x) for x in glued])}
         c = len(copied)
+        pendant_rows = [gadget_rows.get(named.get(x), ()) for x in glued]
+        if len(glued) > 2 or any(len(ns) != 1 or slot.get(ns[0], c) >= c for ns in pendant_rows):
+            raise ValidationError(f"glue {glued} must name one or two pendants of copied vertices")
+        inners = [slot[ns[0]] for ns in pendant_rows]
+        dropped: Dict[int, int] = {}  # gadget id -> marker slot
+        rows = [
+            [slot[u] if u in slot else dropped.setdefault(u, len(slot) + len(dropped)) for u in ns]
+            for ns in (gadget_rows[v.id] for v in copied)
+        ]
+        ends = [  # hosts precede the copy, so a host end comes first
+            x
+            for a, b in ((slot[x], slot[y]) for x, y in graph.sorted_edges() if x in slot and y in slot)
+            for x in ((a, b) if a >= c or (a < b < c) else (b, a))
+        ]
+        index = ends + [u for row in rows for u in row]
+        take = itemgetter(*index) if len(index) > 1 else lambda slots: tuple(slots[i] for i in index)
+        markers = [graph.vertices[u].name for u in dropped]
         affixes = [names.split("{}") for names, _ in copies]
-        labels = [prefix + name + suffix for prefix, suffix in affixes for name in copied]
-        new = self.add_vertices(roles * len(copies) if role is None else repeat(role), labels)
+        labels = [prefix + name + suffix for prefix, suffix in affixes for name in copied_names]
+        roles = [v.role for v in copied] * len(copies) if role is None else repeat(role)
+        new = self.add_vertices(roles, labels)
         rotation = self._rotation
-        ends: List[object] = []
+        edge_ends: List[object] = []
         entries: List[object] = []
         maps = []
         for i, ((_, glue), (prefix, suffix)) in enumerate(zip(copies, affixes)):
             ids = new[i * c : i * c + c]
             hosts = [glue[name] for name in glued]
-            got = take(ids + hosts + [Unfilled(prefix + name + suffix) for name in dropped])
-            ends += got[:e]
-            entries += got[e:]
+            got = take(ids + hosts + [Unfilled(prefix + name + suffix) for name in markers])
+            edge_ends += got[: len(ends)]
+            entries += got[len(ends) :]
             for host, other, inner in zip(hosts, hosts[::-1], inners):  # replace, or append
                 row = rotation.setdefault(host, [])
                 at = row.index(other) if other in row else len(row)
                 row[at : at + 1] = [ids[inner]]
-            maps.append(dict(zip(copied, ids)))
-        self._edges.extend(zip(ends[::2], ends[1::2]))
-        bounds = list(accumulate(degrees * len(copies), initial=0))
+            maps.append(dict(zip(copied_names, ids)))
+        self._edges.extend(zip(edge_ends[::2], edge_ends[1::2]))
+        bounds = list(accumulate(map(len, rows * len(copies)), initial=0))
         rotation.update(zip(new, map(entries.__getitem__, map(slice, bounds, bounds[1:]))))
-        self._open += markers * len(copies)
+        self._open += sum(u >= len(slot) for row in rows for u in row) * len(copies)
         return maps
 
     def link(self, u: int, u_marker: str, v: int, v_marker: str) -> None:

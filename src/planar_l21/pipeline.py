@@ -157,7 +157,7 @@ def nae_to_cubic(formula: Nae3SatFormula) -> CubicStage:
     """
     if not formula.clauses:
         raise ValidationError("reduction needs at least one clause")
-    src = build_clause_gadget().template
+    src = build_clause_gadget()
     builder = GraphBuilder()
     copies = [(f"c{c}.{{}}", {}) for c in range(len(formula.clauses))]
     maps = builder.embed(src, copies, PORT_SLOT_ORDER)
@@ -231,7 +231,7 @@ def planarize(stage: CubicStage) -> PlanarStage:
         if e not in id_edge_set:
             builder.add_edge(*e)
 
-    u_src = build_uncrossing().template
+    u_src = build_uncrossing()
     u_pendants = set(_U_PENDANT_OF_GATE.values())
     uncross_maps = builder.embed(u_src, [(f"u{g}.{{}}", {}) for g in range(len(pairs))], u_pendants)
     gadget_of_pair = {pair: g for g, pair in enumerate(pairs)}
@@ -303,7 +303,7 @@ def build_auxiliary(stage: PlanarStage) -> AuxStage:
     """Replace every edge by the four-cycle gadget with in/out pendants."""
     if not check_regular(stage.graph, 3):
         raise ValidationError("auxiliary construction expects a cubic graph")
-    aux_src = build_aux_edge().template
+    aux_src = build_aux_edge()
     builder = GraphBuilder()
     builder.add_vertices(repeat(ORIGINAL), [v.name for v in stage.graph.vertices])
     builder.rotation = {v: list(ns) for v, ns in stage.rot.rotation.items()}
@@ -345,7 +345,7 @@ def build_instance(stage: AuxStage, k: int) -> InstanceStage:
 
     edges = h.sorted_edges()
     copies = [(f"e{x}-{y}.{{}}", {"u": x, "v": y}) for x, y in edges]
-    maps = builder.embed(build_edge_gadget(k).template, copies, (), GADGET_INTERNAL)
+    maps = builder.embed(build_edge_gadget(k), copies, (), GADGET_INTERNAL)
     gadget_records = dict(zip(edges, maps))
 
     w_map = {v: pendant_map[v][0] for v in sorted(stage.out_vertices())}

@@ -11,18 +11,17 @@ from functools import cmp_to_key
 from itertools import product
 from typing import Collection, Dict, List, Optional, Set, Tuple
 
-from planar_l21.colouring import BLACK, WHITE, ColouredOrientation, TwoColouring
+from planar_l21.colouring import BACKWARD, BLACK, FORWARD, WHITE, ColouredOrientation, TwoColouring
 from planar_l21.errors import CapacityError, ValidationError
 from planar_l21.graphs import (
     IN_VERTEX,
     Graph,
     GraphBuilder,
     RotationSystem,
-    Template,
     Unfilled,
     edge_key,
 )
-from planar_l21.gadgets import build_edge_gadget
+from planar_l21.gadgets import GadgetInstance, build_edge_gadget
 from planar_l21.labelling import (
     SAT,
     UNSAT,
@@ -182,6 +181,17 @@ def propagate_to_fixpoint(graph: Graph, k: int, domains: List[int]) -> Optional[
     return [sum(1 << x for x in ls) for ls in labels]
 
 
+def oriented_pairs(co: ColouredOrientation) -> List[Tuple[int, int]]:
+    """Directed edges (tail, head) of the oriented part, in edge order."""
+    out = []
+    for (u, v), d in sorted(co.orientation.items()):
+        if d == FORWARD:
+            out.append((u, v))
+        elif d == BACKWARD:
+            out.append((v, u))
+    return out
+
+
 def oriented_component_structure(
     graph: Graph, co: ColouredOrientation, out_vertices: Set[int]
 ) -> List[Tuple[str, List[int]]]:
@@ -190,7 +200,7 @@ def oriented_component_structure(
     Returns (kind, sorted vertices) per non-trivial component, where kind is
     "path" (out-vertex to in-vertex), "circuit", or "other".
     """
-    pairs = co.oriented_pairs()
+    pairs = oriented_pairs(co)
     adj: Dict[int, List[int]] = {}
     indeg: Dict[int, int] = {}
     outdeg: Dict[int, int] = {}
@@ -323,27 +333,32 @@ def euler_planar(graph: Graph, rot: RotationSystem) -> bool:
 
 def embed_by_names(
     builder: GraphBuilder,
-    gadget: Template,
+    gadget: GadgetInstance,
     names: str,
     glue: Dict[str, int],
     drop: Collection[str],
     role: Optional[str] = None,
 ) -> Dict[str, int]:
     """`GraphBuilder.embed` done in name space, one vertex, edge and rotation
-    entry at a time, as its docstring describes it."""
+    entry at a time, as its docstring describes it.  The gadget is first read
+    into vertex names: its (name, role) pairs, name-pair edges and rotation."""
+    by_id = [v.name for v in gadget.graph.vertices]
+    vertices = [(v.name, v.role) for v in gadget.graph.vertices]
+    edges = [(by_id[u], by_id[v]) for u, v in gadget.graph.sorted_edges()]
+    rotation = {by_id[v]: [by_id[u] for u in ns] for v, ns in gadget.rot.rotation.items()}
     ids = dict(glue)
-    copied = [(name, r) for name, r in gadget.vertices if name not in glue and name not in drop]
+    copied = [(name, r) for name, r in vertices if name not in glue and name not in drop]
     for name, r in copied:
         ids[name] = builder.add_vertex(role or r, names.format(name))
-    for x, y in gadget.edges:
+    for x, y in edges:
         if x in ids and y in ids:
             builder.add_edge(ids[x], ids[y])
     for name, _ in copied:
         builder.rotation[ids[name]] = [
-            ids[u] if u in ids else Unfilled(names.format(u)) for u in gadget.rotation[name]
+            ids[u] if u in ids else Unfilled(names.format(u)) for u in rotation[name]
         ]
     for name, host in glue.items():
-        (inner,) = gadget.rotation[name]
+        (inner,) = rotation[name]
         entries = builder.rotation.setdefault(host, [])
         replaced = [i for i, u in enumerate(entries) if u in glue.values()]
         if replaced:

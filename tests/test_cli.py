@@ -678,22 +678,16 @@ def test_unreadable_input_exits_2(tmp_path, formula_file, capsys, command, optio
     assert captured.out == ""
 
 
-def test_solve_at_a_huge_span_builds_no_dense_table(tmp_path):
-    # As the CI step does: the star K1,3 at k = 10^6 is labelled after one node per
-    # vertex.  A gap table with an entry for every domain would need 2^(k+1)
-    # of them; the child's address space is capped at 1 GiB so that such a
-    # table fails fast instead of taking the host's memory.
-    from conftest import star_graph
-    from planar_l21.graphs import to_json
+def run_capped(argv):
+    """Run `l21 argv` in a child whose address space is capped at 1 GiB, for
+    at most 60 s, so that a table or list that grows with an argument fails
+    fast instead of taking the host's memory."""
 
     def cap_memory():
         resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 
-    instance = tmp_path / "star.json"
-    instance.write_text(to_json(star_graph(3)))
     env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
-    argv = ["solve", "--instance", str(instance), "--k", "1000000", "--budget", "100"]
-    done = subprocess.run(
+    return subprocess.run(
         [sys.executable, "-m", "planar_l21.cli", *argv],
         capture_output=True,
         text=True,
@@ -701,7 +695,27 @@ def test_solve_at_a_huge_span_builds_no_dense_table(tmp_path):
         env=env,
         preexec_fn=cap_memory,
     )
+
+
+def test_solve_at_a_huge_span_builds_no_dense_table(tmp_path):
+    # As the CI step does: the star K1,3 at k = 10^6 is labelled after one node per
+    # vertex.  A gap table with an entry for every domain would need 2^(k+1)
+    # of them.
+    from conftest import star_graph
+    from planar_l21.graphs import to_json
+
+    instance = tmp_path / "star.json"
+    instance.write_text(to_json(star_graph(3)))
+    done = run_capped(["solve", "--instance", str(instance), "--k", "1000000", "--budget", "100"])
     assert done.returncode == 0, done.stderr
     result = json.loads(done.stdout)
     assert (result["outcome"], result["nodes"]) == ("sat", 4)
     assert done.stderr == "solve: sat after 4 nodes\n"
+
+
+def test_certify_refuses_a_huge_range_before_building_per_k_tasks():
+    # As the CI step does: the capacity check reads each certifier's k range
+    # at its ends, so nothing that grows with hi is built before the refusal.
+    done = run_capped(["certify", "--k", "4..1000000000"])
+    assert (done.returncode, done.stdout) == (2, "")
+    assert done.stderr == "certify: H' certification supports 6 <= k <= 9\n"

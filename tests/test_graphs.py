@@ -312,13 +312,13 @@ EMBEDDINGS.update(
 @pytest.mark.parametrize("case", sorted(EMBEDDINGS))
 def test_embed_matches_name_space_copy(case):
     build, names, glues, drop, role = EMBEDDINGS[case]
-    template = build().template
+    gadget = build()
     compiled, reference = _host_triangle(), _host_triangle()
     copies = [(names.format(i), glue) for i, glue in enumerate(glues)]
-    maps = compiled.embed(template, copies, drop, role)  # every copy in one batch
+    maps = compiled.embed(gadget, copies, drop, role)  # every copy in one batch
     assert len(maps) == len(copies)
     for (copy_names, glue), ids in zip(copies, maps):
-        expected = embed_by_names(reference, template, copy_names, glue, drop, role)
+        expected = embed_by_names(reference, gadget, copy_names, glue, drop, role)
         assert list({**glue, **ids}.items()) == list(expected.items())
     assert compiled.rotation == reference.rotation
     assert compiled.freeze() == reference.freeze()
@@ -327,12 +327,12 @@ def test_embed_matches_name_space_copy(case):
 @pytest.mark.parametrize("case", sorted(EMBEDDINGS))
 def test_embed_batch_equals_one_call_per_copy(case):
     build, names, glues, drop, role = EMBEDDINGS[case]
-    template = build().template
+    gadget = build()
     batched, single = _host_triangle(), _host_triangle()
     copies = [(names.format(i), glue) for i, glue in enumerate(glues)]
-    maps = batched.embed(template, copies, drop, role)
-    assert maps == [m for copy in copies for m in single.embed(template, [copy], drop, role)]
-    assert batched.embed(template, [], drop, role) == []
+    maps = batched.embed(gadget, copies, drop, role)
+    assert maps == [m for copy in copies for m in single.embed(gadget, [copy], drop, role)]
+    assert batched.embed(gadget, [], drop, role) == []
     assert batched.rotation == single.rotation
     assert batched.freeze() == single.freeze()
 
@@ -351,15 +351,14 @@ def test_embed_refuses_a_bad_glue(build, glued, drop):
     builder = _host_triangle()
     glue = dict(zip(glued, [0, 1, 2]))
     with pytest.raises(ValidationError, match="must name one or two pendants of copied vertices"):
-        builder.embed(build().template, [("x.{}", glue)], drop)
+        builder.embed(build(), [("x.{}", glue)], drop)
     assert (builder.freeze(), builder.rotation) == (_host_triangle().freeze(), _host_triangle().rotation)
 
 
 def test_freeze_finds_unfilled_markers_from_embed_and_seed():
-    template = build_H().template
     builder = GraphBuilder()
     hub = builder.add_vertex(GADGET_INTERNAL, "a")
-    one, two = builder.embed(template, [("{}1", {"a": hub}), ("{}2", {"a": hub})], ("m", "n"))
+    one, two = builder.embed(build_H(), [("{}1", {"a": hub}), ("{}2", {"a": hub})], ("m", "n"))
     with pytest.raises(AssertionError, match="unfilled rotation slot"):
         builder.freeze_with_rotation()
     builder.link(one["l"], "n1", two["i"], "m2")
