@@ -10,11 +10,11 @@ from __future__ import annotations
 
 import gc
 import json
-from collections import Counter
+from collections import Counter, deque
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, wraps
-from itertools import accumulate, islice, repeat
+from itertools import accumulate, chain, islice, repeat
 from operator import itemgetter
 from json.encoder import encode_basestring_ascii
 from typing import TYPE_CHECKING, Collection, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
@@ -37,6 +37,7 @@ GATE = "Gate"
 ROLES = frozenset(
     {ORIGINAL, CYCLE_VERTEX, IN_VERTEX, OUT_VERTEX, GADGET_INTERNAL, PENDANT, PORT, GATE}
 )
+_ROLE_TAGS = {role: role for role in ROLES}  # a role read from a file -> the one string of its tag
 
 Edge = Tuple[int, int]
 
@@ -454,7 +455,10 @@ def json_object(text: str, keys: Sequence[str], what: str) -> dict:
             raise ValidationError(f"{what} JSON repeats the key {key!r} in one object")
         return obj
 
-    doc = json.loads(text, object_pairs_hook=unique)
+    try:
+        doc = json.loads(text, object_pairs_hook=unique)
+    except RecursionError as exc:  # the decoder recurses once per level
+        raise ValidationError(f"{what} JSON nests too deeply") from exc
     if not isinstance(doc, dict):
         raise ValidationError(f"{what} JSON must be an object, not {type(doc).__name__}")
     missing = [key for key in keys if key not in doc]
@@ -470,11 +474,19 @@ def require_type(values: List[object], kind: type, what: str) -> None:
         raise ValidationError(f"{what} must be {kind.__name__}, not {bad!r}")
 
 
-def vertex_key(key: str, what: str) -> int:
-    """The vertex id a JSON object key names, spelled only as `str(id)`."""
-    if str(int(key)) != key:
-        raise ValidationError(f"{what} key {key!r} is not a canonical vertex id")
-    return int(key)
+def vertex_keys(obj: dict, what: str) -> List[int]:
+    """The vertex ids that the keys of ``obj`` name, in order; each key must
+    be spelled as `str(id)`, so that no two keys name one vertex."""
+    keys = [key for key, _ in obj.items()]  # a non-object raises AttributeError here
+    try:
+        ids = list(map(int, keys))
+    except ValueError:
+        ids = []
+    if list(map(str, ids)) != keys:
+        for key in keys:  # the first key that is not an id, or not its spelling
+            if str(int(key)) != key:
+                raise ValidationError(f"{what} key {key!r} is not a canonical vertex id")
+    return ids
 
 
 # what indexing a JSON value of the wrong type raises
@@ -501,27 +513,36 @@ def collector_paused(fn):
 
 @collector_paused
 def from_json(text: str) -> Tuple[Graph, Optional[RotationSystem], Dict[str, int], Optional[int]]:
+    """Read a stage file, dropping each section of the parsed document once it
+    is converted; a vertex's role is the module's string for its tag."""
     doc = json_object(text, ("vertices", "edges"), "graph")
     try:
-        vertices = [Vertex(d["id"], d["role"], d["name"]) for d in doc["vertices"]]
-        require_type([v.id for v in vertices], int, "graph JSON vertex id")
-        require_type([v.name for v in vertices], str, "graph JSON vertex name")
-        edges = [tuple(e) for e in doc["edges"]]
-        require_type([x for e in edges for x in e], int, "graph JSON edge endpoint")
+        deque(map(itemgetter("id", "role", "name"), doc["vertices"]), maxlen=0)  # a bad vertex raises here
+        ids, roles, names = [list(map(itemgetter(key), doc["vertices"])) for key in ("id", "role", "name")]
+        del doc["vertices"]
+        require_type(ids, int, "graph JSON vertex id")
+        require_type(names, str, "graph JSON vertex name")
+        if set(map(type, roles)) <= {str}:  # else Graph refuses a role where it checks them
+            roles = map(_ROLE_TAGS.get, roles, roles)
+        vertices = tuple(map(tuple.__new__, repeat(Vertex), zip(ids, roles, names)))
+        del ids, roles, names
+        edges = list(map(tuple, doc.pop("edges")))
+        require_type(list(chain.from_iterable(edges)), int, "graph JSON edge endpoint")
         graph = Graph(vertices, edges)
-        rot = None
-        if doc.get("rotation") is not None:
-            rotation = {vertex_key(v, "graph JSON rotation"): p for v, p in doc["rotation"].items()}
-            ends = [x for pairs in rotation.values() for pair in pairs for x in pair]
-            require_type(ends, int, "graph JSON rotation endpoint")
-            for v, pairs in rotation.items():
+        rot, rotation = None, doc.pop("rotation", None)
+        if rotation is not None:
+            ids = vertex_keys(rotation, "graph JSON rotation")
+            if not set(map(type, chain.from_iterable(chain.from_iterable(rotation.values())))) <= {int}:
+                ends = [x for pairs in rotation.values() for pair in pairs for x in pair]  # to name the first
+                require_type(ends, int, "graph JSON rotation endpoint")
+            for v, (key, pairs) in zip(ids, rotation.items()):  # a new value per key frees each parsed row
                 ns = []
                 for a, b in pairs:
-                    if v not in (a, b):
+                    if a != v != b:
                         raise ValidationError(f"rotation entry for {v} lists foreign edge ({a},{b})")
                     ns.append(b if a == v else a)
-                rotation[v] = ns
-            rot = RotationSystem(rotation)
+                rotation[key] = tuple(ns)
+            rot = RotationSystem(dict(zip(ids, rotation.values())))
     except JSON_SHAPE_ERRORS as exc:
         raise ValidationError(f"graph JSON has the wrong shape: {exc!r}") from exc
     ports = {} if doc.get("ports") is None else doc["ports"]

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 from itertools import chain, product
 from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Set, Tuple
 
-from .errors import ValidationError
-from .graphs import JSON_SHAPE_ERRORS, Graph, json_object, require_type, vertex_key
+from .errors import CapacityError, ValidationError
+from .graphs import JSON_SHAPE_ERRORS, Graph, collector_paused, json_object, require_type, vertex_keys
 
 SAT = "sat"
 UNSAT = "unsat"
@@ -101,6 +101,7 @@ def _has_distinct_representatives(masks: Sequence[int]) -> bool:
 
 _HALL_VERDICTS: Dict[Tuple[int, ...], bool] = {}  # neighbour domains around a hub -> Hall verdict
 _GAP_LIST_SPAN = 12  # the widest span whose gap table is a list (2^13 domains)
+SPAN_CAPACITY = 1 << 24  # the widest span searched: a domain is a (k+1)-bit mask, at most 2 MiB
 
 
 class _GapMasks(dict):
@@ -175,6 +176,8 @@ class _LabelSearch:
     def __init__(self, graph: Graph, k: int):
         if k < 0:
             raise ValidationError(f"span must be non-negative, got {k}")
+        if k > SPAN_CAPACITY:  # before any mask is built
+            raise CapacityError(f"labelling search supports spans up to {SPAN_CAPACITY}")
         self.graph = graph
         self.k = k
         self.full = (1 << (k + 1)) - 1
@@ -424,11 +427,12 @@ def labelling_to_json(labelling: Labelling) -> str:
     return json.dumps(_labelling_doc(labelling), sort_keys=True) + "\n"
 
 
+@collector_paused
 def labelling_from_json(text: str) -> Labelling:
     doc = json_object(text, ("k", "labels"), "labelling")
     require_type([doc["k"]], int, "labelling JSON k")
     try:
-        labels = {vertex_key(v, "labelling JSON label"): x for v, x in doc["labels"].items()}
+        labels = dict(zip(vertex_keys(doc["labels"], "labelling JSON label"), doc["labels"].values()))
     except JSON_SHAPE_ERRORS as exc:
         raise ValidationError(f"labelling JSON has the wrong shape: {exc!r}") from exc
     require_type(list(labels.values()), int, "labelling JSON label")

@@ -683,6 +683,7 @@ def trace_manifest(trace: ReductionTrace) -> dict:
     return doc
 
 
+@collector_paused
 def write_trace(trace: ReductionTrace, outdir) -> List[str]:
     """Write one JSON file per constructed stage plus the manifest."""
     outdir = pathlib.Path(outdir)

@@ -15,11 +15,15 @@ from planar_l21.colouring import BACKWARD, BLACK, FORWARD, WHITE, ColouredOrient
 from planar_l21.errors import CapacityError, ValidationError
 from planar_l21.graphs import (
     IN_VERTEX,
+    JSON_SHAPE_ERRORS,
     Graph,
     GraphBuilder,
     RotationSystem,
     Unfilled,
+    Vertex,
     edge_key,
+    json_object,
+    require_type,
 )
 from planar_l21.gadgets import GadgetInstance, build_edge_gadget
 from planar_l21.labelling import (
@@ -391,3 +395,48 @@ def stage_json(
         "ports": ports or {},
     }
     return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
+
+
+def read_stage_file(
+    text: str,
+) -> Tuple[Graph, Optional[RotationSystem], Dict[str, int], Optional[int]]:
+    """A stage file read by its definition: the whole document parsed, then
+    each section checked and converted in turn, one entry and one key at a
+    time; the reference for the order and the messages of `from_json`."""
+    doc = json_object(text, ("vertices", "edges"), "graph")
+    try:
+        vertices = [Vertex(d["id"], d["role"], d["name"]) for d in doc["vertices"]]
+        require_type([v.id for v in vertices], int, "graph JSON vertex id")
+        require_type([v.name for v in vertices], str, "graph JSON vertex name")
+        edges = [tuple(e) for e in doc["edges"]]
+        require_type([x for e in edges for x in e], int, "graph JSON edge endpoint")
+        graph = Graph(vertices, edges)
+        rot = None
+        if doc.get("rotation") is not None:
+            rotation = {}
+            for key, pairs in doc["rotation"].items():
+                if str(int(key)) != key:
+                    raise ValidationError(f"graph JSON rotation key {key!r} is not a canonical vertex id")
+                rotation[int(key)] = pairs
+            ends = [x for pairs in rotation.values() for pair in pairs for x in pair]
+            require_type(ends, int, "graph JSON rotation endpoint")
+            for v, pairs in rotation.items():
+                ns = []
+                for a, b in pairs:
+                    if v not in (a, b):
+                        raise ValidationError(f"rotation entry for {v} lists foreign edge ({a},{b})")
+                    ns.append(b if a == v else a)
+                rotation[v] = ns
+            rot = RotationSystem(rotation)
+    except JSON_SHAPE_ERRORS as exc:
+        raise ValidationError(f"graph JSON has the wrong shape: {exc!r}") from exc
+    ports = {} if doc.get("ports") is None else doc["ports"]
+    if not isinstance(ports, dict):
+        raise ValidationError(f"graph JSON ports must be an object, not {type(ports).__name__}")
+    require_type(list(ports.values()), int, "graph JSON port")
+    for name, v in ports.items():
+        if not 0 <= v < graph.n:
+            raise ValidationError(f"graph JSON port {name!r} names foreign vertex {v}")
+    k = doc.get("k")
+    require_type([] if k is None else [k], int, "graph JSON k")
+    return graph, rot, ports, k

@@ -356,6 +356,30 @@ def test_malformed_json_exits_2(tmp_path, capsys, command):
     assert "malformed JSON" in err
 
 
+@pytest.mark.parametrize(
+    "command,target",
+    [("solve", "instance"), ("verify", "instance"), ("export", "instance"), ("verify", "labelling")],
+)
+def test_deeply_nested_json_exits_2(tmp_path, capsys, command, target):
+    from conftest import path_graph
+    from planar_l21.graphs import to_json
+
+    files = {"instance": tmp_path / "p2.json", "labelling": tmp_path / "lab.json"}
+    files["instance"].write_text(to_json(path_graph(2), k=4))
+    files["labelling"].write_text('{"k": 4, "labels": {"0": 0, "1": 2}}')
+    doc = json.loads(files[target].read_text())
+    files[target].write_text(json.dumps(doc)[:-1] + ', "notes": ' + "[" * 100_000 + "]" * 100_000 + "}")
+    argv = {
+        "solve": ["solve", "--instance", str(files["instance"])],
+        "verify": ["verify", "--instance", str(files["instance"]), "--labelling", str(files["labelling"])],
+        "export": ["export", "--input", str(files["instance"])],
+    }[command]
+    code, reports, err = run_cli(capsys, argv)
+    assert_bad_input(code, err)
+    assert reports == []
+    assert err == f"{command}: {'graph' if target == 'instance' else 'labelling'} JSON nests too deeply\n"
+
+
 def test_verify_out_of_range_label_exits_2(tmp_path, capsys):
     from conftest import cycle_graph
     from planar_l21.graphs import to_json
@@ -711,6 +735,23 @@ def test_solve_at_a_huge_span_builds_no_dense_table(tmp_path):
     result = json.loads(done.stdout)
     assert (result["outcome"], result["nodes"]) == ("sat", 4)
     assert done.stderr == "solve: sat after 4 nodes\n"
+
+
+@pytest.mark.parametrize(
+    "argv,file_k",
+    [(["--k", str(10**20)], None), (["--k", str(2**62)], None), ([], 10**30)],
+    ids=["k=10^20", "k=2^62", "file k=10^30"],
+)
+def test_solve_refuses_a_huge_span_before_building_a_mask(tmp_path, argv, file_k):
+    # 1 << (k + 1) overflows at k = 10^20 and exhausts memory at k = 2^62.
+    from conftest import path_graph
+    from planar_l21.graphs import to_json
+
+    instance = tmp_path / "p2.json"
+    instance.write_text(to_json(path_graph(2), k=file_k))
+    done = run_capped(["solve", "--instance", str(instance), *argv])
+    assert (done.returncode, done.stdout) == (2, "")
+    assert done.stderr == "solve: labelling search supports spans up to 16777216\n"
 
 
 def test_certify_refuses_a_huge_range_before_building_per_k_tasks():

@@ -1,6 +1,10 @@
+import copy
+import functools
 import gc
 import json
+import operator
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -37,7 +41,7 @@ from planar_l21.graphs import (
 )
 
 from conftest import any_rotation, complete_graph, make_graph, random_graph, triangle
-from oracles import embed_by_names, euler_planar, faces, rotation_by_half_planes, stage_json
+from oracles import embed_by_names, euler_planar, faces, read_stage_file, rotation_by_half_planes, stage_json
 
 
 def planar_k4():
@@ -405,11 +409,27 @@ def test_to_json_matches_json_dumps(names, rnd):
 
 def test_to_json_matches_json_dumps_on_stage_files(reduced):
     trace = reduced(Nae3SatFormula(2, ((1, 2, 1), (2, 1, 2))), 4)
-    assert to_json(trace.cubic.graph) == stage_json(trace.cubic.graph)
-    for stage in (trace.planar, trace.aux):
-        assert to_json(stage.graph, stage.rot) == stage_json(stage.graph, stage.rot)
     inst = trace.instance
-    assert to_json(inst.graph, inst.rot, k=4) == stage_json(inst.graph, inst.rot, k=4)
+    stages = [(trace.cubic.graph,), (trace.planar.graph, trace.planar.rot), (trace.aux.graph, trace.aux.rot)]
+    for args in stages + [(inst.graph, inst.rot, None, 4)]:
+        text = to_json(*args)
+        assert text == stage_json(*args)
+        assert to_json(*from_json(text)) == text
+
+
+def test_from_json_peak_memory_is_at_most_twelve_times_the_text(reduced):
+    # The 20-crossing corpus formula at k = 4, 25,800 vertices.  Its parse tree
+    # alone is about nine times the text, so converting it may add little.
+    inst = reduced(Nae3SatFormula(4, ((2, 1, 4), (4, 3, 2), (1, 3, 4))), 4).instance
+    text = to_json(inst.graph, inst.rot, k=4)
+    tracemalloc.start()
+    try:
+        graph = from_json(text)[0]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert graph == inst.graph
+    assert peak <= 12 * len(text)
 
 
 def _planar_k4_doc():
@@ -436,6 +456,54 @@ def test_from_json_rejects_non_integer_ids(path, value, message):
     target[path[-1]] = value
     with pytest.raises(ValidationError, match=message):
         from_json(json.dumps(doc))
+
+
+def _mutated(doc, rng):
+    """A copy of the JSON document ``doc`` with one to three entries, at any
+    depth, replaced by an awkward value, deleted, or joined by a new one."""
+    values = [0.0, True, None, "x", "Original", [], {}, [1, 2, 3], [1], -1, 99, 1, "01", "+1", [0, 1], {"a": 1}]
+    doc = copy.deepcopy(doc)
+    for _ in range(rng.randint(1, 3)):
+        paths, stack = [], [((), doc)]
+        while stack:
+            path, x = stack.pop()
+            paths += [path] if path else []
+            items = x.items() if isinstance(x, dict) else enumerate(x) if isinstance(x, list) else ()
+            stack += [(path + (key,), y) for key, y in items]
+        if not paths:
+            break
+        path = rng.choice(paths)
+        parent = functools.reduce(operator.getitem, path[:-1], doc)
+        value, op = copy.deepcopy(rng.choice(values)), rng.random()
+        if op < 0.6:
+            parent[path[-1]] = value
+        elif op < 0.8:
+            del parent[path[-1]]
+        elif isinstance(parent, list):
+            parent.insert(path[-1], value)
+        else:
+            parent[rng.choice(["01", "+1", "-1", "0", "1", "7", "x"])] = value
+    return doc
+
+
+def _outcome(read, text):
+    try:
+        return read(text)
+    except ValidationError as exc:
+        return str(exc)
+
+
+def test_from_json_reads_and_refuses_as_the_reference_reader():
+    # Every check, in the same order and with the same message, also on
+    # files with several faults; read_stage_file reads the whole document
+    # first and each entry one at a time.
+    edges = [(0, 1), (1, 2), (2, 3), (0, 3), (0, 2), (4, 5)]
+    g = Graph([Vertex(i, [ORIGINAL, PORT, GATE][i % 3], f"v{i}") for i in range(6)], edges)
+    doc = json.loads(to_json(g, shuffled_rotation(g, random.Random(3)), {"p": 1}, 4))
+    rng = random.Random(21)
+    for _ in range(3000):
+        text = json.dumps(_mutated(doc, rng))
+        assert _outcome(from_json, text) == _outcome(read_stage_file, text), text
 
 
 @pytest.mark.parametrize("enabled", [True, False])

@@ -1,4 +1,6 @@
+import gc
 import itertools
+import json
 import random
 
 import pytest
@@ -348,6 +350,24 @@ def test_oracle_equivalence_sample():
 def test_labelling_serialization_round_trip():
     lab = Labelling(4, {0: 0, 1: 2})
     assert labelling_from_json(labelling_to_json(lab)) == lab
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_labelling_from_json_pauses_the_collector_and_restores_it(monkeypatch, enabled):
+    loads, seen = json.loads, []
+    monkeypatch.setattr(json, "loads", lambda s, **kw: seen.append(gc.isenabled()) or loads(s, **kw))
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        labelling_from_json('{"k": 4, "labels": {"0": 0, "1": 2}}')
+        after_return = gc.isenabled()
+        with pytest.raises(ValidationError):
+            labelling_from_json('{"k": 4, "labels": {"01": 0}}')
+        after_raise = gc.isenabled()
+    finally:
+        (gc.enable if was else gc.disable)()
+    assert seen == [False, False]
+    assert after_return is after_raise is enabled
 
 
 def _has_sdr(masks):

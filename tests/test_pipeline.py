@@ -387,6 +387,27 @@ def test_run_reduction_pauses_the_collector_and_restores_it(monkeypatch, enabled
     assert after_return is after_raise is enabled
 
 
+@pytest.mark.parametrize("enabled", [True, False])
+def test_write_trace_pauses_the_collector_and_restores_it(tmp_path, monkeypatch, reduced, enabled):
+    trace = reduced(XYZ, 4)
+    dump, seen = pipeline.to_json, []
+    monkeypatch.setattr(pipeline, "to_json", lambda *a, **kw: seen.append(gc.isenabled()) or dump(*a, **kw))
+    blocker = tmp_path / "a-file"
+    blocker.write_text("")
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        write_trace(trace, tmp_path / "out")
+        after_return = gc.isenabled()
+        with pytest.raises(FileExistsError):
+            write_trace(trace, blocker)
+        after_raise = gc.isenabled()
+    finally:
+        (gc.enable if was else gc.disable)()
+    assert seen == [False] * 4
+    assert after_return is after_raise is enabled
+
+
 def test_roundtrip_checks_each_witness_once(tmp_path, monkeypatch, capsys):
     in_pipeline = count_checks(monkeypatch, pipeline)
     in_cli = count_checks(monkeypatch, cli)
