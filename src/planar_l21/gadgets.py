@@ -11,8 +11,8 @@ builders, the witness translators and the certifiers, so it must not be
 mutated.  The certifiers look their builder up by module name at call time,
 machine-check the gadget lemmas and report observed vs expected behaviour.
 Every table is enumerated exhaustively, except the span-k edge gadget G_k for
-k >= 6: after a structure check of the built graph, its table is composed
-from the exhaustively enumerated (L(c), L(d)) table of H'.
+k >= 6: after a structure check of the built graph, its table is composed from
+the enumerated (L(c), L(d)) pairs of H', as `pipeline` fills G_k from the lemma's.
 """
 
 from __future__ import annotations
@@ -492,6 +492,11 @@ def _hprime_pairs(k: int, search: _LabelSearch) -> Set[Tuple[int, int]]:
     return search.extensions([ports["c"], ports["d"]], [every, every])
 
 
+def hprime_lemma_pairs(k: int) -> Set[Tuple[int, int]]:
+    """The (L(c), L(d)) pairs that the H' lemma lists for span k."""
+    return {(0, k), (1, k), (k - 1, 0), (k, 0)}
+
+
 def certify_Hprime(k: int) -> CertReport:
     """Feasible (L(c), L(d)) pairs match the four-element table exactly, g
     takes k - L(d) and every fan f<j> a label in [2, k-2].  The pair table
@@ -503,7 +508,7 @@ def certify_Hprime(k: int) -> CertReport:
     c, d = inst.ports["c"], inst.ports["d"]
     search = _LabelSearch(graph, k)
     pairs = sorted(_hprime_pairs(k, search))
-    expected_pairs = sorted({(0, k), (1, k), (k - 1, 0), (k, 0)})
+    expected_pairs = sorted(hprime_lemma_pairs(k))
 
     # witness-side forcings, checked by refuting every alternative
     g_forced = True
@@ -556,9 +561,10 @@ def _edge_gadget_structure_holds(inst: GadgetInstance, k: int) -> bool:
     return inst.graph.edges == {edge_key(ids[x], ids[y]) for x, y in edges}
 
 
-def _composed_edge_table(k: int, pairs: Set[Tuple[int, int]]) -> Set[Tuple[int, int, int, int]]:
-    """The (L(u), L(v), L(a_u), L(a_v)) tuples, ends in {0, k}, that extend
-    to G_k (k >= 6), composed from the H' (L(c), L(d)) ``pairs``.
+def _composed_edge_table(k: int, pairs: Set[Tuple[int, int]]) -> Dict[Tuple[int, int, int, int], List[tuple]]:
+    """The (L(u), L(v), L(a_u), L(a_v)) tuples, ends in {0, k}, that extend to
+    G_k (k = 4 or k >= 6), composed from the H' (L(c), L(d)) ``pairs``, each with
+    one extension: per middle b<i>, the next least good x and its two least pairs.
 
     A hanger meets the rest of G_k only at c (next to its middle b) and d
     (two from b), and middles see each other only through a_u and a_v.  So a
@@ -567,19 +573,20 @@ def _composed_edge_table(k: int, pairs: Set[Tuple[int, int]]) -> Set[Tuple[int, 
     distinct hanger labels c, each from a pair (c, d) with |c - x| >= 2,
     d != x and c not L(a_u) or L(a_v).
     """
-    table = set()
+    pairs = sorted(pairs, reverse=True)  # so the dict below keeps the least pair of each c
+    fit = [sorted({c: (c, d) for c, d in pairs if abs(c - x) >= 2 and d != x}.values()) for x in range(k + 1)]
+    table = {}
     for lu, lv, au, av in product((0, k), (0, k), range(k + 1), range(k + 1)):
         if min(abs(lu - au), abs(au - av), abs(av - lv)) < 2 or lu == av or au == lv:
             continue
-        good = [
-            x
-            for x in range(k + 1)
-            if min(abs(x - au), abs(x - av)) >= 2
-            and x not in (lu, lv)
-            and len({c for c, d in pairs if abs(c - x) >= 2 and d != x and c not in (au, av)}) >= 2
-        ]
-        if len(good) >= k - 5:
-            table.add((lu, lv, au, av))
+        middles = []
+        for x in range(k + 1):
+            if len(middles) < k - 5 and abs(x - au) >= 2 and abs(x - av) >= 2 and x != lu and x != lv:
+                two = [pair for pair in fit[x] if pair[0] != au and pair[0] != av]
+                if len(two) >= 2:
+                    middles.append((x, two[0], two[1]))
+        if len(middles) >= k - 5:
+            table[lu, lv, au, av] = middles
     return table
 
 
@@ -598,7 +605,7 @@ def certify_edge_gadget(k: int) -> CertReport:
         ends, inner = (0, k), range(k + 1)
         observed = enumerate_boundary_behaviour(inst.graph, k, boundary, [ends, ends, inner, inner])
     elif _edge_gadget_structure_holds(inst, k):
-        observed = _composed_edge_table(k, _hprime_pairs(k, _LabelSearch(build_Hprime(k).graph, k)))
+        observed = set(_composed_edge_table(k, _hprime_pairs(k, _LabelSearch(build_Hprime(k).graph, k))))
     else:
         observed = set()
     return _table_report("Gk", k, observed, edge_gadget_expected_table(k), 4 * (k + 1) ** 2)

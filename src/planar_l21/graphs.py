@@ -459,6 +459,10 @@ def json_object(text: str, keys: Sequence[str], what: str) -> dict:
         doc = json.loads(text, object_pairs_hook=unique)
     except RecursionError as exc:  # the decoder recurses once per level
         raise ValidationError(f"{what} JSON nests too deeply") from exc
+    except json.JSONDecodeError:
+        raise
+    except ValueError as exc:  # an integer longer than int() converts
+        raise ValidationError(f"{what} JSON holds an integer too long to read") from exc
     if not isinstance(doc, dict):
         raise ValidationError(f"{what} JSON must be an object, not {type(doc).__name__}")
     missing = [key for key in keys if key not in doc]

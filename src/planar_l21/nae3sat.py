@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .errors import CapacityError, FormulaParseError, ValidationError
 
@@ -40,6 +40,16 @@ class Nae3SatFormula:
                     raise ValidationError(f"literal {lit} out of range in {clause}")
 
 
+def _numbers(tokens: List[str], error: str, line: str, lineno: int) -> List[int]:
+    """``tokens`` of ``line`` as DIMACS numbers, else `FormulaParseError` ``error``."""
+    if not all(map(DIMACS_INT.fullmatch, tokens)):
+        raise FormulaParseError(f"{error} {line!r}", lineno)
+    try:
+        return list(map(int, tokens))
+    except ValueError:  # more digits than int() converts
+        raise FormulaParseError("a number too long to read", lineno) from None
+
+
 def parse_formula(text: str) -> Nae3SatFormula:
     """Parse DIMACS CNF text, requiring exactly three literals per clause line
     and every number in ASCII ``-?[0-9]+`` form.
@@ -61,16 +71,12 @@ def parse_formula(text: str) -> Nae3SatFormula:
             parts = _BLANKS.split(line)
             if len(parts) != 4 or parts[0] != "p" or parts[1] != "cnf":
                 raise FormulaParseError(f"malformed header {line!r}", lineno)
-            if not all(map(DIMACS_INT.fullmatch, parts[2:])):
-                raise FormulaParseError(f"malformed header {line!r}", lineno)
-            num_vars, num_clauses = int(parts[2]), int(parts[3])
+            num_vars, num_clauses = _numbers(parts[2:], "malformed header", line, lineno)
             continue
         if num_vars is None:
             raise FormulaParseError("clause before header", lineno)
         tokens = _BLANKS.split(line)
-        if not all(map(DIMACS_INT.fullmatch, tokens)):
-            raise FormulaParseError(f"non-integer token in {line!r}", lineno)
-        lits = [int(tok) for tok in tokens]
+        lits = _numbers(tokens, "non-integer token in", line, lineno)
         if not lits or lits[-1] != 0:
             raise FormulaParseError("clause line must end with 0", lineno)
         lits = lits[:-1]

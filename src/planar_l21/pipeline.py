@@ -38,8 +38,9 @@ from .colouring import (
     verify_2cpm,
     verify_coloured_orientation,
 )
-from .errors import InconsistencyError, ValidationError
-from .gadgets import build_aux_edge, build_clause_gadget, build_edge_gadget, build_uncrossing
+from .errors import CapacityError, InconsistencyError, ValidationError
+from .gadgets import GadgetInstance, _composed_edge_table, build_aux_edge, build_clause_gadget, build_Hprime
+from .gadgets import build_edge_gadget, build_uncrossing, edge_gadget_expected_table, hprime_lemma_pairs
 from .graphs import (
     GADGET_INTERNAL,
     GATE,
@@ -59,6 +60,8 @@ from .labelling import Labelling, solve_labelling, verify_labelling
 from .nae3sat import Assignment, Nae3SatFormula, format_formula, literal_value
 
 PORT_SLOT_ORDER = ("q1", "r1", "q2", "r2", "q3", "r3")
+_GK_BOUNDARY = ("u", "v", "a_u", "a_v")
+INSTANCE_CAPACITY = 1 << 21  # the most vertices build_instance builds; it refuses more before building
 _SLOT_INDEX = {name: i for i, name in enumerate(PORT_SLOT_ORDER)}
 
 
@@ -332,11 +335,20 @@ def build_auxiliary(stage: PlanarStage) -> AuxStage:
 # ---------------------------------------------------------------------------
 
 
+def instance_size(stage: AuxStage, k: int) -> int:
+    """The vertex count of ``build_instance(stage, k)``, found without building it."""
+    h, gadget_n = stage.graph, 14 if k == 5 else 4 + max(k - 5, 0) * (2 * k + 7)
+    leaves = sum(max(k - 1 - h.degree(v), 0) for v in range(h.n))
+    return h.n + leaves + h.m * (gadget_n - 2) + len(stage.out_vertices()) * (k - 2)
+
+
 def build_instance(stage: AuxStage, k: int) -> InstanceStage:
     """Pendants to degree k-1, edge gadgets on every former edge, and a
     degree-(k-1) hub pendant below every out-vertex."""
     if k < 4:
         raise ValidationError(f"instance construction needs k >= 4, got {k}")
+    if instance_size(stage, k) > INSTANCE_CAPACITY:
+        raise CapacityError(f"a span-{k} instance would exceed {INSTANCE_CAPACITY} vertices")
     h = stage.graph
     builder = GraphBuilder(h.vertices)
     builder.rotation = {v: list(ns) for v, ns in stage.rot.rotation.items()}
@@ -513,25 +525,31 @@ def canonicalize_orientation(trace: ReductionTrace, co: ColouredOrientation) -> 
     return ColouredOrientation(colours, orientation)
 
 
-@cache
-def _gadget_fill(k: int, lu: int, lv: int, lau: int, lav: int) -> Dict[str, int]:
-    """Interior labels (by gadget vertex name) for one boundary tuple."""
-    inst = build_edge_gadget(k)
-    pins = {
-        inst.ports["u"]: lu,
-        inst.ports["v"]: lv,
-        inst.ports["a_u"]: lau,
-        inst.ports["a_v"]: lav,
-    }
-    result = solve_labelling(inst.graph, k, pins)
+def _solved_names(inst: GadgetInstance, k: int, pins: Dict[str, int]) -> Dict[str, int]:
+    """A pinned solve over a gadget, its witness by vertex name."""
+    result = solve_labelling(inst.graph, k, {inst.ports[name]: x for name, x in pins.items()})
     if not result.is_sat:
-        raise AssertionError(f"boundary tuple {(k, lu, lv, lau, lav)} must be fillable")
-    name_of = {v.id: v.name for v in inst.graph.vertices}
-    return {
-        name_of[v]: x
-        for v, x in result.labelling.labels.items()
-        if name_of[v] not in ("u", "v")
-    }
+        raise AssertionError(f"{inst.kind} pins {pins} must extend at k={k}")
+    return {v.name: result.labelling.labels[v.id] for v in inst.graph.vertices}
+
+
+@cache
+def _gadget_fills(k: int) -> Dict[Tuple[int, int, int, int], Dict[str, int]]:
+    """Labels of G_k by vertex name per tuple of its table: a pinned solve over
+    G_5, else the tuple's composed extension with one H' solve per (c, d)."""
+    if k == 5:
+        inst = build_edge_gadget(5)
+        return {t: _solved_names(inst, k, dict(zip(_GK_BOUNDARY, t))) for t in edge_gadget_expected_table(k)}
+    pairs = hprime_lemma_pairs(k)
+    hanger = {pair: _solved_names(build_Hprime(k), k, dict(zip("cd", pair))) for pair in pairs if k >= 6}
+    fills = {}
+    for t, middles in _composed_edge_table(k, pairs).items():
+        fill = fills[t] = dict(zip(_GK_BOUNDARY, t))
+        for i, (x, *sides) in enumerate(middles, 1):
+            fill[f"b{i}"] = x
+            for side, pair in zip("lr", sides):
+                fill.update({f"{name}.{side}{i}": label for name, label in hanger[pair].items()})
+    return fills
 
 
 def _boundary_tuple(k: int, lu: int, lv: int, direction: str) -> Tuple[int, int]:
@@ -556,9 +574,9 @@ def orientation_to_labelling(trace: ReductionTrace, co: ColouredOrientation, k: 
         labels[v] = 0 if co.colouring[v] == WHITE else k
     for (x, y), record in sorted(inst.gadget_records.items()):
         lau, lav = _boundary_tuple(k, labels[x], labels[y], co.orientation[(x, y)])
-        fill = _gadget_fill(k, labels[x], labels[y], lau, lav)
-        for name, label in fill.items():
-            labels[record[name]] = label
+        fill = _gadget_fills(k)[labels[x], labels[y], lau, lav]
+        for name, v in record.items():  # all but u and v, which are x and y
+            labels[v] = fill[name]
     for v, w in sorted(inst.w_map.items()):
         labels[w] = k - labels[v]
     for parent in sorted(inst.pendant_map):

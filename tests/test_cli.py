@@ -91,6 +91,18 @@ def assert_formula_rejected(tmp_path, capsys, command, text):
     assert_bad_input(code, captured.err)
     assert captured.out == ""
     assert not (tmp_path / "o").exists()
+    return captured.err
+
+
+@pytest.mark.parametrize(
+    "text,line",
+    [(f"p cnf {'9' * 5000} 1\n1 2 3 0\n", 1), (f"p cnf 3 1\n1 {'9' * 5000} 3 0\n", 2)],
+    ids=["header", "literal"],
+)
+@pytest.mark.parametrize("command", ["reduce", "roundtrip"])
+def test_overlong_dimacs_number_exits_2(tmp_path, capsys, command, text, line):
+    err = assert_formula_rejected(tmp_path, capsys, command, text)
+    assert err == f"{command}: line {line}: a number too long to read\n"
 
 
 @pytest.mark.parametrize("command", ["reduce", "roundtrip"])
@@ -378,6 +390,34 @@ def test_deeply_nested_json_exits_2(tmp_path, capsys, command, target):
     assert_bad_input(code, err)
     assert reports == []
     assert err == f"{command}: {'graph' if target == 'instance' else 'labelling'} JSON nests too deeply\n"
+
+
+@pytest.mark.parametrize(
+    "command,target",
+    [("solve", "instance"), ("export", "instance"), ("verify", "instance"), ("verify", "labelling")],
+)
+def test_overlong_json_integer_exits_2(tmp_path, capsys, command, target):
+    # 5,000 digits: past the 4,300 that int() converts from text by default
+    from conftest import path_graph
+    from planar_l21.graphs import to_json
+
+    huge = "9" * 5000
+    texts = {"instance": to_json(path_graph(2), k=4), "labelling": '{"k": 4, "labels": {"0": 0, "1": 2}}'}
+    # the instance's span, or the label of vertex 1
+    texts[target] = texts[target].replace('"k":4', f'"k":{huge}').replace('"1": 2', f'"1": {huge}')
+    files = {name: tmp_path / f"{name}.json" for name in texts}
+    for name, text in texts.items():
+        files[name].write_text(text)
+    argv = {
+        "solve": ["solve", "--instance", str(files["instance"])],
+        "verify": ["verify", "--instance", str(files["instance"]), "--labelling", str(files["labelling"])],
+        "export": ["export", "--input", str(files["instance"])],
+    }[command]
+    code, reports, err = run_cli(capsys, argv)
+    assert_bad_input(code, err)
+    assert reports == []
+    what = "graph" if target == "instance" else "labelling"
+    assert err == f"{command}: {what} JSON holds an integer too long to read\n"
 
 
 def test_verify_out_of_range_label_exits_2(tmp_path, capsys):
@@ -760,3 +800,12 @@ def test_certify_refuses_a_huge_range_before_building_per_k_tasks():
     done = run_capped(["certify", "--k", "4..1000000000"])
     assert (done.returncode, done.stdout) == (2, "")
     assert done.stderr == "certify: H' certification supports 6 <= k <= 9\n"
+
+
+@pytest.mark.parametrize("command", ["reduce", "roundtrip"])
+def test_a_huge_span_instance_is_refused_before_it_is_built(tmp_path, formula_file, command):
+    # At k = 10^5 the one-clause instance would hold about 4.8e12 vertices.
+    argv = {"reduce": ["--input", str(formula_file), "--out", str(tmp_path / "o")]}
+    done = run_capped([command, *argv.get(command, ["--formula", str(formula_file)]), "--k", "100000"])
+    assert (done.returncode, done.stdout) == (2, "")
+    assert done.stderr == f"{command}: a span-100000 instance would exceed 2097152 vertices\n"

@@ -16,7 +16,9 @@ from planar_l21.gadgets import (
     certify_edge_gadget,
     certify_uncrossing,
     edge_gadget_expected_table,
+    hprime_lemma_pairs,
     _CLAUSE_BOUNDARY,
+    _composed_edge_table,
     _U_BOUNDARY,
 )
 from planar_l21.graphs import (
@@ -278,6 +280,12 @@ def test_edge_gadget_table_matches_exhaustive_oracle(k):
     oracle = edge_gadget_table(k)
     assert report.passed and report.enumeration_count == 4 * (k + 1) ** 2
     assert set(report.observed) == oracle == edge_gadget_expected_table(k)
+
+
+@pytest.mark.parametrize("k", [4, *range(6, 41)])
+def test_composed_table_from_the_lemma_pairs_is_the_expected_table(k):
+    # the table the witness chain fills from, at spans far past the certify cap
+    assert set(_composed_edge_table(k, hprime_lemma_pairs(k))) == edge_gadget_expected_table(k)
 
 
 def _mutated_g7(drop=(), add=()):

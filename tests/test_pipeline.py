@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 from collections import Counter
 
@@ -13,9 +14,9 @@ from planar_l21.colouring import (
     verify_2cpm,
     verify_coloured_orientation,
 )
-from planar_l21.errors import ValidationError
+from planar_l21.errors import CapacityError, ValidationError
 from planar_l21.graphs import check_regular, edge_key, from_json, verify_planar
-from planar_l21.labelling import Labelling, verify_labelling
+from planar_l21.labelling import Labelling, _LabelSearch, verify_labelling
 from planar_l21.nae3sat import Nae3SatFormula, check_nae
 from planar_l21.pipeline import (
     assignment_to_matching,
@@ -35,6 +36,7 @@ from planar_l21.pipeline import (
 )
 
 from conftest import complete_graph, make_graph
+from test_acceptance import CORPUS
 from oracles import oriented_component_structure, swap_colours
 
 XXX = Nae3SatFormula(1, ((1, 1, 1),))
@@ -170,6 +172,54 @@ def test_forward_chain_and_intermediate_verifiers(reduced):
     assert is_good_orientation(trace.aux.graph, orientation, trace.aux.out_vertices())
     labelling = orientation_to_labelling(trace, orientation, 4)
     assert verify_labelling(trace.instance.graph, labelling)
+
+
+@pytest.mark.parametrize("k", range(4, 21))
+def test_every_table_tuple_gets_a_fill_that_labels_the_gadget(k):
+    # G_5 is solved; every other span reads the composed extension of the tuple
+    inst = gadgets.build_edge_gadget(k)
+    fills = pipeline._gadget_fills(k)
+    assert set(fills) == gadgets.edge_gadget_expected_table(k)
+    for (lu, lv, lau, lav), fill in fills.items():
+        assert [fill[name] for name in ("u", "v", "a_u", "a_v")] == [lu, lv, lau, lav]
+        labels = {v.id: fill[v.name] for v in inst.graph.vertices}
+        assert verify_labelling(inst.graph, Labelling(k, labels))
+
+
+@pytest.mark.parametrize("k", [4, 5, 6, 7])
+def test_forward_labelling_solves_over_hprime_only(reduced, monkeypatch, k):
+    # As tests/test_golden.py::logged_solves does, but logging the size of each
+    # searched graph: outside G_5, no solve is over G_k, only over H' (k + 3
+    # vertices), once per H' lemma pair.
+    trace = reduced(XYZ, k)
+    orientation = matching_to_good_orientation(trace, assignment_to_matching(trace, all_satisfying(XYZ)[0]))
+    original, sizes = _LabelSearch.solve, []
+
+    def logged(search, pins, budget):
+        sizes.append(search.graph.n)
+        return original(search, pins, budget)
+
+    monkeypatch.setattr(_LabelSearch, "solve", logged)
+    pipeline._gadget_fills.cache_clear()
+    labelling = orientation_to_labelling(trace, orientation, k)
+    assert verify_labelling(trace.instance.graph, labelling)
+    expected = {4: [], 5: [14] * 10, 6: [9] * 4, 7: [10] * 4}[k]
+    assert sizes == expected
+
+
+@pytest.mark.parametrize("index", range(len(CORPUS)))
+def test_instance_size_is_the_built_vertex_count(index):
+    # carried as uncertified, so that no Euler check runs on the instances
+    aux = dataclasses.replace(run_reduction(CORPUS[index], 4, stop_at="aux").aux, certified_planar=False)
+    for k in range(4, 9):
+        assert pipeline.instance_size(aux, k) == build_instance(aux, k).graph.n
+
+
+def test_build_instance_refuses_an_instance_over_capacity(monkeypatch, reduced):
+    aux = reduced(XYZ, 4).aux
+    monkeypatch.setattr(pipeline, "build_edge_gadget", lambda k: pytest.fail("built a gadget"))
+    with pytest.raises(CapacityError, match="2097152 vertices"):
+        build_instance(aux, 100_000)
 
 
 def test_forward_chain_with_crossings(reduced):
