@@ -56,7 +56,10 @@ def _integer(text: str) -> int:
     ``int`` also takes ``1_000``, ``+4``, blanks and non-ASCII digits."""
     if not DIMACS_INT.fullmatch(text):
         raise argparse.ArgumentTypeError(f"invalid integer {text!r}")
-    return int(text)
+    try:
+        return int(text)
+    except ValueError as exc:  # more digits than int() converts
+        raise argparse.ArgumentTypeError("integer too long to read") from exc
 
 
 def _parse_k_range(text: str):
@@ -80,23 +83,6 @@ def cmd_reduce(args) -> int:
     return EXIT_OK
 
 
-# report kind -> the certifier on `gadgets` that writes the report
-_CERTIFIERS = {
-    "H": "certify_H",
-    "ClauseK": "certify_clause_gadget",
-    "UncrossU": "certify_uncrossing",
-    "Hprime": "certify_Hprime",
-    "Gk": "certify_edge_gadget",
-}
-
-
-def _certify_tasks(lo: int, hi: int) -> List[tuple]:
-    """Each certifier with the k values it runs at, in run order: a `range`,
-    so the list does not grow with hi."""
-    tasks = [("H", [None]), ("ClauseK", [None]), ("UncrossU", [None])]
-    return tasks + [("Hprime", range(max(lo, 6), hi + 1)), ("Gk", range(lo, hi + 1))]
-
-
 def cmd_certify(args) -> int:
     try:
         lo, hi = _parse_k_range(args.k)
@@ -106,22 +92,21 @@ def cmd_certify(args) -> int:
     if lo < 4 or hi < lo:
         _note(f"certify: k range must satisfy 4 <= lo <= hi, got {args.k}")
         return EXIT_INPUT
-    tasks = _certify_tasks(lo, hi)
-    for kind, ks in tasks:  # every capacity, before any lemma runs
-        if kind in gadgets.CERTIFY_RANGE:
-            for k in [*ks[:1], *ks[-1:]]:  # a capacity is an interval, so the ends decide
-                gadgets.check_capacity(kind, k)
+    plan = gadgets.certify_plan(lo, hi)
+    for name, ks in plan:  # every capacity, before any lemma runs
+        for k in [*ks[:1], *ks[-1:]]:  # a capacity is an interval, so the ends decide
+            gadgets.check_capacity(name, k)
     failed = None
-    for kind, ks in tasks:
+    for name, ks in plan:
         for k in ks:  # looked up at call time, so a substituted certifier runs
-            doc = getattr(gadgets, _CERTIFIERS[kind])(*(() if k is None else (k,))).to_doc()
+            doc = getattr(gadgets, name)(*(() if k is None else (k,))).to_doc()
             _report(doc)
             if not doc["pass"] and failed is None:
                 failed = doc
     if failed is not None:
         _note(f"certify: FAILED at {failed['kind']} (k={failed['k']})")
         return EXIT_FAIL
-    _note(f"certify: all {sum(len(ks) for _, ks in tasks)} reports pass")
+    _note(f"certify: all {sum(len(ks) for _, ks in plan)} reports pass")
     return EXIT_OK
 
 

@@ -11,8 +11,9 @@ builders, the witness translators and the certifiers, so it must not be
 mutated.  The certifiers look their builder up by module name at call time,
 machine-check the gadget lemmas and report observed vs expected behaviour.
 Every table is enumerated exhaustively, except the span-k edge gadget G_k for
-k >= 6: after a structure check of the built graph, its table is composed from
-the enumerated (L(c), L(d)) pairs of H', as `pipeline` fills G_k from the lemma's.
+k >= 6, which is decided once, from the H' lemma's (L(c), L(d)) pairs that
+`certify_Hprime` certifies: after a structure check of the built graph, its
+certifier reads the composed table, and `edge_gadget_fills` fills G_k from it.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from itertools import product
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from .colouring import extendable_boundary_patterns
 from .errors import CapacityError, ValidationError
@@ -40,23 +41,31 @@ from .graphs import (
     rotation_from_coordinates,
     verify_planar,
 )
-from .labelling import _LabelSearch, enumerate_boundary_behaviour
+from .labelling import _LabelSearch, enumerate_boundary_behaviour, solve_labelling
 
 F = Fraction
 
-HPRIME_CERTIFY_MAX_K = 9
-EDGE_GADGET_CERTIFY_MAX_K = 8
-CERTIFY_RANGE = {
-    "Hprime": ("H'", 6, HPRIME_CERTIFY_MAX_K),
-    "Gk": ("edge gadget", 4, EDGE_GADGET_CERTIFY_MAX_K),
+# Every certifier in run order: (gadget, lowest k, highest k), or None for a lemma
+# with no span.  H' at each k runs before the G_k that composes from its lemma.
+CERTIFY_PLAN = {
+    **dict.fromkeys(["certify_H", "certify_clause_gadget", "certify_uncrossing"]),
+    "certify_Hprime": ("H'", 6, 9),
+    "certify_edge_gadget": ("edge gadget", 4, 8),
 }
 
 
-def check_capacity(kind: str, k: int) -> None:
-    """Raise `CapacityError` unless k is in the (gadget, lo, hi) range of certifier `kind`."""
-    gadget, lo, hi = CERTIFY_RANGE[kind]
-    if not (lo <= k <= hi):
-        raise CapacityError(f"{gadget} certification supports {lo} <= k <= {hi}")
+def certify_plan(lo: int, hi: int) -> List[Tuple[str, Sequence[Optional[int]]]]:
+    """Each certifier with the k values it runs at for lo..hi, in run order: a
+    `range`, so that nothing grows with hi, or (None,) for a lemma with no span."""
+    return [(name, (None,) if span is None else range(max(lo, span[1]), hi + 1))
+            for name, span in CERTIFY_PLAN.items()]
+
+
+def check_capacity(name: str, k: Optional[int]) -> None:
+    """Raise `CapacityError` unless certifier ``name`` supports k (None for a lemma with no span)."""
+    span = CERTIFY_PLAN[name]
+    if span is not None and not (span[1] <= k <= span[2]):
+        raise CapacityError(f"{span[0]} certification supports {span[1]} <= k <= {span[2]}")
 
 
 @dataclass(frozen=True)
@@ -219,6 +228,7 @@ _U_PENDANTS = {"a", "w", "z2", "z4"}
 _U_GATES = {"b", "v", "z1", "z3"}
 
 _EDGE_PATH = ("u", "a_u", "a_v", "v")
+_TABLE_ORDER = ("u", "v", "a_u", "a_v")  # the vertices of a G_k table tuple, in order
 
 _G5_COORDS = {
     "u": (F("0.5"), F("3.5")),
@@ -398,6 +408,11 @@ def build_edge_gadget(k: int) -> GadgetInstance:
     return _build_from_figure(coords, edges, dict.fromkeys(_EDGE_PATH, PORT), _EDGE_PATH, "Gk", k)
 
 
+def edge_gadget_order(k: int) -> int:
+    """The vertex count of ``build_edge_gadget(k)``: per middle, b<i> and two H' copies."""
+    return 14 if k == 5 else 4 + max(k - 5, 0) * (2 * k + 7)
+
+
 # ---------------------------------------------------------------------------
 # Certifiers
 # ---------------------------------------------------------------------------
@@ -484,30 +499,22 @@ def certify_uncrossing() -> CertReport:
     return _classify_boundary(build_uncrossing(), _U_BOUNDARY, groups, list(product((0, 1), repeat=2)))
 
 
-def _hprime_pairs(k: int, search: _LabelSearch) -> Set[Tuple[int, int]]:
-    """The (L(c), L(d)) pairs that extend to a span-k labelling of H': one
-    enumeration on ``search``, set up over ``build_Hprime(k)``, each pair a
-    pinned solve from its root fixpoint."""
-    ports, every = build_Hprime(k).ports, range(k + 1)
-    return search.extensions([ports["c"], ports["d"]], [every, every])
-
-
 def hprime_lemma_pairs(k: int) -> Set[Tuple[int, int]]:
     """The (L(c), L(d)) pairs that the H' lemma lists for span k."""
     return {(0, k), (1, k), (k - 1, 0), (k, 0)}
 
 
 def certify_Hprime(k: int) -> CertReport:
-    """Feasible (L(c), L(d)) pairs match the four-element table exactly, g
-    takes k - L(d) and every fan f<j> a label in [2, k-2].  The pair table
-    and every forcing check run on one search over H', so its root fixpoint
-    is propagated once."""
-    check_capacity("Hprime", k)
+    """Feasible (L(c), L(d)) pairs match the lemma's four exactly, g takes
+    k - L(d) and every fan f<j> a label in [2, k-2].  The pair table, each
+    pair a pinned solve, and every forcing check run on one search over H',
+    so its root fixpoint is propagated once."""
+    check_capacity("certify_Hprime", k)
     inst = build_Hprime(k)
     graph, ids, every = inst.graph, _names(inst), range(k + 1)
     c, d = inst.ports["c"], inst.ports["d"]
     search = _LabelSearch(graph, k)
-    pairs = sorted(_hprime_pairs(k, search))
+    pairs = sorted(search.extensions([c, d], [every, every]))
     expected_pairs = sorted(hprime_lemma_pairs(k))
 
     # witness-side forcings, checked by refuting every alternative
@@ -594,18 +601,43 @@ def certify_edge_gadget(k: int) -> CertReport:
     """Boundary behaviour (L(u), L(v), L(a_u), L(a_v)) of G_k, with its ends
     u and v labelled 0 or k, matches the table.
 
-    k = 4, 5: one pinned solve per tuple.  k >= 6: composed from the H' table
-    once the built graph passes the structure check; a graph that fails it
-    reports an empty observed table.
+    k = 4, 5: one pinned solve per tuple.  k >= 6: with no solve, composed
+    from the H' lemma's pairs, which `certify_Hprime` certifies, once the built
+    graph passes the structure check; a graph that fails it observes no tuple.
     """
-    check_capacity("Gk", k)
+    check_capacity("certify_edge_gadget", k)
     inst = build_edge_gadget(k)
     if k <= 5:
-        boundary = [inst.ports[name] for name in ("u", "v", "a_u", "a_v")]
+        boundary = [inst.ports[name] for name in _TABLE_ORDER]
         ends, inner = (0, k), range(k + 1)
         observed = enumerate_boundary_behaviour(inst.graph, k, boundary, [ends, ends, inner, inner])
     elif _edge_gadget_structure_holds(inst, k):
-        observed = set(_composed_edge_table(k, _hprime_pairs(k, _LabelSearch(build_Hprime(k).graph, k))))
+        observed = set(_composed_edge_table(k, hprime_lemma_pairs(k)))
     else:
         observed = set()
     return _table_report("Gk", k, observed, edge_gadget_expected_table(k), 4 * (k + 1) ** 2)
+
+
+@cache
+def edge_gadget_fills(k: int) -> Dict[Tuple[int, int, int, int], Dict[str, int]]:
+    """Labels of G_k by vertex name per tuple of its table: a pinned solve over
+    G_5, else the tuple's composed extension from the H' lemma's pairs, with
+    one H' solve per pair."""
+    def solved(inst: GadgetInstance, pins: Dict[str, int]) -> Dict[str, int]:  # its witness by name
+        result = solve_labelling(inst.graph, k, {inst.ports[name]: x for name, x in pins.items()})
+        if not result.is_sat:
+            raise AssertionError(f"{inst.kind} pins {pins} must extend at k={k}")
+        return {v.name: result.labelling.labels[v.id] for v in inst.graph.vertices}
+
+    if k == 5:
+        return {t: solved(build_edge_gadget(5), dict(zip(_TABLE_ORDER, t))) for t in edge_gadget_expected_table(k)}
+    pairs = hprime_lemma_pairs(k)
+    hanger = {pair: solved(build_Hprime(k), dict(zip("cd", pair))) for pair in pairs if k >= 6}
+    fills = {}
+    for t, middles in _composed_edge_table(k, pairs).items():
+        fill = fills[t] = dict(zip(_TABLE_ORDER, t))
+        for i, (x, *sides) in enumerate(middles, 1):
+            fill[f"b{i}"] = x
+            for side, pair in zip("lr", sides):
+                fill.update({f"{name}.{side}{i}": label for name, label in hanger[pair].items()})
+    return fills

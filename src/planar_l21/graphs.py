@@ -488,8 +488,13 @@ def vertex_keys(obj: dict, what: str) -> List[int]:
         ids = []
     if list(map(str, ids)) != keys:
         for key in keys:  # the first key that is not an id, or not its spelling
-            if str(int(key)) != key:
-                raise ValidationError(f"{what} key {key!r} is not a canonical vertex id")
+            try:
+                if str(int(key)) != key:
+                    raise ValidationError(f"{what} key {key!r} is not a canonical vertex id")
+            except ValueError as exc:
+                if key.isascii() and key.removeprefix("-").isdigit():  # only its length stops int()
+                    raise ValidationError(f"{what} key holds an integer too long to read") from exc
+                raise
     return ids
 
 

@@ -20,7 +20,6 @@ from __future__ import annotations
 import json
 import pathlib
 from dataclasses import dataclass
-from functools import cache
 from itertools import repeat
 from typing import Dict, List, Optional, Set, Tuple
 
@@ -39,8 +38,8 @@ from .colouring import (
     verify_coloured_orientation,
 )
 from .errors import CapacityError, InconsistencyError, ValidationError
-from .gadgets import GadgetInstance, _composed_edge_table, build_aux_edge, build_clause_gadget, build_Hprime
-from .gadgets import build_edge_gadget, build_uncrossing, edge_gadget_expected_table, hprime_lemma_pairs
+from .gadgets import build_aux_edge, build_clause_gadget, build_edge_gadget, build_uncrossing
+from .gadgets import edge_gadget_fills, edge_gadget_order
 from .graphs import (
     GADGET_INTERNAL,
     GATE,
@@ -56,11 +55,10 @@ from .graphs import (
     to_json,
     verify_planar,
 )
-from .labelling import Labelling, solve_labelling, verify_labelling
+from .labelling import Labelling, verify_labelling
 from .nae3sat import Assignment, Nae3SatFormula, format_formula, literal_value
 
 PORT_SLOT_ORDER = ("q1", "r1", "q2", "r2", "q3", "r3")
-_GK_BOUNDARY = ("u", "v", "a_u", "a_v")
 INSTANCE_CAPACITY = 1 << 21  # the most vertices build_instance builds; it refuses more before building
 _SLOT_INDEX = {name: i for i, name in enumerate(PORT_SLOT_ORDER)}
 
@@ -337,7 +335,7 @@ def build_auxiliary(stage: PlanarStage) -> AuxStage:
 
 def instance_size(stage: AuxStage, k: int) -> int:
     """The vertex count of ``build_instance(stage, k)``, found without building it."""
-    h, gadget_n = stage.graph, 14 if k == 5 else 4 + max(k - 5, 0) * (2 * k + 7)
+    h, gadget_n = stage.graph, edge_gadget_order(k)
     leaves = sum(max(k - 1 - h.degree(v), 0) for v in range(h.n))
     return h.n + leaves + h.m * (gadget_n - 2) + len(stage.out_vertices()) * (k - 2)
 
@@ -525,33 +523,6 @@ def canonicalize_orientation(trace: ReductionTrace, co: ColouredOrientation) -> 
     return ColouredOrientation(colours, orientation)
 
 
-def _solved_names(inst: GadgetInstance, k: int, pins: Dict[str, int]) -> Dict[str, int]:
-    """A pinned solve over a gadget, its witness by vertex name."""
-    result = solve_labelling(inst.graph, k, {inst.ports[name]: x for name, x in pins.items()})
-    if not result.is_sat:
-        raise AssertionError(f"{inst.kind} pins {pins} must extend at k={k}")
-    return {v.name: result.labelling.labels[v.id] for v in inst.graph.vertices}
-
-
-@cache
-def _gadget_fills(k: int) -> Dict[Tuple[int, int, int, int], Dict[str, int]]:
-    """Labels of G_k by vertex name per tuple of its table: a pinned solve over
-    G_5, else the tuple's composed extension with one H' solve per (c, d)."""
-    if k == 5:
-        inst = build_edge_gadget(5)
-        return {t: _solved_names(inst, k, dict(zip(_GK_BOUNDARY, t))) for t in edge_gadget_expected_table(k)}
-    pairs = hprime_lemma_pairs(k)
-    hanger = {pair: _solved_names(build_Hprime(k), k, dict(zip("cd", pair))) for pair in pairs if k >= 6}
-    fills = {}
-    for t, middles in _composed_edge_table(k, pairs).items():
-        fill = fills[t] = dict(zip(_GK_BOUNDARY, t))
-        for i, (x, *sides) in enumerate(middles, 1):
-            fill[f"b{i}"] = x
-            for side, pair in zip("lr", sides):
-                fill.update({f"{name}.{side}{i}": label for name, label in hanger[pair].items()})
-    return fills
-
-
 def _boundary_tuple(k: int, lu: int, lv: int, direction: str) -> Tuple[int, int]:
     """Labels (a_u, a_v) dictated by endpoint labels and edge orientation."""
     if lu != lv:  # dichromatic, never oriented
@@ -574,7 +545,7 @@ def orientation_to_labelling(trace: ReductionTrace, co: ColouredOrientation, k: 
         labels[v] = 0 if co.colouring[v] == WHITE else k
     for (x, y), record in sorted(inst.gadget_records.items()):
         lau, lav = _boundary_tuple(k, labels[x], labels[y], co.orientation[(x, y)])
-        fill = _gadget_fills(k)[labels[x], labels[y], lau, lav]
+        fill = edge_gadget_fills(k)[labels[x], labels[y], lau, lav]
         for name, v in record.items():  # all but u and v, which are x and y
             labels[v] = fill[name]
     for v, w in sorted(inst.w_map.items()):

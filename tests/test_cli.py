@@ -225,8 +225,22 @@ def test_certify_sets_up_one_label_search_per_lemma(capsys, monkeypatch):
     monkeypatch.setattr(_LabelSearch, "__init__", counted)
     code, _, _ = run_cli(capsys, ["certify", "--k", "4..8"])
     assert code == 0
-    # H' for k = 6..8; G_4 and G_5; the H' pair table of each of G_6..G_8
-    assert spans == [6, 7, 8, 4, 5, 6, 7, 8]
+    # H' for k = 6..8, then G_4 and G_5; G_6..G_8 compose from the H' lemma's pairs
+    assert spans == [6, 7, 8, 4, 5]
+
+
+def test_certify_checks_the_hprime_pairs_that_g_k_composes_from(capsys, monkeypatch):
+    from planar_l21 import gadgets
+
+    def short_lemma(k):  # (1, k) left out
+        return {(0, k), (k - 1, 0), (k, 0)}
+
+    monkeypatch.setattr(gadgets, "hprime_lemma_pairs", short_lemma)
+    assert not gadgets.certify_Hprime(7).passed
+    code, reports, err = run_cli(capsys, ["certify", "--k", "7..7"])
+    assert code == 1
+    assert "FAILED at Hprime (k=7)" in err
+    assert [r["kind"] for r in reports if not r["pass"]][:1] == ["Hprime"]
 
 
 def assert_internal_error(code, err, out, command):
@@ -439,6 +453,7 @@ def test_verify_out_of_range_label_exits_2(tmp_path, capsys):
         ({"k": 10, "labels": {"0": 0, "1": 10, "2": 5}}, "outside [0,4]"),  # the instance's k=4 binds
         ({"k": 4, "labels": {"0": 0, "1": 2, "2": 4, "7": 0}}, "vertex 7"),  # not in the instance
         ({"k": 4, "labels": {"0": 0, "1": 2, "2": 4, "01": 0}}, "'01'"),  # vertex 1 spelled again
+        ({"k": 4, "labels": {"0": 0, "1": 2, "2": 4, "9" * 5000: 0}}, "key holds an integer too long to read"),
     ],
 )
 def test_verify_checks_labelling_against_instance(tmp_path, capsys, doc, message):
@@ -452,6 +467,7 @@ def test_verify_checks_labelling_against_instance(tmp_path, capsys, doc, message
     code, _, err = run_cli(capsys, ["verify", "--instance", str(instance), "--labelling", str(lab)])
     assert_bad_input(code, err)
     assert message in err
+    assert "set_int_max_str_digits" not in err
 
 
 @pytest.mark.parametrize(
@@ -526,10 +542,11 @@ def test_negative_span_or_budget_exits_2(tmp_path, capsys, argv, message):
 
 
 @pytest.mark.parametrize(
-    "k_range", ["\u0664..\u0664", "4..\u0665", "+4..4", " 4..4", "0_4..4", "4..4\n"]
+    "k_range", ["\u0664..\u0664", "4..\u0665", "+4..4", " 4..4", "0_4..4", "4..4\n", "4.." + "9" * 5000]
 )
 def test_certify_k_range_takes_ascii_digits_only(capsys, k_range):
     # each bound must be ASCII -?[0-9]+, as a DIMACS number must; int() takes all of these
+    # but the last, whose 5,000 digits are more than it converts
     code, reports, err = run_cli(capsys, ["certify", "--k", k_range])
     assert_bad_input(code, err)
     assert reports == []
@@ -635,6 +652,23 @@ def test_non_canonical_rotation_key_exits_2(tmp_path, capsys, command):
     code, _, err = run_cli(capsys, [command, flag, str(instance)])
     assert_bad_input(code, err)
     assert "'+1'" in err
+
+
+@pytest.mark.parametrize("command", ["export", "solve"])
+def test_overlong_rotation_key_exits_2(tmp_path, capsys, command):
+    from conftest import any_rotation, path_graph
+    from planar_l21.graphs import to_json
+
+    g = path_graph(3)
+    doc = json.loads(to_json(g, any_rotation(g), k=4))
+    doc["rotation"]["9" * 5000] = doc["rotation"].pop("1")  # more digits than int() converts
+    instance = tmp_path / "long-key.json"
+    instance.write_text(json.dumps(doc))
+    flag = "--input" if command == "export" else "--instance"
+    code, _, err = run_cli(capsys, [command, flag, str(instance)])
+    assert_bad_input(code, err)
+    assert err == f"{command}: graph JSON rotation key holds an integer too long to read\n"
+    assert "set_int_max_str_digits" not in err
 
 
 def test_export_dot_escapes_labels(tmp_path, capsys):

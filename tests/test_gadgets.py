@@ -16,6 +16,7 @@ from planar_l21.gadgets import (
     certify_edge_gadget,
     certify_uncrossing,
     edge_gadget_expected_table,
+    edge_gadget_order,
     hprime_lemma_pairs,
     _CLAUSE_BOUNDARY,
     _composed_edge_table,
@@ -172,6 +173,11 @@ def test_edge_gadget_census():
                 assert inst.graph.degree(ids[f"b{i}"]) == 4
     with pytest.raises(ValidationError):
         build_edge_gadget(3)
+
+
+@pytest.mark.parametrize("k", range(4, 31))
+def test_edge_gadget_order_is_the_built_vertex_count(k):
+    assert edge_gadget_order(k) == build_edge_gadget(k).graph.n
 
 
 def test_builders_are_deterministic():

@@ -187,9 +187,12 @@ def test_trace_files_golden(index, k, tmp_path):
 # exactly.  Two call sequences are pinned: the exhaustive one, certify_Hprime
 # for k = 6..8 and then the oracle's G_k tables for k = 4..8 (one fresh
 # solve_labelling per boundary tuple), and the calls `l21 certify --k 4..8`
-# itself makes, which compose G_k for k >= 6 from the H' table instead of
-# solving over G_k.  Each pinned solve is logged, whether solve_labelling or
-# a shared-root enumeration makes it.  The command's stdout is pinned too.
+# itself makes, which compose G_k for k >= 6 from the H' lemma's pairs with
+# no solve.  Those pairs are enumerated once, by certify_Hprime; the earlier
+# pin, CERTIFY_SOLVER_*, is that log followed by the H' pair enumeration that
+# the G_k certifier repeated for each of k = 6, 7, 8.  Each pinned solve is
+# logged, whether solve_labelling or a shared-root enumeration makes it.  The
+# command's stdout is pinned too.
 # ---------------------------------------------------------------------------
 
 SOLVER_CALLS = 1490
@@ -198,6 +201,9 @@ SOLVER_HASH = "7b7f8e84efe8dd4b3130a291636b9ec2458f305e0aeecf7809fe8deb6998dc8a"
 CERTIFY_SOLVER_CALLS = 908
 CERTIFY_SOLVER_NODES = 122
 CERTIFY_SOLVER_HASH = "592df90935244f55037236b11d3d12f3dac28fa547b5c3527b6547cc8b00f336"
+CERTIFY_LIBRARY_CALLS = 714
+CERTIFY_LIBRARY_NODES = 74
+CERTIFY_LIBRARY_HASH = "a0e2f1b54ac6b93a35879e1adca5b9edb7ccb328f3175e5895d6cc98863bde7b"
 CERTIFY_STDOUT_HASH = "2fb2dd7e5596fab51d4cea9ee94ee172282145c812958ecc8adc38639b87ddac"
 
 
@@ -249,6 +255,20 @@ def test_certify_solver_calls_golden():
 
 def test_certify_library_solver_calls_golden(certify_run):
     _, _, calls = certify_run
+    assert len(calls) == CERTIFY_LIBRARY_CALLS
+    assert sum(call[3] for call in calls) == CERTIFY_LIBRARY_NODES
+    assert _calls_digest(calls) == CERTIFY_LIBRARY_HASH
+
+
+def test_certify_log_and_the_hprime_pair_enumerations_golden(certify_run):
+    # the enumeration the G_k certifier made for k >= 6 before it composed
+    # from the lemma's pairs, appended to the command's own log
+    _, _, calls = certify_run
+    with logged_solves() as pair_calls:
+        for k in range(6, 9):
+            hp = gadgets.build_Hprime(k)
+            _LabelSearch(hp.graph, k).extensions([hp.ports["c"], hp.ports["d"]], [range(k + 1)] * 2)
+    calls = calls + pair_calls
     assert len(calls) == CERTIFY_SOLVER_CALLS
     assert sum(call[3] for call in calls) == CERTIFY_SOLVER_NODES
     assert _calls_digest(calls) == CERTIFY_SOLVER_HASH

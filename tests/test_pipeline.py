@@ -178,7 +178,7 @@ def test_forward_chain_and_intermediate_verifiers(reduced):
 def test_every_table_tuple_gets_a_fill_that_labels_the_gadget(k):
     # G_5 is solved; every other span reads the composed extension of the tuple
     inst = gadgets.build_edge_gadget(k)
-    fills = pipeline._gadget_fills(k)
+    fills = gadgets.edge_gadget_fills(k)
     assert set(fills) == gadgets.edge_gadget_expected_table(k)
     for (lu, lv, lau, lav), fill in fills.items():
         assert [fill[name] for name in ("u", "v", "a_u", "a_v")] == [lu, lv, lau, lav]
@@ -200,7 +200,7 @@ def test_forward_labelling_solves_over_hprime_only(reduced, monkeypatch, k):
         return original(search, pins, budget)
 
     monkeypatch.setattr(_LabelSearch, "solve", logged)
-    pipeline._gadget_fills.cache_clear()
+    gadgets.edge_gadget_fills.cache_clear()
     labelling = orientation_to_labelling(trace, orientation, k)
     assert verify_labelling(trace.instance.graph, labelling)
     expected = {4: [], 5: [14] * 10, 6: [9] * 4, 7: [10] * 4}[k]
