@@ -62,6 +62,12 @@ def _integer(text: str) -> int:
         raise argparse.ArgumentTypeError("integer too long to read") from exc
 
 
+def _prefix(text: str) -> str:
+    """``text`` as an error message quotes it: whole up to 40 characters,
+    else its first 32 and an ellipsis, so a huge argument is not echoed."""
+    return text if len(text) <= 40 else text[:32] + "..."
+
+
 def _parse_k_range(text: str):
     lo, hi = text.split("..", 1) if ".." in text else (text, text)
     return _integer(lo), _integer(hi)
@@ -87,10 +93,10 @@ def cmd_certify(args) -> int:
     try:
         lo, hi = _parse_k_range(args.k)
     except argparse.ArgumentTypeError:
-        _note(f"certify: bad k range {args.k!r}")
+        _note(f"certify: bad k range {_prefix(args.k)!r}")
         return EXIT_INPUT
     if lo < 4 or hi < lo:
-        _note(f"certify: k range must satisfy 4 <= lo <= hi, got {args.k}")
+        _note(f"certify: k range must satisfy 4 <= lo <= hi, got {_prefix(args.k)}")
         return EXIT_INPUT
     plan = gadgets.certify_plan(lo, hi)
     for name, ks in plan:  # every capacity, before any lemma runs

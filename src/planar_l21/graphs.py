@@ -494,7 +494,7 @@ def vertex_keys(obj: dict, what: str) -> List[int]:
             except ValueError as exc:
                 if key.isascii() and key.removeprefix("-").isdigit():  # only its length stops int()
                     raise ValidationError(f"{what} key holds an integer too long to read") from exc
-                raise
+                raise ValidationError(f"{what} key {key!r} is not a canonical vertex id") from exc
     return ids
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 import functools
 import json
 from dataclasses import dataclass
-from itertools import chain, product
+from itertools import chain
 from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 from .errors import CapacityError, ValidationError
@@ -165,7 +165,14 @@ class _LabelSearch:
     wipeout or failed Hall check at the root persists under any pins), and a
     hub none of whose neighbours the pins narrow passed its Hall check at the
     root on the same domains: outcome, node count and witness are a fresh
-    solve's.
+    solve's.  ``extensions`` reaches the same leaves by pinning one boundary
+    vertex at a time.  Narrowing is monotone and its fixpoint unique, so a
+    label that a prefix's propagation removed cannot extend that prefix, and
+    at a full tuple the domains are the fixpoint ``solve(pins)`` reaches from
+    the root.  Each pinned step starts at a fixpoint and seeds its vertex, as
+    a decision does, so the Hall invariant above covers it; a Hall failure
+    at a prefix persists under any narrowing of it.  So each leaf's outcome,
+    node count and witness are those of a fresh solve.
 
     The lookup tables live for the process, not the search: ``gap`` is the
     span's ``_gap_table(k)``, the Hall verdicts are ``_HALL_VERDICTS``.  Each
@@ -348,15 +355,20 @@ class _LabelSearch:
             return SolveResult(UNSAT)
         self.domains = domains = self.root.copy()
         self.trail.clear()
-        self.nodes = 0
         for v, x in pins.items():
             domains[v] &= 1 << x
         if not all(domains[v] for v in pins) or not self.propagate(list(pins)):
             return SolveResult(UNSAT)
+        return self._leaf(budget)
+
+    def _leaf(self, budget: Optional[int]) -> SolveResult:
+        """Search on from the current fixpoint, counting nodes from 0; a SAT
+        witness is checked with ``verify_labelling``."""
+        self.nodes = 0
         outcome = self.search(budget)
         if outcome != SAT:
             return SolveResult(outcome, nodes=self.nodes)
-        labelling = Labelling(self.k, {v: dv.bit_length() - 1 for v, dv in enumerate(domains)})
+        labelling = Labelling(self.k, {v: dv.bit_length() - 1 for v, dv in enumerate(self.domains)})
         if not verify_labelling(self.graph, labelling):
             raise AssertionError("solver produced an invalid witness")
         return SolveResult(SAT, labelling=labelling, nodes=self.nodes)
@@ -365,13 +377,14 @@ class _LabelSearch:
         self, boundary: Sequence[int], domains: Sequence[Iterable[int]]
     ) -> Set[Tuple[int, ...]]:
         """The label tuples on ``boundary`` that extend to a span-k labelling,
-        out of the product of ``domains`` (one per boundary vertex): one
-        pinned ``solve`` per tuple, in lexicographic order of the product.
+        out of the product of ``domains`` (one per boundary vertex).
 
-        Every solve starts from a copy of the root fixpoint, and the gap and
-        Hall tables are process-wide functions of the domains alone (see the
-        class docstring), so no earlier solve, on this search or any other,
-        can change a verdict: each tuple decides as a fresh ``solve_labelling``.
+        One walk over the boundary vertices, in order, from a copy of the
+        root fixpoint: each label of a vertex's domain that its current
+        domain still holds is narrowed to and propagated from, so a wipeout
+        or failed Hall check prunes every tuple with that prefix, and each
+        full tuple is searched by ``_leaf`` as ``solve`` searches it (see the
+        class docstring for why each leaf decides as a fresh solve).
         """
         if len(set(boundary)) != len(boundary):
             raise ValidationError("boundary vertices must be distinct")
@@ -381,8 +394,33 @@ class _LabelSearch:
                 f"expected one label domain per boundary vertex ({len(boundary)}), got {len(domains)}"
             )
         _check_pins(self.graph, self.k, [(v, x) for v, labels in zip(boundary, domains) for x in labels])
-        solve = self.solve
-        return {labels for labels in product(*domains) if solve(dict(zip(boundary, labels)), None).is_sat}
+        found: Set[Tuple[int, ...]] = set()
+        if self.root is None:
+            return found
+        self.domains = live = self.root.copy()
+        self.trail.clear()
+        trail, propagate, undo_to = self.trail, self.propagate, self.undo_to
+        prefix: List[int] = []
+
+        def walk(i: int) -> None:
+            if i == len(boundary):
+                if self._leaf(None).is_sat:
+                    found.add(tuple(prefix))
+                return
+            v = boundary[i]
+            for x in domains[i]:
+                if live[v] >> x & 1:
+                    mark = len(trail)
+                    trail.append((v, live[v]))
+                    live[v] = 1 << x
+                    if propagate([v]):
+                        prefix.append(x)
+                        walk(i + 1)
+                        prefix.pop()
+                    undo_to(mark)
+
+        walk(0)
+        return found
 
 
 def _check_pins(graph: Graph, k: int, pins: Iterable[Tuple[int, int]]) -> None:

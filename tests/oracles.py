@@ -2,7 +2,9 @@
 
 Each one works straight from a definition, by exhaustive enumeration where it
 decides something, and uses only public library names, so it shares no code
-with the solver or verifier it checks.
+with the solver or verifier it checks.  The one exception is
+`pinned_extensions`, the reference for how `_LabelSearch.extensions` walks a
+boundary: it runs that search's own pinned `solve` once per tuple.
 """
 
 import json
@@ -135,6 +137,14 @@ def boundary_table(
         for labels in product(*domains)
         if solve(graph, k, dict(zip(boundary, labels))).outcome == SAT
     }
+
+
+def pinned_extensions(search, boundary: List[int], domains: List[Collection[int]]) -> Set[Tuple[int, ...]]:
+    """`_LabelSearch.extensions` by one pinned ``search.solve`` per tuple of
+    the product of ``domains``, in the product's order: the reference for
+    its walk over the boundary, which shares a prefix's propagation among
+    the tuples that extend it."""
+    return {labels for labels in product(*domains) if search.solve(dict(zip(boundary, labels)), None).is_sat}
 
 
 def edge_gadget_table(k: int) -> Set[Tuple[int, int, int, int]]:
@@ -415,7 +425,7 @@ def read_stage_file(
         if doc.get("rotation") is not None:
             rotation = {}
             for key, pairs in doc["rotation"].items():
-                if str(int(key)) != key:
+                if not (key.removeprefix("-").isdigit() and key.isascii() and str(int(key)) == key):
                     raise ValidationError(f"graph JSON rotation key {key!r} is not a canonical vertex id")
                 rotation[int(key)] = pairs
             ends = [x for pairs in rotation.values() for pair in pairs for x in pair]

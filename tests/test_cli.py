@@ -454,6 +454,7 @@ def test_verify_out_of_range_label_exits_2(tmp_path, capsys):
         ({"k": 4, "labels": {"0": 0, "1": 2, "2": 4, "7": 0}}, "vertex 7"),  # not in the instance
         ({"k": 4, "labels": {"0": 0, "1": 2, "2": 4, "01": 0}}, "'01'"),  # vertex 1 spelled again
         ({"k": 4, "labels": {"0": 0, "1": 2, "2": 4, "9" * 5000: 0}}, "key holds an integer too long to read"),
+        ({"k": 4, "labels": {"0": 0, "abc": 0}}, "labelling JSON label key 'abc' is not a canonical vertex id"),
     ],
 )
 def test_verify_checks_labelling_against_instance(tmp_path, capsys, doc, message):
@@ -542,15 +543,25 @@ def test_negative_span_or_budget_exits_2(tmp_path, capsys, argv, message):
 
 
 @pytest.mark.parametrize(
-    "k_range", ["\u0664..\u0664", "4..\u0665", "+4..4", " 4..4", "0_4..4", "4..4\n", "4.." + "9" * 5000]
+    "k_range",
+    ["\u0664..\u0664", "4..\u0665", "+4..4", " 4..4", "0_4..4", "4..4\n", "4.." + "9" * 5000, "9" * 5000 + "..4"],
 )
 def test_certify_k_range_takes_ascii_digits_only(capsys, k_range):
     # each bound must be ASCII -?[0-9]+, as a DIMACS number must; int() takes all of these
-    # but the last, whose 5,000 digits are more than it converts
+    # but the last two, whose 5,000 digits are more than it converts; the message quotes
+    # only a short prefix of the argument
     code, reports, err = run_cli(capsys, ["certify", "--k", k_range])
     assert_bad_input(code, err)
     assert reports == []
     assert "bad k range" in err
+    assert len(err) < 200
+
+
+def test_certify_k_range_out_of_order_quotes_a_short_prefix(capsys):
+    code, reports, err = run_cli(capsys, ["certify", "--k", "9" * 4000 + "..4"])
+    assert_bad_input(code, err)
+    assert reports == []
+    assert err == "certify: k range must satisfy 4 <= lo <= hi, got " + "9" * 32 + "...\n"
 
 
 @pytest.mark.parametrize(
@@ -644,14 +655,15 @@ def test_non_canonical_rotation_key_exits_2(tmp_path, capsys, command):
     from planar_l21.graphs import to_json
 
     g = path_graph(3)
-    doc = json.loads(to_json(g, any_rotation(g), k=4))
-    doc["rotation"]["+1"] = doc["rotation"].pop("1")  # int("+1") is vertex 1 too
-    instance = tmp_path / "plus-key.json"
-    instance.write_text(json.dumps(doc))
-    flag = "--input" if command == "export" else "--instance"
-    code, _, err = run_cli(capsys, [command, flag, str(instance)])
-    assert_bad_input(code, err)
-    assert "'+1'" in err
+    for key in ("+1", "abc"):  # int("+1") is vertex 1 too; "abc" is no integer at all
+        doc = json.loads(to_json(g, any_rotation(g), k=4))
+        doc["rotation"][key] = doc["rotation"].pop("1")
+        instance = tmp_path / "bad-key.json"
+        instance.write_text(json.dumps(doc))
+        flag = "--input" if command == "export" else "--instance"
+        code, _, err = run_cli(capsys, [command, flag, str(instance)])
+        assert_bad_input(code, err)
+        assert f"graph JSON rotation key {key!r} is not a canonical vertex id" in err
 
 
 @pytest.mark.parametrize("command", ["export", "solve"])

@@ -12,6 +12,7 @@ import contextlib
 import hashlib
 import io
 import json
+import math
 import random
 
 import pytest
@@ -23,7 +24,7 @@ from planar_l21.nae3sat import Nae3SatFormula
 from planar_l21.pipeline import run_reduction, write_trace
 
 from conftest import random_graph
-from oracles import edge_gadget_table
+from oracles import edge_gadget_table, pinned_extensions
 from test_acceptance import CORPUS
 
 GADGET_BUILDERS = {
@@ -190,9 +191,13 @@ def test_trace_files_golden(index, k, tmp_path):
 # itself makes, which compose G_k for k >= 6 from the H' lemma's pairs with
 # no solve.  Those pairs are enumerated once, by certify_Hprime; the earlier
 # pin, CERTIFY_SOLVER_*, is that log followed by the H' pair enumeration that
-# the G_k certifier repeated for each of k = 6, 7, 8.  Each pinned solve is
-# logged, whether solve_labelling or a shared-root enumeration makes it.  The
-# command's stdout is pinned too.
+# the G_k certifier repeated for each of k = 6, 7, 8.
+#
+# `_LabelSearch.extensions` walks a boundary instead of making one pinned
+# solve per tuple, so these logs are replayed: each extensions call is checked
+# against `pinned_extensions`, the per-tuple reference, whose solves are
+# logged in its place.  CERTIFY_LEAF_* pins the leaf searches the walk itself
+# makes for `l21 certify --k 4..8`, and the command's stdout is pinned too.
 # ---------------------------------------------------------------------------
 
 SOLVER_CALLS = 1490
@@ -204,21 +209,27 @@ CERTIFY_SOLVER_HASH = "592df90935244f55037236b11d3d12f3dac28fa547b5c3527b6547cc8
 CERTIFY_LIBRARY_CALLS = 714
 CERTIFY_LIBRARY_NODES = 74
 CERTIFY_LIBRARY_HASH = "a0e2f1b54ac6b93a35879e1adca5b9edb7ccb328f3175e5895d6cc98863bde7b"
+CERTIFY_LEAF_CALLS = 28
+CERTIFY_LEAF_NODES = 74
+CERTIFY_LEAF_HASH = "9c9bd42010623fecdfaf0405746ecf109452d0bbbbd8c28baba42b40747d8e1b"
 CERTIFY_STDOUT_HASH = "2fb2dd7e5596fab51d4cea9ee94ee172282145c812958ecc8adc38639b87ddac"
+
+
+def _witness(result):
+    return None if result.labelling is None else sorted(result.labelling.labels.items())
 
 
 @contextlib.contextmanager
 def logged_solves():
     """Log every pinned solve, the one path that solve_labelling and
-    _LabelSearch.extensions share, as (k, sorted pins, outcome, nodes,
-    sorted labels)."""
+    `pinned_extensions` share, as (k, sorted pins, outcome, nodes, sorted
+    labels)."""
     original = _LabelSearch.solve
     calls = []
 
     def logged(search, pins, budget):
         result = original(search, pins, budget)
-        labels = None if result.labelling is None else sorted(result.labelling.labels.items())
-        calls.append([search.k, sorted(pins.items()), result.outcome, result.nodes, labels])
+        calls.append([search.k, sorted(pins.items()), result.outcome, result.nodes, _witness(result)])
         return result
 
     _LabelSearch.solve = logged
@@ -228,22 +239,61 @@ def logged_solves():
         _LabelSearch.solve = original
 
 
+@contextlib.contextmanager
+def replayed_extensions():
+    """Check every `_LabelSearch.extensions` call against `pinned_extensions`
+    on a fresh search of the same graph and span, which is run right after
+    it (so inside `logged_solves` its solves are logged in the call's place).
+
+    Yields ``(leaves, replayed)``: the leaf searches (`_LabelSearch._leaf`)
+    the library's walks make, as (k, boundary labels, outcome, nodes, sorted
+    labels), and a one-item list counting the reference's solves."""
+    extensions, leaf = _LabelSearch.extensions, _LabelSearch._leaf
+    leaves, replayed = [], [0]
+    walking = []  # the boundary of the library call in progress
+
+    def logged_leaf(search, budget):
+        labels = [search.domains[v].bit_length() - 1 for v in walking[-1]] if walking else None
+        result = leaf(search, budget)
+        if walking:
+            leaves.append([search.k, labels, result.outcome, result.nodes, _witness(result)])
+        return result
+
+    def checked(search, boundary, domains):
+        domains = [list(labels) for labels in domains]
+        walking.append(list(boundary))
+        try:
+            observed = extensions(search, boundary, domains)
+        finally:
+            walking.pop()
+        assert observed == pinned_extensions(_LabelSearch(search.graph, search.k), boundary, domains)
+        replayed[0] += math.prod(map(len, domains))
+        return observed
+
+    _LabelSearch.extensions, _LabelSearch._leaf = checked, logged_leaf
+    try:
+        yield leaves, replayed
+    finally:
+        _LabelSearch.extensions, _LabelSearch._leaf = extensions, leaf
+
+
 def _calls_digest(calls) -> str:
     return _sha256(json.dumps(calls, separators=(",", ":")))
 
 
 @pytest.fixture(scope="module")
 def certify_run():
-    """Run `l21 certify --k 4..8` once, logging every pinned solve."""
+    """Run `l21 certify --k 4..8` once, logging its leaf searches and the
+    replayed per-tuple solves."""
     out = io.StringIO()
-    with logged_solves() as calls:
+    with logged_solves() as calls, replayed_extensions() as (leaves, replayed):
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
             code = cli.main(["certify", "--k", "4..8"])
-    return code, out.getvalue(), calls
+    return code, out.getvalue(), calls, leaves, replayed[0]
 
 
 def test_certify_solver_calls_golden():
-    with logged_solves() as calls:
+    with logged_solves() as calls, replayed_extensions():
         for k in range(6, 9):
             assert gadgets.certify_Hprime(k).passed
         for k in range(4, 9):
@@ -254,17 +304,27 @@ def test_certify_solver_calls_golden():
 
 
 def test_certify_library_solver_calls_golden(certify_run):
-    _, _, calls = certify_run
+    _, _, calls, _, _ = certify_run
     assert len(calls) == CERTIFY_LIBRARY_CALLS
     assert sum(call[3] for call in calls) == CERTIFY_LIBRARY_NODES
     assert _calls_digest(calls) == CERTIFY_LIBRARY_HASH
 
 
+def test_certify_leaf_searches_golden(certify_run):
+    # the walk's own leaves; every logged solve is the reference's, so the
+    # command itself makes no pinned solve
+    _, _, calls, leaves, replayed = certify_run
+    assert len(calls) == replayed
+    assert len(leaves) == CERTIFY_LEAF_CALLS
+    assert sum(leaf[3] for leaf in leaves) == CERTIFY_LEAF_NODES
+    assert _calls_digest(leaves) == CERTIFY_LEAF_HASH
+
+
 def test_certify_log_and_the_hprime_pair_enumerations_golden(certify_run):
     # the enumeration the G_k certifier made for k >= 6 before it composed
     # from the lemma's pairs, appended to the command's own log
-    _, _, calls = certify_run
-    with logged_solves() as pair_calls:
+    _, _, calls, _, _ = certify_run
+    with logged_solves() as pair_calls, replayed_extensions():
         for k in range(6, 9):
             hp = gadgets.build_Hprime(k)
             _LabelSearch(hp.graph, k).extensions([hp.ports["c"], hp.ports["d"]], [range(k + 1)] * 2)
@@ -275,7 +335,7 @@ def test_certify_log_and_the_hprime_pair_enumerations_golden(certify_run):
 
 
 def test_certify_stdout_golden(certify_run):
-    code, stdout, _ = certify_run
+    code, stdout, *_ = certify_run
     assert code == 0
     assert _sha256(stdout) == CERTIFY_STDOUT_HASH
 

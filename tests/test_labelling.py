@@ -33,7 +33,13 @@ from conftest import (
     random_graph,
     star_graph,
 )
-from oracles import boundary_table, distance2_pairs, propagate_to_fixpoint, solve_labelling_bruteforce
+from oracles import (
+    boundary_table,
+    distance2_pairs,
+    pinned_extensions,
+    propagate_to_fixpoint,
+    solve_labelling_bruteforce,
+)
 
 
 def test_verify_examples():
@@ -210,6 +216,73 @@ def test_boundary_enumeration_matches_fresh_solves_on_random_graphs():
             assert observed == boundary_table(g, k, boundary, domains, solve_labelling_bruteforce)
         sat_tuples += len(observed)
     assert sat_tuples > 1000
+
+
+def _extension_case(rng, kind):
+    """A seeded (graph, k, boundary, domains) of one kind of enumeration."""
+    k = rng.randint(4, 7)
+    n = rng.randint(k + 2, 11)
+    edges = {(u, v) for u, v in itertools.combinations(range(n), 2) if rng.random() < 0.3}
+    if kind == "a vertex of degree >= k":
+        hub = rng.randrange(n)
+        edges |= {tuple(sorted((hub, u))) for u in rng.sample([u for u in range(n) if u != hub], k)}
+    graph = make_graph(n, sorted(edges))
+    boundary = rng.sample(range(n), rng.randint(1, 3))
+    domains = [rng.sample(range(k + 1), rng.randint(1, k + 1)) for _ in boundary]
+    if kind == "empty boundary":
+        boundary, domains = [], []
+    elif kind == "an empty domain":
+        domains[rng.randrange(len(domains))] = []
+    elif kind == "repeated labels":
+        i = rng.randrange(len(domains))
+        domains[i] = rng.choices(domains[i], k=len(domains[i]) + 3)
+    elif kind in ("pins adjacent", "pins at distance two"):
+        pairs = sorted(edges) if kind == "pins adjacent" else sorted(distance2_pairs(graph))
+        if pairs:  # both ends pinned to labels that clash there, among others
+            u, v = rng.choice(pairs)
+            x = rng.randint(1, k - 1)
+            near = [x - 1, x, x + 1] if kind == "pins adjacent" else [x]
+            boundary = [u, v] + [w for w in boundary if w not in (u, v)][:1]
+            clashing = [[x] + rng.sample(range(k + 1), 2), near + rng.sample(range(k + 1), 2)]
+            domains = clashing + domains[: len(boundary) - 2]
+    return graph, k, boundary, domains
+
+
+@pytest.mark.parametrize(
+    "kind",
+    [
+        "empty boundary",
+        "an empty domain",
+        "repeated labels",
+        "a vertex of degree >= k",
+        "pins adjacent",
+        "pins at distance two",
+    ],
+)
+def test_boundary_walk_matches_pinned_solves(kind):
+    # the walk against one pinned solve per tuple of the product, on a fresh
+    # search and on the walk's own, and against fresh solve_labelling calls
+    rng = random.Random(f"walk {kind}")
+    sat = 0
+    for _ in range(60):
+        graph, k, boundary, domains = _extension_case(rng, kind)
+        search = _LabelSearch(graph, k)
+        observed = search.extensions(boundary, domains)
+        assert observed == pinned_extensions(_LabelSearch(graph, k), boundary, domains)
+        assert observed == pinned_extensions(search, boundary, domains)
+        assert observed == boundary_table(graph, k, boundary, domains)
+        sat += len(observed)
+    assert sat > 0 or kind in ("an empty domain", "a vertex of degree >= k")
+
+
+def test_boundary_walk_checks_every_witness(monkeypatch):
+    import planar_l21.labelling as labelling
+
+    search = _LabelSearch(path_graph(3), 4)
+    assert search.extensions([0], [[0]]) == {(0,)}
+    monkeypatch.setattr(labelling, "verify_labelling", lambda graph, labelling: False)
+    with pytest.raises(AssertionError, match="invalid witness"):
+        search.extensions([0], [[0]])
 
 
 def assert_shared_search_matches_fresh_solves(graph, k, queries):
@@ -663,9 +736,11 @@ def _hprime_extension_calls(monkeypatch):
 
 
 def test_verdicts_do_not_depend_on_table_state(monkeypatch):
-    # Every solve of the jobs below runs twice: first in order, with the Hall
-    # table emptied (and the gap tables dropped) before each solve, then warm,
-    # in reverse order.  Outcome, nodes, witness and reason must agree.
+    # Every solve and every leaf search (the search `solve` and each
+    # enumerated tuple share) of the jobs below runs twice: first in order,
+    # with the Hall table emptied (and the gap tables dropped) before each
+    # solve or leaf, then warm, in reverse order.  Outcome, nodes, witness
+    # and reason must agree.
     rng = random.Random(40)
     jobs = []
     for _ in range(40):
@@ -678,18 +753,21 @@ def test_verdicts_do_not_depend_on_table_state(monkeypatch):
         jobs.append(lambda graph=graph, k=k, b=boundary, d=domains: _LabelSearch(graph, k).extensions(b, d))
 
     def run(order, cold):
-        solve = _LabelSearch.solve
         recorded = []
 
-        def recording(self, pins, budget):
-            if cold:
-                _HALL_VERDICTS.clear()
-            recorded.append(solve(self, pins, budget))
-            return recorded[-1]
+        def recording(method):
+            def recorded_call(self, *args):
+                if cold:
+                    _HALL_VERDICTS.clear()
+                recorded.append(method(self, *args))
+                return recorded[-1]
+
+            return recorded_call
 
         runs = {}
         with monkeypatch.context() as patch:
-            patch.setattr(_LabelSearch, "solve", recording)
+            patch.setattr(_LabelSearch, "solve", recording(_LabelSearch.solve))
+            patch.setattr(_LabelSearch, "_leaf", recording(_LabelSearch._leaf))
             for i in order:
                 if cold:
                     _HALL_VERDICTS.clear()
@@ -703,5 +781,6 @@ def test_verdicts_do_not_depend_on_table_state(monkeypatch):
     warm = run(reversed(range(len(jobs))), cold=False)
     assert warm == cold
     results = [r for _, solves in cold.values() for r in solves]
+    assert sum(len(solves) for returned, solves in cold.values() if isinstance(returned, set)) > 0  # walk leaves
     assert {(r.outcome, r.reason is None) for r in results} == {(SAT, True), (UNSAT, True), (UNSAT, False)}
     assert sum(r.nodes for r in results) > 1000 and _HALL_VERDICTS
