@@ -20,71 +20,37 @@ from typing import Dict, List, Tuple
 from .errors import ValidationError
 
 Arc = Tuple[int, int]  # (low slot, high slot)
-Poly = Dict[int, int]  # sparse polynomial: epsilon power -> coefficient
+Terms = List[Tuple[int, int]]  # a polynomial in epsilon as (power, coefficient) terms
 
 
 def interleave(a: Arc, b: Arc) -> bool:
     return a[0] < b[0] < a[1] < b[1] or b[0] < a[0] < b[1] < a[1]
 
 
-def _poly_add_term(p: Poly, power: int, coeff: int) -> None:
-    if coeff == 0:
-        return
-    new = p.get(power, 0) + coeff
-    if new == 0:
-        p.pop(power, None)
-    else:
-        p[power] = new
+def _sign_near_zero(terms: Terms) -> int:
+    """Sign, for all sufficiently small epsilon > 0, of the sum of ``terms``:
+    that of the summed coefficient of the lowest power where it is non-zero."""
+    sums: Dict[int, int] = {}
+    for power, coeff in terms:
+        sums[power] = sums.get(power, 0) + coeff
+    lowest = min((power for power, coeff in sums.items() if coeff), default=None)
+    return 0 if lowest is None else 1 if sums[lowest] > 0 else -1
 
 
-def _poly_mul(p: Poly, q: Poly) -> Poly:
-    out: Poly = {}
-    for dp, cp in p.items():
-        for dq, cq in q.items():
-            _poly_add_term(out, dp + dq, cp * cq)
-    return out
-
-
-def _poly_sub(p: Poly, q: Poly) -> Poly:
-    out = dict(p)
-    for d, c in q.items():
-        _poly_add_term(out, d, -c)
-    return out
-
-
-def _sign_near_zero(p: Poly) -> int:
-    """Sign of p(epsilon) for all sufficiently small epsilon > 0."""
-    if not p:
-        return 0
-    lowest = min(p)
-    return 1 if p[lowest] > 0 else -1
-
-
-def _crossing_abscissa(arc_a: Arc, ia: int, arc_b: Arc, ib: int) -> Tuple[Poly, Poly]:
+def _crossing_abscissa(arc_a: Arc, ia: int, arc_b: Arc, ib: int) -> Tuple[Terms, Terms]:
     """x-coordinate of the crossing as a ratio N/D of polynomials in epsilon.
 
     Arc i is shifted right by epsilon^(i+1); D's constant term never vanishes
-    for interleaving arcs, and the ratio is normalized to a positive D.
+    for interleaving arcs, and both are scaled so that it is positive.
     """
-    a1, a2 = arc_a
-    b1, b2 = arc_b
+    (a1, a2), (b1, b2) = arc_a, arc_b
     da, db = ia + 1, ib + 1
-    num: Poly = {}
-    _poly_add_term(num, 0, a1 * a2 - b1 * b2)
-    _poly_add_term(num, da, a1 + a2)
-    _poly_add_term(num, 2 * da, 1)
-    _poly_add_term(num, db, -(b1 + b2))
-    _poly_add_term(num, 2 * db, -1)
-    den: Poly = {}
-    _poly_add_term(den, 0, (a1 + a2) - (b1 + b2))
-    _poly_add_term(den, da, 2)
-    _poly_add_term(den, db, -2)
-    if den.get(0, 0) == 0:
+    d0 = (a1 + a2) - (b1 + b2)
+    if d0 == 0:
         raise AssertionError("interleaving arcs always have distinct slot sums")
-    if den[0] < 0:
-        num = {d: -c for d, c in num.items()}
-        den = {d: -c for d, c in den.items()}
-    return num, den
+    s = 1 if d0 > 0 else -1
+    num = [(0, a1 * a2 - b1 * b2), (da, a1 + a2), (2 * da, 1), (db, -(b1 + b2)), (2 * db, -1)]
+    return [(p, s * c) for p, c in num], [(0, s * d0), (da, 2 * s), (db, -2 * s)]
 
 
 @dataclass(frozen=True)
@@ -120,7 +86,8 @@ def arc_crossings(arcs: List[Arc]) -> Tuple[Dict[int, List[Crossing]], List[Tupl
         def compare(j1: int, j2: int) -> int:
             n1, d1 = cache[j1]
             n2, d2 = cache[j2]
-            sign = _sign_near_zero(_poly_sub(_poly_mul(n1, d2), _poly_mul(n2, d1)))
+            terms = [(p + q, c * e) for p, c in n1 for q, e in d2]
+            sign = _sign_near_zero(terms + [(p + q, -c * e) for p, c in n2 for q, e in d1])
             if sign == 0:
                 raise AssertionError(
                     f"perturbation failed to separate crossings {j1} and {j2} on arc {i}"

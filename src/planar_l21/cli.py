@@ -13,7 +13,7 @@ import sys
 from typing import List, Optional
 
 from . import gadgets, pipeline
-from .errors import L21Error
+from .errors import L21Error, prefix, quote
 from .graphs import from_json, to_dot
 from .labelling import (
     SAT,
@@ -55,17 +55,11 @@ def _integer(text: str) -> int:
     """An integer option in ASCII ``-?[0-9]+`` form, as a DIMACS number is;
     ``int`` also takes ``1_000``, ``+4``, blanks and non-ASCII digits."""
     if not DIMACS_INT.fullmatch(text):
-        raise argparse.ArgumentTypeError(f"invalid integer {text!r}")
+        raise argparse.ArgumentTypeError(f"invalid integer {quote(text)}")
     try:
         return int(text)
     except ValueError as exc:  # more digits than int() converts
         raise argparse.ArgumentTypeError("integer too long to read") from exc
-
-
-def _prefix(text: str) -> str:
-    """``text`` as an error message quotes it: whole up to 40 characters,
-    else its first 32 and an ellipsis, so a huge argument is not echoed."""
-    return text if len(text) <= 40 else text[:32] + "..."
 
 
 def _parse_k_range(text: str):
@@ -75,7 +69,7 @@ def _parse_k_range(text: str):
 
 def cmd_reduce(args) -> int:
     if args.k < 4:
-        _note(f"reduce: k must be at least 4, got {args.k}")
+        _note(f"reduce: k must be at least 4, got {quote(args.k)}")
         return EXIT_INPUT
     formula = parse_formula(_read(args.input))
     trace = pipeline.run_reduction(formula, args.k, stop_at=args.stop_at)
@@ -93,10 +87,10 @@ def cmd_certify(args) -> int:
     try:
         lo, hi = _parse_k_range(args.k)
     except argparse.ArgumentTypeError:
-        _note(f"certify: bad k range {_prefix(args.k)!r}")
+        _note(f"certify: bad k range {quote(args.k)}")
         return EXIT_INPUT
     if lo < 4 or hi < lo:
-        _note(f"certify: k range must satisfy 4 <= lo <= hi, got {_prefix(args.k)}")
+        _note(f"certify: k range must satisfy 4 <= lo <= hi, got {prefix(args.k)}")
         return EXIT_INPUT
     plan = gadgets.certify_plan(lo, hi)
     for name, ks in plan:  # every capacity, before any lemma runs
@@ -140,10 +134,10 @@ def cmd_verify(args) -> int:
 
 def cmd_roundtrip(args) -> int:
     if args.k < 4:
-        _note(f"roundtrip: k must be at least 4, got {args.k}")
+        _note(f"roundtrip: k must be at least 4, got {quote(args.k)}")
         return EXIT_INPUT
     if args.budget < 0:
-        _note(f"roundtrip: node budget must be non-negative, got {args.budget}")
+        _note(f"roundtrip: node budget must be non-negative, got {quote(args.budget)}")
         return EXIT_INPUT
     formula = parse_formula(_read(args.formula))
     assignment = solve_nae_bruteforce(formula, args.budget)
@@ -192,7 +186,7 @@ def cmd_roundtrip(args) -> int:
 
 def cmd_export(args) -> int:
     if args.format != "dot":
-        _note(f"export: unsupported format {args.format!r}")
+        _note(f"export: unsupported format {quote(args.format)}")
         return EXIT_INPUT
     graph, _, ports, _ = from_json(_read(args.input))
     sys.stdout.write(to_dot(graph, ports))

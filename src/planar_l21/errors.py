@@ -1,4 +1,17 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and how a message quotes an
+input value."""
+
+
+def prefix(text: str) -> str:
+    """``text`` as an error message quotes it: whole up to 40 characters,
+    else its first 32 and an ellipsis, so a huge input is not echoed."""
+    return text if len(text) <= 40 else text[:32] + "..."
+
+
+def quote(value: object) -> str:
+    """``repr(value)`` with `prefix` applied to a string's text, else to the
+    repr, so a short value reads as ``{value!r}`` does."""
+    return repr(prefix(value)) if isinstance(value, str) else prefix(repr(value))
 
 
 class L21Error(Exception):

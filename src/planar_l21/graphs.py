@@ -13,13 +13,13 @@ import json
 from collections import Counter, deque
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, wraps
+from functools import cached_property, partial, wraps
 from itertools import accumulate, chain, islice, repeat
 from operator import itemgetter
 from json.encoder import encode_basestring_ascii
 from typing import TYPE_CHECKING, Collection, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
-from .errors import ValidationError
+from .errors import ValidationError, quote
 
 if TYPE_CHECKING:  # gadgets builds on this module
     from .gadgets import GadgetInstance
@@ -66,15 +66,15 @@ class Graph:
                 raise ValidationError("vertex ids must be dense 0..n-1 and unique")
         if not {v.role for v in vertices} <= ROLES:
             bad = next(v for v in vertices if v.role not in ROLES)
-            raise ValidationError(f"unknown role {bad.role!r} on vertex {bad.id}")
+            raise ValidationError(f"unknown role {quote(bad.role)} on vertex {bad.id}")
         edge_set = set()
         adj: List[List[int]] = [[] for _ in dense]
         for e in edges:
             u, v = e
             if u == v:
-                raise ValidationError(f"self-loop at vertex {u}")
+                raise ValidationError(f"self-loop at vertex {quote(u)}")
             if not (0 <= u < n and 0 <= v < n):
-                raise ValidationError(f"edge ({u},{v}) has undeclared endpoint")
+                raise ValidationError(f"edge ({quote(u)},{quote(v)}) has undeclared endpoint")
             if u > v or type(e) is not tuple:  # keep a sorted pair, shared with the caller
                 e = (u, v) if u < v else (v, u)
             if e not in edge_set:
@@ -452,7 +452,7 @@ def json_object(text: str, keys: Sequence[str], what: str) -> dict:
         obj = dict(pairs)
         if len(obj) != len(pairs):
             key = Counter(key for key, _ in pairs).most_common(1)[0][0]
-            raise ValidationError(f"{what} JSON repeats the key {key!r} in one object")
+            raise ValidationError(f"{what} JSON repeats the key {quote(key)} in one object")
         return obj
 
     try:
@@ -475,7 +475,20 @@ def require_type(values: List[object], kind: type, what: str) -> None:
     """Raise unless every value has exactly type ``kind`` (so no bool for int)."""
     if not set(map(type, values)) <= {kind}:
         bad = next(x for x in values if type(x) is not kind)
-        raise ValidationError(f"{what} must be {kind.__name__}, not {bad!r}")
+        raise ValidationError(f"{what} must be {kind.__name__}, not {quote(bad)}")
+
+
+def require_pairs(rows: Collection[Iterable[object]], what: str) -> None:
+    """Raise unless every entry of every row is a JSON array of two, naming
+    the first that is not; the check runs in bulk, the search only on failure."""
+    entries = partial(chain.from_iterable, rows)
+    try:
+        ok = set(map(type, entries())) <= {list} and set(map(len, entries())) <= {2}
+    except TypeError:  # a row that is no array, met by the search below in its turn
+        ok = False
+    if not ok:
+        bad = next(x for x in entries() if type(x) is not list or len(x) != 2)
+        raise ValidationError(f"{what} {quote(bad)} is not a pair")
 
 
 def vertex_keys(obj: dict, what: str) -> List[int]:
@@ -490,11 +503,11 @@ def vertex_keys(obj: dict, what: str) -> List[int]:
         for key in keys:  # the first key that is not an id, or not its spelling
             try:
                 if str(int(key)) != key:
-                    raise ValidationError(f"{what} key {key!r} is not a canonical vertex id")
+                    raise ValidationError(f"{what} key {quote(key)} is not a canonical vertex id")
             except ValueError as exc:
                 if key.isascii() and key.removeprefix("-").isdigit():  # only its length stops int()
                     raise ValidationError(f"{what} key holds an integer too long to read") from exc
-                raise ValidationError(f"{what} key {key!r} is not a canonical vertex id") from exc
+                raise ValidationError(f"{what} key {quote(key)} is not a canonical vertex id") from exc
     return ids
 
 
@@ -535,22 +548,31 @@ def from_json(text: str) -> Tuple[Graph, Optional[RotationSystem], Dict[str, int
             roles = map(_ROLE_TAGS.get, roles, roles)
         vertices = tuple(map(tuple.__new__, repeat(Vertex), zip(ids, roles, names)))
         del ids, roles, names
+        require_pairs([doc["edges"]], "graph JSON edge")
         edges = list(map(tuple, doc.pop("edges")))
         require_type(list(chain.from_iterable(edges)), int, "graph JSON edge endpoint")
         graph = Graph(vertices, edges)
         rot, rotation = None, doc.pop("rotation", None)
         if rotation is not None:
             ids = vertex_keys(rotation, "graph JSON rotation")
-            if not set(map(type, chain.from_iterable(chain.from_iterable(rotation.values())))) <= {int}:
-                ends = [x for pairs in rotation.values() for pair in pairs for x in pair]  # to name the first
+            try:
+                if not set(map(type, chain.from_iterable(chain.from_iterable(rotation.values())))) <= {int}:
+                    raise TypeError("a rotation end is no int")
+                for v, (key, pairs) in zip(ids, rotation.items()):  # a new value per key frees each parsed row
+                    ns = []
+                    for a, b in pairs:
+                        if a != v != b:
+                            raise ValidationError(
+                                f"rotation entry for {quote(v)} lists foreign edge ({quote(a)},{quote(b)})"
+                            )
+                        ns.append(b if a == v else a)
+                    rotation[key] = tuple(ns)
+            except (TypeError, ValueError, ValidationError):  # a bad entry, then a bad end, outranks a foreign edge
+                rows = [pairs for pairs in rotation.values() if type(pairs) is not tuple]  # not yet converted
+                require_pairs(rows, "graph JSON rotation entry")
+                ends = [x for pairs in rows for pair in pairs for x in pair]
                 require_type(ends, int, "graph JSON rotation endpoint")
-            for v, (key, pairs) in zip(ids, rotation.items()):  # a new value per key frees each parsed row
-                ns = []
-                for a, b in pairs:
-                    if a != v != b:
-                        raise ValidationError(f"rotation entry for {v} lists foreign edge ({a},{b})")
-                    ns.append(b if a == v else a)
-                rotation[key] = tuple(ns)
+                raise
             rot = RotationSystem(dict(zip(ids, rotation.values())))
     except JSON_SHAPE_ERRORS as exc:
         raise ValidationError(f"graph JSON has the wrong shape: {exc!r}") from exc
@@ -560,7 +582,7 @@ def from_json(text: str) -> Tuple[Graph, Optional[RotationSystem], Dict[str, int
     require_type(list(ports.values()), int, "graph JSON port")
     for name, v in ports.items():
         if not 0 <= v < graph.n:
-            raise ValidationError(f"graph JSON port {name!r} names foreign vertex {v}")
+            raise ValidationError(f"graph JSON port {quote(name)} names foreign vertex {quote(v)}")
     k = doc.get("k")
     require_type([] if k is None else [k], int, "graph JSON k")
     return graph, rot, ports, k

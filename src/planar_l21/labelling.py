@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from itertools import chain
 from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Set, Tuple
 
-from .errors import CapacityError, ValidationError
+from .errors import CapacityError, ValidationError, quote
 from .graphs import JSON_SHAPE_ERRORS, Graph, collector_paused, json_object, require_type, vertex_keys
 
 SAT = "sat"
@@ -33,7 +33,7 @@ class Labelling:
             raise ValidationError("span must be non-negative")
         for v, x in self.labels.items():
             if not (0 <= x <= self.k):
-                raise ValidationError(f"label {x} at vertex {v} outside [0,{self.k}]")
+                raise ValidationError(f"label {quote(x)} at vertex {quote(v)} outside [0,{quote(self.k)}]")
 
 
 # a named tuple, cheaper to build than a frozen dataclass: one per boundary tuple
@@ -62,7 +62,7 @@ def verify_labelling(graph: Graph, labelling: Labelling) -> bool:
         raise ValidationError(f"labelling misses vertex {labels.index(None)}")
     if len(lab) != graph.n:
         foreign = min(set(lab).difference(range(graph.n)))
-        raise ValidationError(f"labelling names vertex {foreign}, which is not in the graph")
+        raise ValidationError(f"labelling names vertex {quote(foreign)}, which is not in the graph")
     for u, v in graph.edges:
         if abs(labels[u] - labels[v]) < 2:
             return False
@@ -182,7 +182,7 @@ class _LabelSearch:
 
     def __init__(self, graph: Graph, k: int):
         if k < 0:
-            raise ValidationError(f"span must be non-negative, got {k}")
+            raise ValidationError(f"span must be non-negative, got {quote(k)}")
         if k > SPAN_CAPACITY:  # before any mask is built
             raise CapacityError(f"labelling search supports spans up to {SPAN_CAPACITY}")
         self.graph = graph
@@ -446,7 +446,7 @@ def solve_labelling(
     pins = dict(pinned or {})
     _check_pins(graph, k, pins.items())
     if budget is not None and budget < 0:
-        raise ValidationError(f"node budget must be non-negative, got {budget}")
+        raise ValidationError(f"node budget must be non-negative, got {quote(budget)}")
     return search.solve(pins, budget)
 
 

@@ -11,7 +11,7 @@ import re
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from .errors import CapacityError, FormulaParseError, ValidationError
+from .errors import CapacityError, FormulaParseError, ValidationError, quote
 
 Clause = Tuple[int, int, int]
 Assignment = Dict[int, bool]
@@ -43,7 +43,7 @@ class Nae3SatFormula:
 def _numbers(tokens: List[str], error: str, line: str, lineno: int) -> List[int]:
     """``tokens`` of ``line`` as DIMACS numbers, else `FormulaParseError` ``error``."""
     if not all(map(DIMACS_INT.fullmatch, tokens)):
-        raise FormulaParseError(f"{error} {line!r}", lineno)
+        raise FormulaParseError(f"{error} {quote(line)}", lineno)
     try:
         return list(map(int, tokens))
     except ValueError:  # more digits than int() converts
@@ -70,7 +70,7 @@ def parse_formula(text: str) -> Nae3SatFormula:
                 raise FormulaParseError("duplicate header", lineno)
             parts = _BLANKS.split(line)
             if len(parts) != 4 or parts[0] != "p" or parts[1] != "cnf":
-                raise FormulaParseError(f"malformed header {line!r}", lineno)
+                raise FormulaParseError(f"malformed header {quote(line)}", lineno)
             num_vars, num_clauses = _numbers(parts[2:], "malformed header", line, lineno)
             continue
         if num_vars is None:
@@ -81,18 +81,20 @@ def parse_formula(text: str) -> Nae3SatFormula:
             raise FormulaParseError("clause line must end with 0", lineno)
         lits = lits[:-1]
         if 0 in lits:
-            raise FormulaParseError(f"literal 0 before the end of the line in {line!r}", lineno)
+            raise FormulaParseError(f"literal 0 before the end of the line in {quote(line)}", lineno)
         if len(lits) != 3:
             raise FormulaParseError(f"clause has {len(lits)} literals, expected 3", lineno)
         for lit in lits:
             if abs(lit) > num_vars:
-                raise FormulaParseError(f"variable {abs(lit)} exceeds declared {num_vars}", lineno)
+                raise FormulaParseError(
+                    f"variable {quote(abs(lit))} exceeds declared {quote(num_vars)}", lineno
+                )
         clauses.append(tuple(lits))
     if num_vars is None:
         raise FormulaParseError("missing header", 1)
     if num_clauses is not None and num_clauses != len(clauses):
         raise FormulaParseError(
-            f"header declares {num_clauses} clauses, found {len(clauses)}", 1
+            f"header declares {quote(num_clauses)} clauses, found {len(clauses)}", 1
         )
     return Nae3SatFormula(num_vars, tuple(clauses))
 

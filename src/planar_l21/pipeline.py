@@ -37,7 +37,7 @@ from .colouring import (
     verify_2cpm,
     verify_coloured_orientation,
 )
-from .errors import CapacityError, InconsistencyError, ValidationError
+from .errors import CapacityError, InconsistencyError, ValidationError, quote
 from .gadgets import build_aux_edge, build_clause_gadget, build_edge_gadget, build_uncrossing
 from .gadgets import edge_gadget_fills, edge_gadget_order
 from .graphs import (
@@ -386,7 +386,7 @@ def build_instance(stage: AuxStage, k: int) -> InstanceStage:
 def run_reduction(formula: Nae3SatFormula, k: int, stop_at: str = "instance") -> ReductionTrace:
     stages = ("cubic", "planar", "aux", "instance")
     if stop_at not in stages:
-        raise ValidationError(f"unknown stage {stop_at!r}")
+        raise ValidationError(f"unknown stage {quote(stop_at)}")
     trace = ReductionTrace(formula=formula, k=k, cubic=nae_to_cubic(formula))
     if stages.index(stop_at) >= 1:
         trace.planar = planarize(trace.cubic)

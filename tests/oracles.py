@@ -14,7 +14,7 @@ from itertools import product
 from typing import Collection, Dict, List, Optional, Set, Tuple
 
 from planar_l21.colouring import BACKWARD, BLACK, FORWARD, WHITE, ColouredOrientation, TwoColouring
-from planar_l21.errors import CapacityError, ValidationError
+from planar_l21.errors import CapacityError, ValidationError, quote
 from planar_l21.graphs import (
     IN_VERTEX,
     JSON_SHAPE_ERRORS,
@@ -382,6 +382,26 @@ def embed_by_names(
     return ids
 
 
+def perturbed_crossing_order(arcs: List[Tuple[int, int]], eps: Fraction) -> Dict[int, List[int]]:
+    """Per arc with a crossing, its interleaving partners ordered from its low
+    end to its high end in one actual drawing: arc i shifted right by
+    ``eps**(i+1)``, each crossing placed at the exact abscissa where the two
+    shifted semicircles meet."""
+    shifted = [(lo + eps ** (i + 1), hi + eps ** (i + 1)) for i, (lo, hi) in enumerate(arcs)]
+
+    def abscissa(i: int, j: int) -> Fraction:
+        # (x - c)^2 + y^2 = r^2 for both circles; subtracting leaves a line
+        (a1, a2), (b1, b2) = shifted[i], shifted[j]
+        return (a1 * a2 - b1 * b2) / ((a1 + a2) - (b1 + b2))
+
+    order = {}
+    for i, (lo, hi) in enumerate(arcs):
+        partners = [j for j, (lo2, hi2) in enumerate(arcs) if lo < lo2 < hi < hi2 or lo2 < lo < hi2 < hi]
+        if partners:
+            order[i] = sorted(partners, key=lambda j: abscissa(i, j))
+    return order
+
+
 def stage_json(
     graph: Graph,
     rot: Optional[RotationSystem] = None,
@@ -418,6 +438,9 @@ def read_stage_file(
         vertices = [Vertex(d["id"], d["role"], d["name"]) for d in doc["vertices"]]
         require_type([v.id for v in vertices], int, "graph JSON vertex id")
         require_type([v.name for v in vertices], str, "graph JSON vertex name")
+        for e in doc["edges"]:
+            if type(e) is not list or len(e) != 2:
+                raise ValidationError(f"graph JSON edge {quote(e)} is not a pair")
         edges = [tuple(e) for e in doc["edges"]]
         require_type([x for e in edges for x in e], int, "graph JSON edge endpoint")
         graph = Graph(vertices, edges)
@@ -426,15 +449,21 @@ def read_stage_file(
             rotation = {}
             for key, pairs in doc["rotation"].items():
                 if not (key.removeprefix("-").isdigit() and key.isascii() and str(int(key)) == key):
-                    raise ValidationError(f"graph JSON rotation key {key!r} is not a canonical vertex id")
+                    raise ValidationError(f"graph JSON rotation key {quote(key)} is not a canonical vertex id")
                 rotation[int(key)] = pairs
+            for pairs in rotation.values():
+                for pair in pairs:
+                    if type(pair) is not list or len(pair) != 2:
+                        raise ValidationError(f"graph JSON rotation entry {quote(pair)} is not a pair")
             ends = [x for pairs in rotation.values() for pair in pairs for x in pair]
             require_type(ends, int, "graph JSON rotation endpoint")
             for v, pairs in rotation.items():
                 ns = []
                 for a, b in pairs:
                     if v not in (a, b):
-                        raise ValidationError(f"rotation entry for {v} lists foreign edge ({a},{b})")
+                        raise ValidationError(
+                            f"rotation entry for {quote(v)} lists foreign edge ({quote(a)},{quote(b)})"
+                        )
                     ns.append(b if a == v else a)
                 rotation[v] = ns
             rot = RotationSystem(rotation)
@@ -446,7 +475,7 @@ def read_stage_file(
     require_type(list(ports.values()), int, "graph JSON port")
     for name, v in ports.items():
         if not 0 <= v < graph.n:
-            raise ValidationError(f"graph JSON port {name!r} names foreign vertex {v}")
+            raise ValidationError(f"graph JSON port {quote(name)} names foreign vertex {quote(v)}")
     k = doc.get("k")
     require_type([] if k is None else [k], int, "graph JSON k")
     return graph, rot, ports, k

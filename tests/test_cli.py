@@ -855,3 +855,144 @@ def test_a_huge_span_instance_is_refused_before_it_is_built(tmp_path, formula_fi
     done = run_capped([command, *argv.get(command, ["--formula", str(formula_file)]), "--k", "100000"])
     assert (done.returncode, done.stdout) == (2, "")
     assert done.stderr == f"{command}: a span-100000 instance would exceed 2097152 vertices\n"
+
+
+_HUGE, _LONG = "9" * 4000, "x" * 5000  # an integer int() still reads, and a long string
+
+
+def _p3_files(tmp_path, target, old, new):
+    """The path P3 as an instance file (with its rotation and k = 4), a valid
+    labelling of it and a one-clause formula, with ``old`` replaced once by
+    ``new`` in the ``target`` file; return the three paths."""
+    from conftest import any_rotation, path_graph
+    from planar_l21.graphs import to_json
+
+    g = path_graph(3)
+    texts = {
+        "instance": to_json(g, any_rotation(g), k=4),
+        "labelling": '{"k": 4, "labels": {"0": 0, "1": 2, "2": 4}}',
+        "formula": "p cnf 3 1\n1 2 3 0\n",
+    }
+    assert old in texts[target]
+    texts[target] = texts[target].replace(old, new, 1)
+    for name, text in texts.items():
+        (tmp_path / name).write_text(text)
+    return [str(tmp_path / name) for name in texts]
+
+
+def _argv(tmp_path, command, files):
+    instance, labelling, formula = files
+    return {
+        "verify": ["verify", "--instance", instance, "--labelling", labelling],
+        "export": ["export", "--input", instance],
+        "reduce": ["reduce", "--input", formula, "--out", str(tmp_path / "o")],
+        "roundtrip": ["roundtrip", "--formula", formula],
+    }[command]
+
+
+@pytest.mark.parametrize(
+    "command, target, old, new, extra",
+    [
+        ("verify", "labelling", '"1": 2', f'"1": 2, "{_LONG}": 0', []),
+        ("export", "instance", '"1":[[0,1],[1,2]]', f'"+{_HUGE}":[[0,1],[1,2]]', []),
+        ("export", "instance", '{"id":0,', f'{{"id":"{_LONG}",', []),
+        ("verify", "labelling", '"1": 2', f'"1": "{_LONG}"', []),
+        ("export", "instance", '"k":4', f'"k":"{_LONG}"', []),
+        ("export", "instance", '"role":"Original"', f'"role":"{_LONG}"', []),
+        ("export", "instance", '"ports":{}', f'"ports":{{"{_LONG}":99}}', []),
+        ("verify", "labelling", '"1": 2', f'"1": {_HUGE}', []),
+        ("export", "instance", '"edges":[[0,1]', f'"edges":[[0,{_HUGE}]', []),
+        ("verify", "labelling", '"1": 2', f'"{_HUGE}": 0, "{_HUGE}": 1, "1": 2', []),
+        ("reduce", "formula", "1 2 3 0", f"1 2 {_LONG} 0", []),
+        ("reduce", "formula", "p cnf 3 1", f"p cnf {_LONG} 1", []),
+        ("reduce", "formula", "p", "p", ["--k", "-" + _HUGE]),
+        ("roundtrip", "formula", "p", "p", ["--budget", "-" + _HUGE]),
+    ],
+    ids=[
+        "label key",
+        "rotation key",
+        "vertex id",
+        "label value",
+        "graph k",
+        "role",
+        "port name",
+        "label",
+        "edge endpoint",
+        "repeated label key",
+        "dimacs clause line",
+        "dimacs header",
+        "reduce k",
+        "roundtrip budget",
+    ],
+)
+def test_a_message_quotes_a_short_prefix_of_a_huge_value(tmp_path, capsys, command, target, old, new, extra):
+    files = _p3_files(tmp_path, target, old, new)
+    code, reports, err = run_cli(capsys, _argv(tmp_path, command, files) + extra)
+    assert_bad_input(code, err)
+    assert reports == []
+    assert len(err.encode()) < 200
+
+
+@pytest.mark.parametrize(
+    "old, new, message",
+    [
+        ('"edges":[[0,1],[1,2]]', '"edges":[[0,1,1]]', "graph JSON edge [0, 1, 1] is not a pair"),
+        ('"edges":[[0,1],[1,2]]', '"edges":[[0]]', "graph JSON edge [0] is not a pair"),
+        ('"edges":[[0,1],[1,2]]', '"edges":[0]', "graph JSON edge 0 is not a pair"),
+        ('"0":[[0,1]]', '"0":[[0,1,2]]', "graph JSON rotation entry [0, 1, 2] is not a pair"),
+        ('"0":[[0,1]]', '"0":[[0]]', "graph JSON rotation entry [0] is not a pair"),
+        ('"0":[[0,1]]', '"0":[1]', "graph JSON rotation entry 1 is not a pair"),
+    ],
+    ids=["edge of three", "edge of one", "edge no array", "entry of three", "entry of one", "entry no array"],
+)
+def test_an_entry_that_is_not_a_pair_is_named(tmp_path, capsys, old, new, message):
+    files = _p3_files(tmp_path, "instance", old, new)
+    code, reports, err = run_cli(capsys, _argv(tmp_path, "export", files))
+    assert_bad_input(code, err)
+    assert err == f"export: {message}\n"
+
+
+def test_solve_without_any_k_exits_2(tmp_path, capsys):
+    from conftest import path_graph
+    from planar_l21.graphs import to_json
+
+    instance = tmp_path / "p3.json"
+    instance.write_text(to_json(path_graph(3)))  # records no k
+    code, reports, err = run_cli(capsys, ["solve", "--instance", str(instance)])
+    assert_bad_input(code, err)
+    assert reports == []
+    assert err == "solve: no k given and none recorded in the instance\n"
+
+
+def test_roundtrip_rejects_small_k(formula_file, capsys):
+    code, reports, err = run_cli(capsys, ["roundtrip", "--formula", str(formula_file), "--k", "3"])
+    assert_bad_input(code, err)
+    assert reports == []
+    assert err == "roundtrip: k must be at least 4, got 3\n"
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("p cnf 3 1\np cnf 3 1\n1 2 3 0\n", "line 2: duplicate header"),
+        ("c a comment and nothing else\n", "line 1: missing header"),
+        ("p cnf 3 1\n1 2 3\n", "line 2: clause line must end with 0"),
+    ],
+    ids=["second header", "no header", "no closing 0"],
+)
+def test_dimacs_structure_errors_name_the_line(tmp_path, capsys, text, message):
+    path = tmp_path / "f.cnf"
+    path.write_text(text)
+    code, reports, err = run_cli(capsys, ["reduce", "--input", str(path), "--out", str(tmp_path / "o")])
+    assert_bad_input(code, err)
+    assert reports == []
+    assert err == f"reduce: {message}\n"
+
+
+def test_roundtrip_recovers_a_variable_that_occurs_only_negated(tmp_path, capsys):
+    path = tmp_path / "negated.cnf"
+    path.write_text("p cnf 3 1\n-1 2 3 0\n")
+    code, reports, err = run_cli(capsys, ["roundtrip", "--formula", str(path), "--k", "4"])
+    assert code == 0, err
+    assert reports[0]["ok"] is True
+    assert reports[0]["recovered_assignment"] == {"1": False, "2": False, "3": False}

@@ -522,3 +522,8 @@ def test_translators_validate_their_input(forward_chain, step):
     }[step]
     with pytest.raises(ValidationError, match=message):
         call()
+
+
+def test_run_reduction_refuses_an_unknown_stage():
+    with pytest.raises(ValidationError, match="unknown stage 'bogus'"):
+        run_reduction(XYZ, 4, stop_at="bogus")
