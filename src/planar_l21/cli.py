@@ -40,6 +40,12 @@ def _note(message: str) -> None:
     sys.stderr.write(message + "\n")
 
 
+def _reason(exc: Exception) -> str:
+    """Why a file could not be read or written, without the path that an
+    ``OSError``'s text repeats."""
+    return getattr(exc, "strerror", None) or str(exc)
+
+
 def _read(path: str) -> str:
     """The UTF-8 text of an input file, line endings untranslated so that the
     parsers see a lone ``\r``; `main` reports a file it cannot read as bad
@@ -48,7 +54,7 @@ def _read(path: str) -> str:
         with open(path, encoding="utf-8", newline="") as f:
             return f.read()
     except (OSError, UnicodeDecodeError) as exc:
-        raise L21Error(f"cannot read {path}: {exc}") from exc
+        raise L21Error(f"cannot read {quote(path)}: {_reason(exc)}") from exc
 
 
 def _integer(text: str) -> int:
@@ -76,10 +82,10 @@ def cmd_reduce(args) -> int:
     try:
         written = pipeline.write_trace(trace, args.out)
     except OSError as exc:
-        _note(f"reduce: cannot write to {args.out}: {exc}")
+        _note(f"reduce: cannot write to {quote(args.out)}: {_reason(exc)}")
         return EXIT_INPUT
     _report({"command": "reduce", "k": args.k, "stop_at": args.stop_at, "files": written})
-    _note(f"reduce: wrote {len(written)} files to {args.out}")
+    _note(f"reduce: wrote {len(written)} files to {prefix(args.out)}")
     return EXIT_OK
 
 

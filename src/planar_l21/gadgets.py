@@ -506,9 +506,9 @@ def hprime_lemma_pairs(k: int) -> Set[Tuple[int, int]]:
 
 def certify_Hprime(k: int) -> CertReport:
     """Feasible (L(c), L(d)) pairs match the lemma's four exactly, g takes
-    k - L(d) and every fan f<j> a label in [2, k-2].  The pair table, each
-    pair a pinned solve, and every forcing check run on one search over H',
-    so its root fixpoint is propagated once."""
+    k - L(d) and every fan f<j> a label in [2, k-2].  The pair table and
+    every forcing check are `_LabelSearch.extensions` walks of one search over
+    H', so its root fixpoint is propagated once."""
     check_capacity("certify_Hprime", k)
     inst = build_Hprime(k)
     graph, ids, every = inst.graph, _names(inst), range(k + 1)
@@ -601,7 +601,8 @@ def certify_edge_gadget(k: int) -> CertReport:
     """Boundary behaviour (L(u), L(v), L(a_u), L(a_v)) of G_k, with its ends
     u and v labelled 0 or k, matches the table.
 
-    k = 4, 5: one pinned solve per tuple.  k >= 6: with no solve, composed
+    k = 4, 5: one `_LabelSearch.extensions` walk of the boundary, through
+    `enumerate_boundary_behaviour`.  k >= 6: with no solve, composed
     from the H' lemma's pairs, which `certify_Hprime` certifies, once the built
     graph passes the structure check; a graph that fails it observes no tuple.
     """

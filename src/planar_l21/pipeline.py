@@ -676,7 +676,12 @@ def trace_manifest(trace: ReductionTrace) -> dict:
 def write_trace(trace: ReductionTrace, outdir) -> List[str]:
     """Write one JSON file per constructed stage plus the manifest."""
     outdir = pathlib.Path(outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
+    try:
+        outdir.mkdir(exist_ok=True)
+    except FileNotFoundError:  # `mkdir(parents=True)` recurses once per missing ancestor
+        for ancestor in reversed(outdir.parents):
+            ancestor.mkdir(exist_ok=True)
+        outdir.mkdir(exist_ok=True)
     written = []
 
     def emit(name: str, text: str) -> None:
