@@ -78,8 +78,14 @@ def cmd_reduce(args) -> int:
         _note(f"reduce: k must be at least 4, got {quote(args.k)}")
         return EXIT_INPUT
     formula = parse_formula(_read(args.input))
-    trace = pipeline.run_reduction(formula, args.k, stop_at=args.stop_at)
     try:
+        made = pipeline.make_dirs(args.out)  # an --out that cannot be made is refused before reducing
+        try:
+            trace = pipeline.run_reduction(formula, args.k, stop_at=args.stop_at)
+        except BaseException:  # a failed reduction leaves nothing behind
+            for level in reversed(made):
+                level.rmdir()
+            raise
         written = pipeline.write_trace(trace, args.out)
     except OSError as exc:
         _note(f"reduce: cannot write to {quote(args.out)}: {_reason(exc)}")

@@ -262,9 +262,9 @@ def _orientation_degrees(
             tail, head = e if d == FORWARD else (v, u)
             outdeg[tail] += 1
             indeg[head] += 1
-    for e in co.orientation:
-        if e not in graph.edges:
-            raise ValidationError(f"orientation names foreign edge {e}")
+    if len(co.orientation) != graph.m:  # every edge has an entry, so one more is foreign
+        foreign = next(e for e in co.orientation if e not in graph.edges)
+        raise ValidationError(f"orientation names foreign edge {foreign}")
     if unoriented_mono or any(c > 1 for c in opposite):
         return None
     for v in range(graph.n):

@@ -6,14 +6,16 @@ drawing coordinates and an edge list.  Each figure gets its rotation from
 the coordinates, so each builder ships its own planarity certificate.  Only
 the clause gadget is assembled instead, from three copies of H (see
 `build_clause_gadget`).  Each builder runs once per process (per k): its
-instance, Euler-checked when built, is cached and shared by the stage
-builders, the witness translators and the certifiers, so it must not be
-mutated.  The certifiers look their builder up by module name at call time,
-machine-check the gadget lemmas and report observed vs expected behaviour.
-Every table is enumerated exhaustively, except the span-k edge gadget G_k for
-k >= 6, which is decided once, from the H' lemma's (L(c), L(d)) pairs that
-`certify_Hprime` certifies: after a structure check of the built graph, its
-certifier reads the composed table, and `edge_gadget_fills` fills G_k from it.
+instance, Euler-checked when built (the aux edge and G_k, which the stage
+builders splice in for edges, also with u and v found on one face), is cached
+and shared by the stage builders, the witness translators and the certifiers,
+so it must not be mutated.  The certifiers look their builder up by module
+name at call time, machine-check the gadget lemmas and report observed vs
+expected behaviour.  Every table is enumerated exhaustively, except the
+span-k edge gadget G_k for k >= 6, which is decided once, from the H' lemma's
+(L(c), L(d)) pairs that `certify_Hprime` certifies: after a structure check of
+the built graph, its certifier reads the composed table, and
+`edge_gadget_fills` fills G_k from it.
 """
 
 from __future__ import annotations
@@ -38,6 +40,7 @@ from .graphs import (
     RotationSystem,
     Vertex,
     edge_key,
+    face,
     rotation_from_coordinates,
     verify_planar,
 )
@@ -45,12 +48,13 @@ from .labelling import _LabelSearch, enumerate_boundary_behaviour, solve_labelli
 
 F = Fraction
 
+CERTIFY_CAPACITY = 32  # the highest k certified, set by time: `l21 certify --k 4..32` takes 1.1 s
 # Every certifier in run order: (gadget, lowest k, highest k), or None for a lemma
 # with no span.  H' at each k runs before the G_k that composes from its lemma.
 CERTIFY_PLAN = {
     **dict.fromkeys(["certify_H", "certify_clause_gadget", "certify_uncrossing"]),
-    "certify_Hprime": ("H'", 6, 9),
-    "certify_edge_gadget": ("edge gadget", 4, 8),
+    "certify_Hprime": ("H'", 6, CERTIFY_CAPACITY),
+    "certify_edge_gadget": ("edge gadget", 4, CERTIFY_CAPACITY),
 }
 
 
@@ -310,6 +314,15 @@ def _build_from_figure(coords, edges, roles, port_names, kind, k=None) -> Gadget
     return instance
 
 
+def _spliceable(instance: GadgetInstance) -> GadgetInstance:
+    """``instance``, once its pendants u and v are found on one face: the lemma
+    by which a copy spliced in for an edge keeps a rotation planar (`pipeline.check_splice`)."""
+    u, v = instance.ports["u"], instance.ports["v"]
+    if v not in face(instance.rot, u, instance.rot.rotation[u][0]):
+        raise AssertionError(f"{instance.kind} has its pendants u and v on different faces")
+    return instance
+
+
 @cache
 def build_H() -> GadgetInstance:
     """The 18-vertex base gadget whose almost-matchings carry one bit."""
@@ -357,7 +370,7 @@ def build_uncrossing() -> GadgetInstance:
 @cache
 def build_aux_edge() -> GadgetInstance:
     """Four-cycle with in/out pendants; replaces one edge of the cubic graph."""
-    return _build_from_figure(_AUX_COORDS, _AUX_EDGES, _AUX_ROLES, ["u", "v", "in", "out"], "AuxEdge")
+    return _spliceable(_build_from_figure(_AUX_COORDS, _AUX_EDGES, _AUX_ROLES, ["u", "v", "in", "out"], "AuxEdge"))
 
 
 def _hprime_figure(k: int):
@@ -405,7 +418,7 @@ def build_edge_gadget(k: int) -> GadgetInstance:
             for copy, cx in ((f".l{i}", w - 2), (f".r{i}", w + k - 2)):
                 coords.update({n + copy: (cx + y + 1, -i * w - 3 - x) for n, (x, y) in hp_coords.items()})
                 edges += [(x + copy, y + copy) for x, y in hp_edges] + [(f"b{i}", "c" + copy)]
-    return _build_from_figure(coords, edges, dict.fromkeys(_EDGE_PATH, PORT), _EDGE_PATH, "Gk", k)
+    return _spliceable(_build_from_figure(coords, edges, dict.fromkeys(_EDGE_PATH, PORT), _EDGE_PATH, "Gk", k))
 
 
 def edge_gadget_order(k: int) -> int:

@@ -393,6 +393,16 @@ def verify_planar(graph: Graph, rot: RotationSystem) -> bool:
     return sum(map(len, comps)) - graph.m + faces == 2 * len(comps)
 
 
+def face(rot: RotationSystem, u: int, v: int) -> List[int]:
+    """The vertices, in walk order, of the face that starts with the dart u->v (as `verify_planar` traces it)."""
+    walk, (a, b) = [], (u, v)
+    while not walk or (a, b) != (u, v):
+        walk.append(a)
+        row = rot.rotation[b]
+        a, b = b, row[(row.index(a) + 1) % len(row)]
+    return walk
+
+
 def check_regular(graph: Graph, d: int) -> bool:
     """True iff every vertex has degree exactly d (vacuously true when empty)."""
     return all(graph.degree(v) == d for v in range(graph.n))

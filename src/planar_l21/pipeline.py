@@ -6,9 +6,9 @@ uncrossing gadget) -> auxiliary graph (every edge replaced by the four-cycle
 gadget) -> labelling instance (pendants to degree k-1, every former edge
 replaced by the span-k edge gadget, hub pendants under each out-vertex).
 
-Each fact is checked once, by the layer that owns it.  A stage builder
-Euler-checks the graph it builds, and `PlanarStage`/`AuxStage` carry that
-verdict (`certified_planar`) to the next builder.  The witness translators
+Each fact is checked once, by the layer that owns it.  `planarize` runs the
+one Euler check, and `check_splice` certifies the aux and instance stages
+planar from their construction, a gadget per edge.  The witness translators
 execute the constructive arguments in both directions; each validates its
 input, raising `ValidationError`, and leaves its output to the input check of
 the step that consumes it.  Output assertions remain only for lemma facts
@@ -118,7 +118,6 @@ class AuxStage:
     rot: RotationSystem
     # per planar edge (x,y): ids of the six inserted vertices
     aux_records: Dict[Edge, Dict[str, int]]
-    certified_planar: bool  # rot passed the Euler check
 
     def out_vertices(self) -> Set[int]:
         return {v.id for v in self.graph.vertices if v.role == OUT_VERTEX}
@@ -286,7 +285,7 @@ def planar_stage_from_graph(graph: Graph, rot: Optional[RotationSystem] = None) 
     """Wrap a bare cubic graph so the later stages can run on it directly.
 
     The Euler check runs here, once; a graph that fails it (K3,3, say) is
-    carried as uncertified and the later stages skip their planarity checks.
+    carried as uncertified, and so are the stages built from it.
     """
     if rot is None:
         rot = RotationSystem({v: list(graph.neighbours(v)) for v in range(graph.n)})
@@ -298,6 +297,26 @@ def planar_stage_from_graph(graph: Graph, rot: Optional[RotationSystem] = None) 
         uncross_maps=[],
         certified_planar=verify_planar(graph, rot),
     )
+
+
+def check_splice(graph: Graph, rot: RotationSystem, before: RotationSystem, records: Dict[Edge, Dict[str, int]],
+                 ends: Tuple[str, str], leaves: Dict[int, List[int]]) -> None:
+    """Raise `AssertionError` unless ``rot`` is ``before`` with the copy
+    ``records[x, y]`` spliced in for each edge x < y and ``leaves`` (parent ->
+    pendant leaves) hung: host x's row is its ``before`` row with each y
+    replaced by the copy's ``ends[0]`` (``ends[1]`` at y), then x's leaves; a
+    leaf's row is its parent, then its own leaves; each lists the graph's
+    neighbours.  A copy's rows are its Euler-checked gadget's (`embed`), whose
+    glued pendants share a face (`gadgets._spliceable`), so the faces beside
+    the edge take in one arc of it each; V - E + F is kept, as by a leaf."""
+    step = {}
+    for (x, y), m in records.items():
+        step[x, y], step[y, x] = m[ends[0]], m[ends[1]]
+    want = {x: tuple([step[x, y] for y in row] + leaves.get(x, [])) for x, row in before.rotation.items()}
+    want.update((leaf, (parent, *leaves.get(leaf, ()))) for parent, own in leaves.items() for leaf in own)
+    for x, row in want.items():
+        if rot.rotation.get(x) != row or tuple(sorted(row)) != graph.neighbours(x):
+            raise AssertionError(f"rotation at vertex {x} is not its spliced row")
 
 
 def build_auxiliary(stage: PlanarStage) -> AuxStage:
@@ -315,17 +334,8 @@ def build_auxiliary(stage: PlanarStage) -> AuxStage:
     n, mm = stage.graph.n, stage.graph.m
     if graph.n != n + 6 * mm or graph.m != 8 * mm:
         raise AssertionError("auxiliary graph census mismatch")
-    if stage.certified_planar and not verify_planar(graph, rot):
-        raise AssertionError("auxiliary graph failed the Euler check")
-    for v in range(n):
-        if graph.degree(v) != 3:
-            raise AssertionError("original vertices must keep degree three")
-    return AuxStage(
-        graph=graph,
-        rot=rot,
-        aux_records=aux_records,
-        certified_planar=stage.certified_planar,
-    )
+    check_splice(graph, rot, stage.rot, aux_records, ("cu", "cv"), {})  # so each original vertex keeps degree three
+    return AuxStage(graph=graph, rot=rot, aux_records=aux_records)
 
 
 # ---------------------------------------------------------------------------
@@ -364,14 +374,10 @@ def build_instance(stage: AuxStage, k: int) -> InstanceStage:
     pendant_map.update(builder.add_leaves([(w, k - 2, f"w{v}") for v, w in w_map.items()]))
 
     graph, rot = builder.freeze_with_rotation()
-    for v in range(h.n):
+    for v in [*range(h.n), *w_map.values()]:
         if graph.degree(v) != k - 1:
-            raise AssertionError("every former vertex must reach degree k-1")
-    for w in w_map.values():
-        if graph.degree(w) != k - 1:
-            raise AssertionError("hub pendants must reach degree k-1")
-    if stage.certified_planar and not verify_planar(graph, rot):
-        raise AssertionError("instance graph failed the Euler check")
+            raise AssertionError("every former vertex and hub pendant must reach degree k-1")
+    check_splice(graph, rot, stage.rot, gadget_records, ("a_u", "a_v"), pendant_map)
     return InstanceStage(
         graph=graph,
         rot=rot,
@@ -672,16 +678,21 @@ def trace_manifest(trace: ReductionTrace) -> dict:
     return doc
 
 
+def make_dirs(outdir) -> List[pathlib.Path]:
+    """Make the directory ``outdir`` and its missing ancestors, one level at a
+    time (`mkdir(parents=True)` recurses once per level); return those made."""
+    outdir = pathlib.Path(outdir)
+    missing = [level for level in [*reversed(outdir.parents), outdir] if not level.exists()]
+    for level in missing or [outdir]:  # an existing outdir must be a directory
+        level.mkdir(exist_ok=True)
+    return missing
+
+
 @collector_paused
 def write_trace(trace: ReductionTrace, outdir) -> List[str]:
     """Write one JSON file per constructed stage plus the manifest."""
     outdir = pathlib.Path(outdir)
-    try:
-        outdir.mkdir(exist_ok=True)
-    except FileNotFoundError:  # `mkdir(parents=True)` recurses once per missing ancestor
-        for ancestor in reversed(outdir.parents):
-            ancestor.mkdir(exist_ok=True)
-        outdir.mkdir(exist_ok=True)
+    make_dirs(outdir)
     written = []
 
     def emit(name: str, text: str) -> None:

@@ -218,13 +218,16 @@ CASES = [
     Case("test_certify_includes_hprime_from_k6", "certify --k 6..6", 0,
          sha256={"-": "5f5ebe2bd5a39b3dd8db1b4e03aa06d3e2527aa1cff9164991dd5a1eb968f5c8"}),
     Case("test_cli_contract[certify 4..8]", "certify --k 4..8", 0, sha256={"-": CERTIFY_STDOUT_HASH}),
-    Case("test_certify_capacity_exit", "certify --k 9..9", 2, err="certification supports"),
-    Case("test_cli_contract[certify 4..9]", "certify --k 4..9", 2,
-         err_is="certify: edge gadget certification supports 4 <= k <= 8\n"),
+    # every lemma at every span up to the cap, H' from k = 6
+    Case("test_cli_contract[certify 4..32]", "certify --k 4..32", 0, err_is="certify: all 59 reports pass\n",
+         timeout=60),
+    Case("test_certify_capacity_exit", "certify --k 33..33", 2, err="certification supports"),
+    Case("test_cli_contract[certify 4..33]", "certify --k 4..33", 2,
+         err_is="certify: H' certification supports 6 <= k <= 32\n"),
     # the capacity check reads each certifier's k range at its ends, so nothing
     # that grows with hi is built before the refusal
     Case("test_certify_refuses_a_huge_range_before_building_per_k_tasks", "certify --k 4..1000000000", 2,
-         err_is="certify: H' certification supports 6 <= k <= 9\n", timeout=60),
+         err_is="certify: H' certification supports 6 <= k <= 32\n", timeout=60),
     # each bound must be ASCII -?[0-9]+, as a DIMACS number must; int() takes all
     # of these but the last two, whose 5,000 digits are more than it converts
     *[

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from planar_l21.graphs import ORIGINAL, Graph, RotationSystem, Vertex
+from planar_l21.graphs import ORIGINAL, Graph, RotationSystem, Vertex, verify_planar
 from planar_l21.pipeline import run_reduction
 
 
@@ -45,12 +45,16 @@ def triangle():
 def reduced():
     """`run_reduction`, run once per (formula, k) in a session and shared by
     the tests that only read the trace.  A test that counts the calls made
-    while reducing calls `run_reduction` itself."""
+    while reducing calls `run_reduction` itself.  Each trace's aux and
+    instance stages, which the library certifies by their splices, must pass
+    the Euler check as well."""
     traces = {}
 
     def reduce(formula, k):
         if (formula, k) not in traces:
-            traces[formula, k] = run_reduction(formula, k)
+            trace = traces[formula, k] = run_reduction(formula, k)
+            assert verify_planar(trace.aux.graph, trace.aux.rot)
+            assert verify_planar(trace.instance.graph, trace.instance.rot)
         return traces[formula, k]
 
     return reduce

@@ -178,8 +178,8 @@ def formula_file(tmp_path):
 @pytest.mark.parametrize(
     "k_range, message",
     [
-        ("4..9", "edge gadget certification supports 4 <= k <= 8"),
-        ("6..10", "H' certification supports 6 <= k <= 9"),
+        ("4..33", "H' certification supports 6 <= k <= 32"),
+        ("33..33", "H' certification supports 6 <= k <= 32"),
     ],
 )
 def test_certify_checks_capacity_before_any_lemma(capsys, monkeypatch, k_range, message):
@@ -258,12 +258,24 @@ def test_reduction_invariant_violation_exits_3(tmp_path, formula_file, capsys, m
 
     monkeypatch.setattr(pipeline_mod, "build_instance", broken)
     option = {"reduce": "--input", "roundtrip": "--formula"}[command]
-    argv = [command, option, str(formula_file)] + (["--out", str(tmp_path / "o")] if command == "reduce" else [])
+    argv = [command, option, str(formula_file)] + (["--out", str(tmp_path / "o" / "p")] if command == "reduce" else [])
     code = cli.main(argv)
     captured = capsys.readouterr()
     assert_internal_error(code, captured.err, captured.out, command)
     assert "Euler check" in captured.err
     assert not (tmp_path / "o").exists()
+
+
+def test_reduce_refuses_an_out_it_cannot_make_before_reducing(tmp_path, formula_file, capsys, monkeypatch):
+    import planar_l21.pipeline as pipeline_mod
+
+    monkeypatch.setattr(pipeline_mod, "run_reduction", lambda *args, **kwargs: pytest.fail("the reduction ran"))
+    (tmp_path / "taken").write_text("")
+    out = str(tmp_path / "taken" / "o")
+    code, reports, err = run_cli(capsys, ["reduce", "--input", str(formula_file), "--k", "12", "--out", out])
+    assert_bad_input(code, err)
+    assert reports == []
+    assert err.startswith("reduce: cannot write to ")
 
 
 def test_solve_witness_check_failure_exits_3(tmp_path, capsys, monkeypatch):

@@ -232,6 +232,17 @@ def test_oriented_dichromatic_edge_is_structural_error():
         )
 
 
+@pytest.mark.parametrize("extra", ["reversed key", "extra pair"])
+def test_a_foreign_orientation_entry_is_named(extra):
+    inst, ids, co = aux_good_pattern()
+    u, v = edge_key(ids["cu"], ids["cin"])
+    foreign = (v, u) if extra == "reversed key" else edge_key(ids["u"], ids["v"])
+    assert foreign not in inst.graph.edges
+    broken = {**co.orientation, foreign: UNORIENTED}
+    with pytest.raises(ValidationError, match=rf"^orientation names foreign edge \({foreign[0]}, {foreign[1]}\)$"):
+        verify_coloured_orientation(inst.graph, ColouredOrientation(co.colouring, broken), {ids["out"]})
+
+
 def test_out_vertex_with_incoming_edge_fails():
     inst, ids, co = aux_good_pattern()
     colouring = dict(co.colouring)

@@ -19,7 +19,9 @@ from planar_l21.gadgets import (
     edge_gadget_order,
     hprime_lemma_pairs,
     _CLAUSE_BOUNDARY,
+    _build_from_figure,
     _composed_edge_table,
+    _spliceable,
     _U_BOUNDARY,
 )
 from planar_l21.graphs import (
@@ -109,6 +111,19 @@ def test_aux_edge_census():
     for name in ("cu", "cin", "cout", "cv"):
         assert inst.graph.degree(ids[name]) == 3
     assert not inst.graph.has_edge(ids["cu"], ids["cv"])  # opposite corners
+
+
+@pytest.mark.parametrize("v_at, refused", [((3, 3), False), ((5, 5), True)])
+def test_a_gadget_is_spliceable_only_with_u_and_v_on_one_face(v_at, refused):
+    # a square a, b, c, d with u hung inside at a, and v hung at c inside or outside
+    coords = {"a": (0, 0), "b": (4, 0), "c": (4, 4), "d": (0, 4), "u": (1, 1), "v": v_at}
+    edges = [("a", "b"), ("b", "c"), ("c", "d"), ("d", "a"), ("a", "u"), ("c", "v")]
+    inst = _build_from_figure(coords, edges, {}, ["u", "v"], "Square")
+    if refused:
+        with pytest.raises(AssertionError, match="Square has its pendants u and v on different faces"):
+            _spliceable(inst)
+    else:
+        assert _spliceable(inst) is inst
 
 
 def test_hprime_census_and_planarity():
@@ -266,7 +281,7 @@ def test_certify_hprime_k6():
     assert report.passed
     assert report.observed["pairs"] == [(0, 6), (1, 6), (5, 0), (6, 0)]
     with pytest.raises(CapacityError):
-        certify_Hprime(10)
+        certify_Hprime(33)
 
 
 def test_certify_edge_gadget_small():
@@ -276,7 +291,7 @@ def test_certify_edge_gadget_small():
     r5 = certify_edge_gadget(5)
     assert r5.passed
     with pytest.raises(CapacityError):
-        certify_edge_gadget(9)
+        certify_edge_gadget(33)
 
 
 @pytest.mark.parametrize("k", range(4, 9))

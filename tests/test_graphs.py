@@ -33,6 +33,7 @@ from planar_l21.graphs import (
     Unfilled,
     Vertex,
     check_regular,
+    face,
     from_json,
     rotation_from_coordinates,
     to_dot,
@@ -258,6 +259,17 @@ def test_verify_planar_matches_euler_count_on_gadgets_and_stages(reduced):
             twisted[v] = twisted[v][::-1]
         twisted = RotationSystem(twisted)
         assert verify_planar(graph, twisted) == euler_planar(graph, twisted)
+
+
+def test_face_is_the_walk_of_its_dart():
+    # every dart of planar and non-planar rotations, against the oracle's walks
+    rnd = random.Random(5)
+    drawn = [planar_k4(), (build_aux_edge().graph, build_aux_edge().rot), (build_H().graph, build_H().rot)]
+    shuffled = [(g, shuffled_rotation(g, rnd)) for g in (random_graph(rnd, 8, 0.4) for _ in range(20))]
+    for graph, rot in drawn + shuffled:
+        for walk in faces(graph, rot):
+            for i, (u, v) in enumerate(walk):
+                assert face(rot, u, v) == [a for a, _ in walk[i:] + walk[:i]]
 
 
 def test_verify_planar_rejects_malformed_rotations():

@@ -1,4 +1,3 @@
-import dataclasses
 import gc
 from collections import Counter
 
@@ -15,7 +14,7 @@ from planar_l21.colouring import (
     verify_coloured_orientation,
 )
 from planar_l21.errors import CapacityError, ValidationError
-from planar_l21.graphs import check_regular, edge_key, from_json, verify_planar
+from planar_l21.graphs import RotationSystem, check_regular, edge_key, from_json, verify_planar
 from planar_l21.labelling import Labelling, _LabelSearch, verify_labelling
 from planar_l21.nae3sat import Nae3SatFormula, check_nae
 from planar_l21.pipeline import (
@@ -23,6 +22,7 @@ from planar_l21.pipeline import (
     build_auxiliary,
     build_instance,
     canonicalize_orientation,
+    check_splice,
     labelling_to_orientation,
     matching_to_assignment,
     matching_to_good_orientation,
@@ -110,7 +110,7 @@ def test_auxiliary_counts_on_k4():
     # the id-order rotation of K4 traces two faces (genus one), so the stage
     # is carried as uncertified
     aux = build_auxiliary(stage)
-    assert not stage.certified_planar and not aux.certified_planar
+    assert not stage.certified_planar
     assert aux.graph.n == 40
     assert aux.graph.m == 48  # eight edges per replaced edge
     assert len(aux.out_vertices()) == 6
@@ -120,7 +120,6 @@ def test_auxiliary_counts_on_k33():
     stage = planar_stage_from_graph(k33())
     assert not stage.certified_planar  # no rotation of K3,3 passes the Euler check
     aux = build_auxiliary(stage)
-    assert not aux.certified_planar
     assert aux.graph.n == 60
     assert aux.graph.m == 72
     for v in range(6):
@@ -207,10 +206,54 @@ def test_forward_labelling_solves_over_hprime_only(reduced, monkeypatch, k):
     assert sizes == expected
 
 
+def prism(n):
+    """The n-prism, outer cycle 0..n-1, inner cycle n..2n-1 and spokes j to
+    n+j, with the rotation of its drawing as two concentric convex polygons."""
+    edges = [(j, (j + 1) % n) for j in range(n)] + [(j, n + j) for j in range(n)]
+    edges += [(n + j, n + (j + 1) % n) for j in range(n)]
+    rotation = {j: [(j + 1) % n, n + j, (j - 1) % n] for j in range(n)}
+    rotation.update({n + j: [j, n + (j + 1) % n, n + (j - 1) % n] for j in range(n)})
+    return make_graph(2 * n, edges), RotationSystem(rotation)
+
+
+def wheel_k4():
+    """K4 drawn as the triangle 0, 1, 2 round the centre 3."""
+    rotation = {j: [(j + 1) % 3, 3, (j - 1) % 3] for j in range(3)}
+    return complete_graph(4), RotationSystem({**rotation, 3: [0, 1, 2]})
+
+
+@pytest.mark.parametrize("name", ["K4", "prism3", "prism4", "prism5", "prism6"])
+def test_stages_of_planar_cubic_graphs_pass_the_euler_oracle(name):
+    graph, rot = wheel_k4() if name == "K4" else prism(int(name[-1]))
+    planar = planar_stage_from_graph(graph, rot)
+    assert planar.certified_planar
+    aux = build_auxiliary(planar)
+    assert verify_planar(aux.graph, aux.rot)
+    for k in range(4, 9):
+        inst = build_instance(aux, k)
+        assert verify_planar(inst.graph, inst.rot)
+
+
+@pytest.mark.parametrize("stage", ["aux", "instance"])
+def test_a_swapped_host_row_is_refused_by_the_splice_check_and_the_euler_oracle(reduced, stage):
+    trace = reduced(CROSSY, 4)
+    if stage == "aux":
+        built, splice = trace.aux, (trace.planar.rot, trace.aux.aux_records, ("cu", "cv"), {})
+    else:
+        inst = built = trace.instance
+        splice = (trace.aux.rot, inst.gadget_records, ("a_u", "a_v"), inst.pendant_map)
+    check_splice(built.graph, built.rot, *splice)
+    rows = dict(built.rot.rotation)
+    a, b, c = rows[0]  # a vertex of the planar stage, a host in both
+    swapped = RotationSystem({**rows, 0: (b, a, c)})
+    with pytest.raises(AssertionError, match="rotation at vertex 0 is not its spliced row"):
+        check_splice(built.graph, swapped, *splice)
+    assert not verify_planar(built.graph, swapped)
+
+
 @pytest.mark.parametrize("index", range(len(CORPUS)))
 def test_instance_size_is_the_built_vertex_count(index):
-    # carried as uncertified, so that no Euler check runs on the instances
-    aux = dataclasses.replace(run_reduction(CORPUS[index], 4, stop_at="aux").aux, certified_planar=False)
+    aux = run_reduction(CORPUS[index], 4, stop_at="aux").aux
     for k in range(4, 9):
         assert pipeline.instance_size(aux, k) == build_instance(aux, k).graph.n
 
@@ -406,9 +449,10 @@ def count_checks(monkeypatch, module):
 
 
 def test_each_stage_graph_is_euler_checked_once(monkeypatch):
+    # the planar stage only: the aux and instance stages are certified by splice
     calls = count_checks(monkeypatch, pipeline)
     run_reduction(XYZ, 4)
-    assert calls == {"verify_planar": 3}
+    assert calls == {"verify_planar": 1}
 
 
 def test_fixed_gadgets_are_built_once(monkeypatch):
@@ -467,7 +511,7 @@ def test_roundtrip_checks_each_witness_once(tmp_path, monkeypatch, capsys):
     # two matchings, three orientations, one labelling: each checked once,
     # by the translator that consumes it
     assert in_pipeline == {
-        "verify_planar": 3,
+        "verify_planar": 1,
         "verify_2cpm": 2,
         "verify_coloured_orientation": 1,
         "is_good_orientation": 2,
