@@ -263,7 +263,8 @@ def _orientation_degrees(
             outdeg[tail] += 1
             indeg[head] += 1
     if len(co.orientation) != graph.m:  # every edge has an entry, so one more is foreign
-        foreign = next(e for e in co.orientation if e not in graph.edges)
+        edges = set(graph.sorted_edges())
+        foreign = next(e for e in co.orientation if e not in edges)
         raise ValidationError(f"orientation names foreign edge {foreign}")
     if unoriented_mono or any(c > 1 for c in opposite):
         return None

@@ -565,7 +565,7 @@ def _edge_gadget_structure_holds(inst: GadgetInstance, k: int) -> bool:
     other vertex or edge."""
     hp = build_Hprime(k).graph
     hp_names = [v.name for v in hp.vertices]
-    hp_edges = [(hp.vertices[x].name, hp.vertices[y].name) for x, y in hp.edges]
+    hp_edges = [(hp.vertices[x].name, hp.vertices[y].name) for x, y in hp.sorted_edges()]
     names = list(_EDGE_PATH)
     edges = list(zip(_EDGE_PATH, _EDGE_PATH[1:]))
     for i in range(1, k - 4):
@@ -578,7 +578,7 @@ def _edge_gadget_structure_holds(inst: GadgetInstance, k: int) -> bool:
     ids = _names(inst)
     if sorted(v.name for v in inst.graph.vertices) != sorted(names):
         return False
-    return inst.graph.edges == {edge_key(ids[x], ids[y]) for x, y in edges}
+    return set(inst.graph.sorted_edges()) == {edge_key(ids[x], ids[y]) for x, y in edges}
 
 
 def _composed_edge_table(k: int, pairs: Set[Tuple[int, int]]) -> Dict[Tuple[int, int, int, int], List[tuple]]:

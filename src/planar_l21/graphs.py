@@ -1,21 +1,26 @@
 """Simple undirected graphs with combinatorial embeddings.
 
 A graph carries dense integer vertex ids plus a role tag and a short display
-name per vertex.  Planarity is certified, never tested: constructions carry a
-rotation system (cyclic neighbour order per vertex) and `verify_planar` checks
-Euler's formula on the faces traced from it.
+name per vertex, and its edges once, as the sorted adjacency.  Planarity is
+certified, never tested: constructions carry a rotation system (cyclic
+neighbour order per vertex) and `verify_planar` checks Euler's formula on the
+faces traced from it.  A builder's rotation rows are its only record of the
+edges; the graph it freezes is those rows sorted.  Stage files are read one
+top-level section at a time, so a whole parse is never held.
 """
 
 from __future__ import annotations
 
 import gc
 import json
+from bisect import bisect_left
 from collections import Counter, deque
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, partial, wraps
 from itertools import accumulate, chain, islice, repeat
 from operator import itemgetter
+from json.decoder import scanstring
 from json.encoder import encode_basestring_ascii
 from typing import TYPE_CHECKING, Collection, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
@@ -54,7 +59,10 @@ class Vertex(NamedTuple):
 
 
 class Graph:
-    """Immutable simple graph.  Ids are dense 0..n-1."""
+    """Immutable simple graph.  Ids are dense 0..n-1.  Its one record of the
+    edges is the sorted adjacency: ``_adj[v]`` lists v's neighbours in
+    increasing order, so the edges (u, v), u < v, read off it row by row come
+    out sorted."""
 
     def __init__(self, vertices: Sequence[Vertex], edges: Iterable[Edge]):
         vertices = tuple(vertices)
@@ -67,33 +75,24 @@ class Graph:
         if not {v.role for v in vertices} <= ROLES:
             bad = next(v for v in vertices if v.role not in ROLES)
             raise ValidationError(f"unknown role {quote(bad.role)} on vertex {bad.id}")
-        edge_set = set()
         adj: List[List[int]] = [[] for _ in dense]
-        for e in edges:
-            u, v = e
+        for u, v in edges:
             if u == v:
                 raise ValidationError(f"self-loop at vertex {quote(u)}")
             if not (0 <= u < n and 0 <= v < n):
                 raise ValidationError(f"edge ({quote(u)},{quote(v)}) has undeclared endpoint")
-            if u > v or type(e) is not tuple:  # keep a sorted pair, shared with the caller
-                e = (u, v) if u < v else (v, u)
-            if e not in edge_set:
-                edge_set.add(e)
-                adj[u].append(v)
-                adj[v].append(u)
-        for ns in adj:
-            ns.sort()
+            adj[u].append(v)
+            adj[v].append(u)
         self.vertices = vertices
-        self.edges = frozenset(edge_set)
-        self._adj = tuple(map(tuple, adj))
+        self._adj = tuple(tuple(sorted(set(ns))) for ns in adj)  # an edge given twice counts once
 
     @property
     def n(self) -> int:
         return len(self.vertices)
 
-    @property
+    @cached_property
     def m(self) -> int:
-        return len(self.edges)
+        return sum(map(len, self._adj)) // 2
 
     def neighbours(self, v: int) -> Tuple[int, ...]:
         return self._adj[v]
@@ -102,7 +101,12 @@ class Graph:
         return len(self._adj[v])
 
     def has_edge(self, u: int, v: int) -> bool:
-        return edge_key(u, v) in self.edges
+        """Whether u-v is an edge; False for an id outside 0..n-1."""
+        if not 0 <= u < len(self._adj):
+            return False
+        ns = self._adj[u]
+        i = bisect_left(ns, v)
+        return i < len(ns) and ns[i] == v
 
     @cached_property
     def distance2(self) -> Tuple[Tuple[int, ...], ...]:
@@ -115,7 +119,7 @@ class Graph:
         return tuple(out)
 
     def sorted_edges(self) -> List[Edge]:
-        return sorted(self.edges)
+        return [(u, v) for u, ns in enumerate(self._adj) for v in ns if u < v]
 
     def components(self) -> List[List[int]]:
         """Connected components as sorted id lists, ordered by smallest member."""
@@ -138,10 +142,10 @@ class Graph:
         return comps
 
     def __eq__(self, other):
-        return isinstance(other, Graph) and (self.vertices, self.edges) == (other.vertices, other.edges)
+        return isinstance(other, Graph) and (self.vertices, self._adj) == (other.vertices, other._adj)
 
     def __hash__(self):
-        return hash((self.vertices, self.edges))
+        return hash((self.vertices, self._adj))
 
     def __repr__(self):
         return f"Graph(n={self.n}, m={self.m})"
@@ -184,18 +188,19 @@ class Unfilled:
 
 
 class GraphBuilder:
-    """Mutable helper used by the constructions; `freeze` yields the graph.
+    """Mutable helper used by the constructions; `freeze_with_rotation`
+    yields the graph and its rotation.
 
-    `rotation` holds the rotation under construction; its entries are vertex
-    ids or `Unfilled` markers that `link` replaces.  Markers enter it only
-    through `embed` or by assigning `rotation` a whole seed, so the builder
-    counts the open ones and looks for them at freeze only when some are left.
-    A builder may start from the vertices (ids 0..n-1) of an earlier stage.
+    `rotation` holds the rotation under construction, the builder's one
+    record of the edges: its entries are vertex ids or `Unfilled` markers
+    that `link` replaces.  Markers enter it only through `embed` or by
+    assigning `rotation` a whole seed, so the builder counts the open ones and
+    looks for them at freeze only when some are left.  A builder may start
+    from the vertices (ids 0..n-1) of an earlier stage.
     """
 
     def __init__(self, vertices: Sequence[Vertex] = ()):
         self._vertices: List[Vertex] = list(vertices)
-        self._edges: List[Edge] = []
         self.rotation: Dict[int, List[object]] = {}
 
     @property
@@ -211,9 +216,6 @@ class GraphBuilder:
         vid = len(self._vertices)
         self._vertices.append(Vertex(vid, role, name))
         return vid
-
-    def add_edge(self, u: int, v: int) -> None:
-        self._edges.append(edge_key(u, v))
 
     def set_role(self, vid: int, role: str) -> None:
         old = self._vertices[vid]
@@ -236,7 +238,6 @@ class GraphBuilder:
             repeat(PENDANT), [f"{prefix}.leaf{i}" for _, count, prefix in hangs for i in range(count)]
         )
         parents = [parent for parent, count, _ in hangs for _ in range(count)]
-        self._edges.extend(zip(parents, leaves))
         self._rotation.update(zip(leaves, map(list, zip(parents))))
         out, it = {}, iter(leaves)
         for parent, count, _ in hangs:
@@ -259,14 +260,14 @@ class GraphBuilder:
         rotation entry for the other host (the host edge the gadget replaces)
         becomes the gadget neighbour, appended when there is no such entry.
         The other vertices, bar `drop`, are added in the gadget's order, named
-        `names.format(name)`, with the gadget's role or `role`.  Edges to
-        dropped vertices are left out; `Unfilled` markers keep their place in
-        the rotation.
+        `names.format(name)`, with the gadget's role or `role`.  An entry for a
+        dropped vertex becomes an `Unfilled` marker in its place.
 
-        The copy is compiled once per call from the gadget's own graph and
-        rotation.  A copy's slots are its copied vertices, then its glued
-        hosts, then one marker per dropped vertex; one `itemgetter` reads its
-        edge ends, in pairs, and then its rotation rows off that slot list."""
+        The copy is compiled once per call from the gadget's own rotation.  A
+        copy's slots are its copied vertices, then its glued hosts, then one
+        marker per dropped vertex; one `itemgetter` reads its rotation rows
+        off that slot list.  The slot map is injective, so a copy's rows are
+        as symmetric and as free of repeats as the gadget's."""
         glued = tuple(copies[0][1]) if copies else ()
         graph, gadget_rows = gadget.graph, gadget.rot.rotation
         copied = [v for v in graph.vertices if v.name not in glued and v.name not in drop]
@@ -283,12 +284,7 @@ class GraphBuilder:
             [slot[u] if u in slot else dropped.setdefault(u, len(slot) + len(dropped)) for u in ns]
             for ns in (gadget_rows[v.id] for v in copied)
         ]
-        ends = [  # hosts precede the copy, so a host end comes first
-            x
-            for a, b in ((slot[x], slot[y]) for x, y in graph.sorted_edges() if x in slot and y in slot)
-            for x in ((a, b) if a >= c or (a < b < c) else (b, a))
-        ]
-        index = ends + [u for row in rows for u in row]
+        index = [u for row in rows for u in row]
         take = itemgetter(*index) if len(index) > 1 else lambda slots: tuple(slots[i] for i in index)
         markers = [graph.vertices[u].name for u in dropped]
         affixes = [names.split("{}") for names, _ in copies]
@@ -296,44 +292,50 @@ class GraphBuilder:
         roles = [v.role for v in copied] * len(copies) if role is None else repeat(role)
         new = self.add_vertices(roles, labels)
         rotation = self._rotation
-        edge_ends: List[object] = []
         entries: List[object] = []
         maps = []
         for i, ((_, glue), (prefix, suffix)) in enumerate(zip(copies, affixes)):
             ids = new[i * c : i * c + c]
             hosts = [glue[name] for name in glued]
-            got = take(ids + hosts + [Unfilled(prefix + name + suffix) for name in markers])
-            edge_ends += got[: len(ends)]
-            entries += got[len(ends) :]
+            entries += take(ids + hosts + [Unfilled(prefix + name + suffix) for name in markers])
             for host, other, inner in zip(hosts, hosts[::-1], inners):  # replace, or append
                 row = rotation.setdefault(host, [])
                 at = row.index(other) if other in row else len(row)
                 row[at : at + 1] = [ids[inner]]
             maps.append(dict(zip(copied_names, ids)))
-        self._edges.extend(zip(edge_ends[::2], edge_ends[1::2]))
         bounds = list(accumulate(map(len, rows * len(copies)), initial=0))
         rotation.update(zip(new, map(entries.__getitem__, map(slice, bounds, bounds[1:]))))
         self._open += sum(u >= len(slot) for row in rows for u in row) * len(copies)
         return maps
 
     def link(self, u: int, u_marker: str, v: int, v_marker: str) -> None:
-        """Add edge u-v where the rotations of u and v hold the `Unfilled`
+        """Join u and v where the rotations of u and v hold the `Unfilled`
         markers named `u_marker` and `v_marker`."""
-        self.add_edge(u, v)
         for x, marker, y in ((u, u_marker, v), (v, v_marker, u)):
             entries = self._rotation[x]
             entries[entries.index(Unfilled(marker))] = y
             self._open -= 1
 
-    def freeze(self) -> Graph:
-        return Graph(self._vertices, self._edges)
+    def freeze(self, extra: Iterable[Edge] = ()) -> Graph:
+        """The graph of the edges that the rows list, markers skipped, and of
+        ``extra``, through the validating constructor."""
+        listed = ((x, y) for x, row in self._rotation.items() for y in row if type(y) is int)
+        return Graph(self._vertices, chain(listed, extra))
 
     def freeze_with_rotation(self) -> Tuple[Graph, RotationSystem]:
+        """The rows as the rotation, and the graph whose adjacency is the rows
+        sorted.  The rows are not checked here but by the stage that froze
+        them: `verify_planar` refuses rows that are not symmetric or repeat an
+        entry, and `pipeline.check_splice` pins the rows a splice made."""
         if self._open:
             for vid, entries in self._rotation.items():
                 if any(isinstance(entry, Unfilled) for entry in entries):
                     raise AssertionError(f"unfilled rotation slot at vertex {vid}")
-        return self.freeze(), RotationSystem(self._rotation)
+        rot = RotationSystem(self._rotation)
+        graph = Graph.__new__(Graph)  # no validating constructor: the rows are the adjacency
+        graph.vertices = tuple(self._vertices)
+        graph._adj = tuple(tuple(sorted(rot.rotation.get(v, ()))) for v in range(len(self._vertices)))
+        return graph, rot
 
 
 def rotation_from_coordinates(
@@ -373,12 +375,19 @@ def verify_planar(graph: Graph, rot: RotationSystem) -> bool:
     after u->v leaves v through the entry after u.  Each component with an
     edge has V - E + F = 2 - 2g <= 2, so all have genus 0 exactly when the
     sums give 2 per such component; an isolated vertex is a sphere alone.
+
+    Rows that are not symmetric, or that repeat an entry, give False: the
+    reverse of some dart is missing, or the successor map is no permutation,
+    so a face walk ends off its first dart.
     """
     rot.validate(graph)
     rows = [rot.rotation.get(v, ()) for v in range(graph.n)]
     degree = list(map(len, rows))
     start = list(accumulate(degree, initial=0))
-    succ = [start[v] + (rows[v].index(u) + 1) % degree[v] for u, row in enumerate(rows) for v in row]
+    try:
+        succ = [start[v] + (rows[v].index(u) + 1) % degree[v] for u, row in enumerate(rows) for v in row]
+    except ValueError:  # a dart u->v whose reverse v->u is missing
+        return False
     seen = bytearray(len(succ))
     faces = 0
     first = seen.find(0)
@@ -388,6 +397,8 @@ def verify_planar(graph: Graph, rot: RotationSystem) -> bool:
         while not seen[d]:
             seen[d] = 1
             d = succ[d]
+        if d != first:
+            return False
         first = seen.find(0, first + 1)
     comps = [comp for comp in graph.components() if len(comp) > 1]
     return sum(map(len, comps)) - graph.m + faces == 2 * len(comps)
@@ -455,9 +466,25 @@ def to_json(
     )
 
 
-def json_object(text: str, keys: Sequence[str], what: str) -> dict:
+class _Astray(Exception):
+    """Text that the member walk of `json_object` does not expect."""
+
+
+_space = json.decoder.WHITESPACE.match
+
+
+def json_object(text: str, keys: Sequence[str], what: str, convert=None) -> dict:
     """Parse ``text`` as a JSON object that holds every key in ``keys`` and
-    whose objects, at any depth, name no key twice."""
+    whose objects, at any depth, name no key twice.
+
+    The object's members are decoded one at a time, and each value is passed
+    through ``convert(key, value)``, when given, before the next is decoded:
+    a caller that converts each section and drops what it parsed never holds
+    the whole parse.  Text that the walk does not expect (a syntax fault
+    between members, trailing data, or no object at all) goes to
+    `json.loads`, which raises the error it gives on the whole text, or finds
+    no object.  A syntax fault inside a value raises where `json.loads`
+    raises it, so a syntax error anywhere outranks what ``convert`` finds."""
     def unique(pairs: List[Tuple[str, object]]) -> dict:
         obj = dict(pairs)
         if len(obj) != len(pairs):
@@ -465,8 +492,38 @@ def json_object(text: str, keys: Sequence[str], what: str) -> dict:
             raise ValidationError(f"{what} JSON repeats the key {quote(key)} in one object")
         return obj
 
+    keep = convert or (lambda key, value: value)
+    decode = json.JSONDecoder(object_pairs_hook=unique).raw_decode
     try:
-        doc = json.loads(text, object_pairs_hook=unique)
+        try:
+            doc, pairs = {}, []
+            i = _space(text).end()
+            if text[i : i + 1] != "{":
+                raise _Astray
+            i = _space(text, i + 1).end()
+            more = text[i : i + 1] != "}"
+            while more:
+                if text[i : i + 1] != '"':
+                    raise _Astray
+                key, i = scanstring(text, i + 1)
+                i = _space(text, i).end()
+                if text[i : i + 1] != ":":
+                    raise _Astray
+                value, i = decode(text, _space(text, i + 1).end())
+                doc[key] = keep(key, value)
+                del value  # before the next member is decoded
+                pairs.append((key, None))
+                i = _space(text, i).end()
+                more = text[i : i + 1] == ","
+                if more:
+                    i = _space(text, i + 1).end()
+            if text[i : i + 1] != "}":
+                raise _Astray
+            unique(pairs)  # a key repeated at the top level, found where json.loads finds it
+            if _space(text, i + 1).end() != len(text):
+                raise _Astray
+        except _Astray:  # the walk takes every valid object, so this raises or finds no object
+            doc = json.loads(text, object_pairs_hook=unique)
     except RecursionError as exc:  # the decoder recurses once per level
         raise ValidationError(f"{what} JSON nests too deeply") from exc
     except json.JSONDecodeError:
@@ -528,7 +585,7 @@ JSON_SHAPE_ERRORS = (AttributeError, KeyError, TypeError, ValueError)
 def collector_paused(fn):
     """`fn` with the cyclic garbage collector paused while it runs, and
     restored on return and on raise: the many small containers that a stage
-    builder or a stage file's `json.loads` makes need no cycle search."""
+    builder or a stage file's decoding makes need no cycle search."""
 
     @wraps(fn)
     def paused(*args, **kwargs):
@@ -543,47 +600,78 @@ def collector_paused(fn):
     return paused
 
 
+def _read_vertices(doc: list) -> Tuple[Vertex, ...]:
+    deque(map(itemgetter("id", "role", "name"), doc), maxlen=0)  # a bad vertex raises here
+    ids, roles, names = [list(map(itemgetter(key), doc)) for key in ("id", "role", "name")]
+    if type(doc) is list:  # drop the parsed vertex objects before making their tuples
+        doc.clear()
+    require_type(ids, int, "graph JSON vertex id")
+    require_type(names, str, "graph JSON vertex name")
+    if set(map(type, roles)) <= {str}:  # else Graph refuses a role where it checks them
+        roles = map(_ROLE_TAGS.get, roles, roles)
+    return tuple(map(tuple.__new__, repeat(Vertex), zip(ids, roles, names)))
+
+
+def _read_edges(doc: list) -> List[Edge]:
+    require_pairs([doc], "graph JSON edge")
+    edges = list(map(tuple, doc))
+    require_type(list(chain.from_iterable(edges)), int, "graph JSON edge endpoint")
+    return edges
+
+
+def _read_rotation(rotation: Optional[dict]) -> Optional[RotationSystem]:
+    if rotation is None:
+        return None
+    ids = vertex_keys(rotation, "graph JSON rotation")
+    try:
+        if not set(map(type, chain.from_iterable(chain.from_iterable(rotation.values())))) <= {int}:
+            raise TypeError("a rotation end is no int")
+        for v, (key, pairs) in zip(ids, rotation.items()):  # a new value per key frees each parsed row
+            ns = []
+            for a, b in pairs:
+                if a != v != b:
+                    raise ValidationError(
+                        f"rotation entry for {quote(v)} lists foreign edge ({quote(a)},{quote(b)})"
+                    )
+                ns.append(b if a == v else a)
+            rotation[key] = tuple(ns)
+    except (TypeError, ValueError, ValidationError):  # a bad entry, then a bad end, outranks a foreign edge
+        rows = [pairs for pairs in rotation.values() if type(pairs) is not tuple]  # not yet converted
+        require_pairs(rows, "graph JSON rotation entry")
+        ends = [x for pairs in rows for pair in pairs for x in pair]
+        require_type(ends, int, "graph JSON rotation endpoint")
+        raise
+    return RotationSystem(dict(zip(ids, rotation.values())))
+
+
+_SECTIONS = {"vertices": _read_vertices, "edges": _read_edges, "rotation": _read_rotation}
+
+
+def _read_section(key: str, doc: object) -> object:
+    """The section ``key`` of a stage file converted (ports and k are checked
+    once the graph is known), or the error that refuses it, held until the
+    whole text has decoded."""
+    try:
+        return _SECTIONS[key](doc) if key in _SECTIONS else doc
+    except (ValidationError, *JSON_SHAPE_ERRORS) as exc:
+        return exc
+
+
 @collector_paused
 def from_json(text: str) -> Tuple[Graph, Optional[RotationSystem], Dict[str, int], Optional[int]]:
-    """Read a stage file, dropping each section of the parsed document once it
-    is converted; a vertex's role is the module's string for its tag."""
-    doc = json_object(text, ("vertices", "edges"), "graph")
+    """Read a stage file one top-level section at a time, each converted and
+    its parse dropped before the next is decoded; a vertex's role is the
+    module's string for its tag.  The checks keep one order, whatever the
+    order of the sections: vertices, edges, the graph, rotation, ports, k."""
+    doc = json_object(text, ("vertices", "edges"), "graph", _read_section)
+    vertices, edges, rot = doc.pop("vertices"), doc.pop("edges"), doc.pop("rotation", None)
     try:
-        deque(map(itemgetter("id", "role", "name"), doc["vertices"]), maxlen=0)  # a bad vertex raises here
-        ids, roles, names = [list(map(itemgetter(key), doc["vertices"])) for key in ("id", "role", "name")]
-        del doc["vertices"]
-        require_type(ids, int, "graph JSON vertex id")
-        require_type(names, str, "graph JSON vertex name")
-        if set(map(type, roles)) <= {str}:  # else Graph refuses a role where it checks them
-            roles = map(_ROLE_TAGS.get, roles, roles)
-        vertices = tuple(map(tuple.__new__, repeat(Vertex), zip(ids, roles, names)))
-        del ids, roles, names
-        require_pairs([doc["edges"]], "graph JSON edge")
-        edges = list(map(tuple, doc.pop("edges")))
-        require_type(list(chain.from_iterable(edges)), int, "graph JSON edge endpoint")
+        for section in (vertices, edges):
+            if isinstance(section, Exception):
+                raise section
         graph = Graph(vertices, edges)
-        rot, rotation = None, doc.pop("rotation", None)
-        if rotation is not None:
-            ids = vertex_keys(rotation, "graph JSON rotation")
-            try:
-                if not set(map(type, chain.from_iterable(chain.from_iterable(rotation.values())))) <= {int}:
-                    raise TypeError("a rotation end is no int")
-                for v, (key, pairs) in zip(ids, rotation.items()):  # a new value per key frees each parsed row
-                    ns = []
-                    for a, b in pairs:
-                        if a != v != b:
-                            raise ValidationError(
-                                f"rotation entry for {quote(v)} lists foreign edge ({quote(a)},{quote(b)})"
-                            )
-                        ns.append(b if a == v else a)
-                    rotation[key] = tuple(ns)
-            except (TypeError, ValueError, ValidationError):  # a bad entry, then a bad end, outranks a foreign edge
-                rows = [pairs for pairs in rotation.values() if type(pairs) is not tuple]  # not yet converted
-                require_pairs(rows, "graph JSON rotation entry")
-                ends = [x for pairs in rows for pair in pairs for x in pair]
-                require_type(ends, int, "graph JSON rotation endpoint")
-                raise
-            rot = RotationSystem(dict(zip(ids, rotation.values())))
+        if isinstance(rot, Exception):
+            raise rot
     except JSON_SHAPE_ERRORS as exc:
         raise ValidationError(f"graph JSON has the wrong shape: {exc!r}") from exc
     ports = {} if doc.get("ports") is None else doc["ports"]

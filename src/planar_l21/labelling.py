@@ -54,7 +54,8 @@ def verify_labelling(graph: Graph, labelling: Labelling) -> bool:
 
     Given the gap rule on edges, the distance-two rule is equivalent to the
     neighbours of every vertex carrying pairwise distinct labels: two
-    neighbours are either adjacent (gap) or at distance two.
+    neighbours are either adjacent (gap) or at distance two.  Both are read
+    per vertex off the set of its neighbours' labels.
     """
     lab = labelling.labels
     labels = list(map(lab.get, range(graph.n)))  # a Labelling holds no None
@@ -63,12 +64,10 @@ def verify_labelling(graph: Graph, labelling: Labelling) -> bool:
     if len(lab) != graph.n:
         foreign = min(set(lab).difference(range(graph.n)))
         raise ValidationError(f"labelling names vertex {quote(foreign)}, which is not in the graph")
-    for u, v in graph.edges:
-        if abs(labels[u] - labels[v]) < 2:
-            return False
     at = labels.__getitem__
-    for ns in map(graph.neighbours, range(graph.n)):
-        if len(ns) > 1 and len(set(map(at, ns))) < len(ns):
+    for x, ns in zip(labels, map(graph.neighbours, range(graph.n))):
+        near = set(map(at, ns))
+        if len(near) < len(ns) or x in near or x - 1 in near or x + 1 in near:
             return False
     return True
 

@@ -153,7 +153,9 @@ def nae_to_cubic(formula: Nae3SatFormula) -> CubicStage:
 
     Each link consumes the r-port of one occurrence and the q-port of the
     next (cyclically), leaving a cubic graph whose inter-gadget edges are the
-    identifying edges.
+    identifying edges.  The consumed ports stay `Unfilled` markers in the
+    rotation, for `planarize` to link; the graph is the rows' edges plus the
+    links, through the validating constructor.
     """
     if not formula.clauses:
         raise ValidationError("reduction needs at least one clause")
@@ -183,13 +185,12 @@ def nae_to_cubic(formula: Nae3SatFormula) -> CubicStage:
             s_r = 6 * c1 + _SLOT_INDEX[f"r{t1}"]
             s_q = 6 * c2 + _SLOT_INDEX[f"q{t2}"]
             u, v = maps[c1][f"p{t1}"], maps[c2][f"o{t2}"]
-            builder.add_edge(u, v)
             identifying.append(edge_key(u, v))
             chords.append(ChordRecord(min(s_r, s_q), max(s_r, s_q), lit))
     chord_system = ChordSystem(slots, chords)
     chord_system.validate()
 
-    graph = builder.freeze()
+    graph = builder.freeze(identifying)
     if not check_regular(graph, 3):
         raise AssertionError("the linked clause gadgets must form a cubic graph")
 
@@ -226,10 +227,6 @@ def planarize(stage: CubicStage) -> PlanarStage:
 
     builder = GraphBuilder(stage.graph.vertices)
     builder.rotation = {v: list(ns) for v, ns in stage.rotation_template.items()}
-    id_edge_set = set(stage.identifying_edges)
-    for e in stage.graph.sorted_edges():
-        if e not in id_edge_set:
-            builder.add_edge(*e)
 
     u_src = build_uncrossing()
     u_pendants = set(_U_PENDANT_OF_GATE.values())
@@ -299,26 +296,35 @@ def planar_stage_from_graph(graph: Graph, rot: Optional[RotationSystem] = None) 
     )
 
 
-def check_splice(graph: Graph, rot: RotationSystem, before: RotationSystem, records: Dict[Edge, Dict[str, int]],
+def check_splice(rot: RotationSystem, before: RotationSystem, records: Dict[Edge, Dict[str, int]],
                  ends: Tuple[str, str], leaves: Dict[int, List[int]]) -> None:
     """Raise `AssertionError` unless ``rot`` is ``before`` with the copy
     ``records[x, y]`` spliced in for each edge x < y and ``leaves`` (parent ->
     pendant leaves) hung: host x's row is its ``before`` row with each y
     replaced by the copy's ``ends[0]`` (``ends[1]`` at y), then x's leaves; a
-    leaf's row is its parent, then its own leaves; each lists the graph's
-    neighbours.  A copy's rows are its Euler-checked gadget's (`embed`), whose
-    glued pendants share a face (`gadgets._spliceable`), so the faces beside
-    the edge take in one arc of it each; V - E + F is kept, as by a leaf."""
+    leaf's row is its parent, then its own leaves.
+
+    This certifies the rows, and so the graph whose adjacency they are
+    (`GraphBuilder.freeze_with_rotation`).  A copy's rows are its
+    Euler-checked gadget's, mapped through `embed`'s injective slot map, so
+    they are symmetric and repeat no entry, and a glued pendant's entry names
+    the host.  The pinned rows are the certified rows of ``before`` with each
+    y replaced by a vertex of its own copy, then new leaves: no entry repeats,
+    and each is answered by the copy's row or the leaf's.  The gadget's glued
+    pendants share a face (`gadgets._spliceable`), so the faces beside the
+    edge take in one arc of it each; V - E + F is kept, as by a leaf."""
     step = {}
     for (x, y), m in records.items():
         step[x, y], step[y, x] = m[ends[0]], m[ends[1]]
     want = {x: tuple([step[x, y] for y in row] + leaves.get(x, [])) for x, row in before.rotation.items()}
     want.update((leaf, (parent, *leaves.get(leaf, ()))) for parent, own in leaves.items() for leaf in own)
+    rows = rot.rotation
     for x, row in want.items():
-        if rot.rotation.get(x) != row or tuple(sorted(row)) != graph.neighbours(x):
+        if rows.get(x) != row:
             raise AssertionError(f"rotation at vertex {x} is not its spliced row")
 
 
+@collector_paused
 def build_auxiliary(stage: PlanarStage) -> AuxStage:
     """Replace every edge by the four-cycle gadget with in/out pendants."""
     if not check_regular(stage.graph, 3):
@@ -334,7 +340,7 @@ def build_auxiliary(stage: PlanarStage) -> AuxStage:
     n, mm = stage.graph.n, stage.graph.m
     if graph.n != n + 6 * mm or graph.m != 8 * mm:
         raise AssertionError("auxiliary graph census mismatch")
-    check_splice(graph, rot, stage.rot, aux_records, ("cu", "cv"), {})  # so each original vertex keeps degree three
+    check_splice(rot, stage.rot, aux_records, ("cu", "cv"), {})  # so each original vertex keeps degree three
     return AuxStage(graph=graph, rot=rot, aux_records=aux_records)
 
 
@@ -350,6 +356,7 @@ def instance_size(stage: AuxStage, k: int) -> int:
     return h.n + leaves + h.m * (gadget_n - 2) + len(stage.out_vertices()) * (k - 2)
 
 
+@collector_paused
 def build_instance(stage: AuxStage, k: int) -> InstanceStage:
     """Pendants to degree k-1, edge gadgets on every former edge, and a
     degree-(k-1) hub pendant below every out-vertex."""
@@ -377,7 +384,7 @@ def build_instance(stage: AuxStage, k: int) -> InstanceStage:
     for v in [*range(h.n), *w_map.values()]:
         if graph.degree(v) != k - 1:
             raise AssertionError("every former vertex and hub pendant must reach degree k-1")
-    check_splice(graph, rot, stage.rot, gadget_records, ("a_u", "a_v"), pendant_map)
+    check_splice(rot, stage.rot, gadget_records, ("a_u", "a_v"), pendant_map)
     return InstanceStage(
         graph=graph,
         rot=rot,

@@ -59,6 +59,15 @@ def edit(text: str, old: str, new: str) -> str:
     return text.replace(old, new, 1)
 
 
+def decoder_error(text: str) -> str:
+    """The message of the error that `json.loads` raises on ``text``."""
+    try:
+        json.loads(text)
+    except json.JSONDecodeError as exc:
+        return str(exc)
+    raise AssertionError("the text decodes")
+
+
 @cache
 def reduced(dimacs: str, k: int) -> str:
     """The instance.json that `l21 reduce --k k` writes for the formula."""
@@ -71,6 +80,7 @@ UNSAT = "p cnf 1 1\n1 1 1 0\n"
 CROSSINGS = "p cnf 4 3\n2 1 4 0\n4 3 2 0\n1 3 4 0\n"  # 20 chord crossings
 P3 = to_json(path_graph(3), any_rotation(path_graph(3)), k=4)
 LABELS = '{"k": 4, "labels": {"0": 0, "1": 2, "2": 4}}'
+CUT = edit(P3, '"edges":[[0,1]', '"edges":[[0,1,2]')[:-20]
 FILES = {"f.cnf": FORMULA, "p3.json": P3, "lab.json": LABELS, "star.json": to_json(star_graph(3))}
 
 # the argv of a command that reads a file of the given kind, the file left as {}
@@ -327,6 +337,10 @@ CASES = [
                 err="malformed JSON")
         for command in ("solve", "verify", "export")
     ],
+    # the first section (edges) holds an entry of three, and the text is cut
+    # short in the last: the decoder's error outranks the shape error
+    reading("test_cli_contract[cut-short text with a mis-shaped first section]", "verify instance", CUT,
+            err_is=f"verify: malformed JSON: {decoder_error(CUT)}\n"),
     *[
         reading(f"test_{test}_exits_2[{command}-{target}]", f"{command} {target}", text, **checks,
                 timeout=60 if command == "export" else None)

@@ -6,6 +6,8 @@ import pytest
 from planar_l21.graphs import ORIGINAL, Graph, RotationSystem, Vertex, verify_planar
 from planar_l21.pipeline import run_reduction
 
+from oracles import rows_are_simple
+
 
 def make_graph(n, edges):
     return Graph([Vertex(i, ORIGINAL, str(i)) for i in range(n)], edges)
@@ -47,14 +49,15 @@ def reduced():
     the tests that only read the trace.  A test that counts the calls made
     while reducing calls `run_reduction` itself.  Each trace's aux and
     instance stages, which the library certifies by their splices, must pass
-    the Euler check as well."""
+    the Euler check as well, and their rows, which are their graphs'
+    adjacency, must be symmetric and repeat no entry."""
     traces = {}
 
     def reduce(formula, k):
         if (formula, k) not in traces:
             trace = traces[formula, k] = run_reduction(formula, k)
-            assert verify_planar(trace.aux.graph, trace.aux.rot)
-            assert verify_planar(trace.instance.graph, trace.instance.rot)
+            for stage in (trace.aux, trace.instance):
+                assert verify_planar(stage.graph, stage.rot) and rows_are_simple(stage.rot)
         return traces[formula, k]
 
     return reduce

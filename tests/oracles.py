@@ -8,6 +8,7 @@ boundary: it runs that search's own pinned `solve` once per tuple.
 """
 
 import json
+from collections import Counter
 from fractions import Fraction
 from functools import cmp_to_key
 from itertools import product
@@ -24,7 +25,6 @@ from planar_l21.graphs import (
     Unfilled,
     Vertex,
     edge_key,
-    json_object,
     require_type,
 )
 from planar_l21.gadgets import GadgetInstance, build_edge_gadget
@@ -278,7 +278,7 @@ def faces(graph: Graph, rot: RotationSystem) -> List[Tuple[Tuple[int, int], ...]
     """
     rot.validate(graph)
     remaining = set()
-    for u, v in graph.edges:
+    for u, v in graph.sorted_edges():
         remaining.add((u, v))
         remaining.add((v, u))
     walks = []
@@ -338,7 +338,7 @@ def euler_planar(graph: Graph, rot: RotationSystem) -> bool:
     walks that `faces` traces from the component's darts."""
     comp_of = {v: i for i, comp in enumerate(graph.components()) for v in comp}
     counts = [[len(comp), 0, 0] for comp in graph.components()]
-    for u, _ in graph.edges:
+    for u, _ in graph.sorted_edges():
         counts[comp_of[u]][1] += 1
     for walk in faces(graph, rot):
         counts[comp_of[walk[0][0]]][2] += 1
@@ -353,20 +353,16 @@ def embed_by_names(
     drop: Collection[str],
     role: Optional[str] = None,
 ) -> Dict[str, int]:
-    """`GraphBuilder.embed` done in name space, one vertex, edge and rotation
-    entry at a time, as its docstring describes it.  The gadget is first read
-    into vertex names: its (name, role) pairs, name-pair edges and rotation."""
+    """`GraphBuilder.embed` done in name space, one vertex and rotation entry
+    at a time, as its docstring describes it.  The gadget is first read into
+    vertex names: its (name, role) pairs and rotation."""
     by_id = [v.name for v in gadget.graph.vertices]
     vertices = [(v.name, v.role) for v in gadget.graph.vertices]
-    edges = [(by_id[u], by_id[v]) for u, v in gadget.graph.sorted_edges()]
     rotation = {by_id[v]: [by_id[u] for u in ns] for v, ns in gadget.rot.rotation.items()}
     ids = dict(glue)
     copied = [(name, r) for name, r in vertices if name not in glue and name not in drop]
     for name, r in copied:
         ids[name] = builder.add_vertex(role or r, names.format(name))
-    for x, y in edges:
-        if x in ids and y in ids:
-            builder.add_edge(ids[x], ids[y])
     for name, _ in copied:
         builder.rotation[ids[name]] = [
             ids[u] if u in ids else Unfilled(names.format(u)) for u in rotation[name]
@@ -402,6 +398,40 @@ def perturbed_crossing_order(arcs: List[Tuple[int, int]], eps: Fraction) -> Dict
     return order
 
 
+def rows_are_simple(rot: RotationSystem) -> bool:
+    """Whether no rotation row repeats an entry and every dart x->y has its
+    reverse y->x: the rows are the adjacency of a simple graph."""
+    darts = [(x, y) for x, row in rot.rotation.items() for y in row]
+    return len(set(darts)) == len(darts) and {(y, x) for x, y in darts} == set(darts)
+
+
+def whole_json_object(text: str, keys: Collection[str], what: str) -> dict:
+    """`graphs.json_object` by its definition: the whole text parsed by
+    `json.loads` at once, a repeated key refused in any object, then the
+    document's type and its keys checked."""
+
+    def unique(pairs):
+        if len(dict(pairs)) != len(pairs):
+            key = Counter(key for key, _ in pairs).most_common(1)[0][0]
+            raise ValidationError(f"{what} JSON repeats the key {quote(key)} in one object")
+        return dict(pairs)
+
+    try:
+        doc = json.loads(text, object_pairs_hook=unique)
+    except RecursionError as exc:
+        raise ValidationError(f"{what} JSON nests too deeply") from exc
+    except json.JSONDecodeError:
+        raise
+    except ValueError as exc:
+        raise ValidationError(f"{what} JSON holds an integer too long to read") from exc
+    if not isinstance(doc, dict):
+        raise ValidationError(f"{what} JSON must be an object, not {type(doc).__name__}")
+    missing = [key for key in keys if key not in doc]
+    if missing:
+        raise ValidationError(f"{what} JSON lacks {', '.join(map(repr, missing))}")
+    return doc
+
+
 def stage_json(
     graph: Graph,
     rot: Optional[RotationSystem] = None,
@@ -433,7 +463,7 @@ def read_stage_file(
     """A stage file read by its definition: the whole document parsed, then
     each section checked and converted in turn, one entry and one key at a
     time; the reference for the order and the messages of `from_json`."""
-    doc = json_object(text, ("vertices", "edges"), "graph")
+    doc = whole_json_object(text, ("vertices", "edges"), "graph")
     try:
         vertices = [Vertex(d["id"], d["role"], d["name"]) for d in doc["vertices"]]
         require_type([v.id for v in vertices], int, "graph JSON vertex id")

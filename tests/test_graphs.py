@@ -33,6 +33,7 @@ from planar_l21.graphs import (
     Unfilled,
     Vertex,
     check_regular,
+    edge_key,
     face,
     from_json,
     rotation_from_coordinates,
@@ -41,8 +42,16 @@ from planar_l21.graphs import (
     verify_planar,
 )
 
-from conftest import any_rotation, complete_graph, make_graph, random_graph, triangle
-from oracles import embed_by_names, euler_planar, faces, read_stage_file, rotation_by_half_planes, stage_json
+from conftest import any_rotation, complete_graph, make_graph, random_graph, star_graph, triangle
+from oracles import (
+    embed_by_names,
+    euler_planar,
+    faces,
+    read_stage_file,
+    rotation_by_half_planes,
+    rows_are_simple,
+    stage_json,
+)
 
 
 def planar_k4():
@@ -272,6 +281,26 @@ def test_face_is_the_walk_of_its_dart():
                 assert face(rot, u, v) == [a for a, _ in walk[i:] + walk[:i]]
 
 
+@pytest.mark.parametrize(
+    "rows",
+    [
+        {0: [1, 2], 1: [2, 0], 2: [0]},  # the dart 1->2 has no reverse
+        {0: [1, 2, 1], 1: [2, 0], 2: [0, 1]},  # the row of 0 repeats 1
+        {0: [1, 2], 1: [2, 0, 2], 2: [0, 1, 1]},  # a second 1-2 dart each way
+    ],
+    ids=["missing reverse", "repeated entry", "doubled edge"],
+)
+def test_verify_planar_refuses_frozen_rows_that_no_simple_graph_has(rows):
+    # a builder's graph is its rows sorted, so only verify_planar sees these faults
+    builder = GraphBuilder([Vertex(i, ORIGINAL, str(i)) for i in range(3)])
+    builder.rotation = rows
+    graph, rot = builder.freeze_with_rotation()
+    assert not rows_are_simple(rot)
+    assert verify_planar(graph, rot) is False
+    builder.rotation = {0: [1, 2], 1: [2, 0], 2: [0, 1]}
+    assert verify_planar(*builder.freeze_with_rotation())
+
+
 def test_verify_planar_rejects_malformed_rotations():
     g = make_graph(3, [(0, 1)])  # vertex 2 is isolated
     with pytest.raises(ValidationError, match="vertex 1"):
@@ -409,7 +438,7 @@ def test_to_json_matches_json_dumps_on_awkward_names(name):
 @given(st.lists(st.text(max_size=6), min_size=0, max_size=8), st.randoms(use_true_random=False))
 def test_to_json_matches_json_dumps(names, rnd):
     g = random_graph(rnd, len(names), 0.4)
-    g = Graph(_vertices(names), g.edges)
+    g = Graph(_vertices(names), g.sorted_edges())
     rot = shuffled_rotation(g, rnd) if rnd.random() < 0.7 else None
     ports = {name: i for i, name in enumerate(names)} if rnd.random() < 0.5 else None
     k = rnd.choice([None, 0, 4, 12])
@@ -429,9 +458,10 @@ def test_to_json_matches_json_dumps_on_stage_files(reduced):
         assert to_json(*from_json(text)) == text
 
 
-def test_from_json_peak_memory_is_at_most_twelve_times_the_text(reduced):
-    # The 20-crossing corpus formula at k = 4, 25,800 vertices.  Its parse tree
-    # alone is about nine times the text, so converting it may add little.
+def test_from_json_peak_memory_is_below_eight_times_the_text(reduced):
+    # The 20-crossing corpus formula at k = 4, 25,800 vertices.  Its whole
+    # parse tree is about nine times the text, so this holds only when each
+    # section is converted and dropped before the next is decoded.
     inst = reduced(Nae3SatFormula(4, ((2, 1, 4), (4, 3, 2), (1, 3, 4))), 4).instance
     text = to_json(inst.graph, inst.rot, k=4)
     tracemalloc.start()
@@ -441,7 +471,32 @@ def test_from_json_peak_memory_is_at_most_twelve_times_the_text(reduced):
     finally:
         tracemalloc.stop()
     assert graph == inst.graph
-    assert peak <= 12 * len(text)
+    assert peak < 8 * len(text)
+
+
+def test_has_edge_and_sorted_edges_match_a_set_of_edges():
+    # edges given twice, reversed and in any order; ids probed past both ends
+    rng = random.Random(5)
+    for _ in range(300):
+        n = rng.randint(0, 9)
+        pairs = [(rng.randrange(n), rng.randrange(n)) for _ in range(rng.randint(0, 25))] if n else []
+        pairs = [(u, v) for u, v in pairs if u != v]
+        g = make_graph(n, pairs)
+        edges = {edge_key(u, v) for u, v in pairs}
+        assert g.sorted_edges() == sorted(edges) and g.m == len(edges)
+        for u in range(-n - 1, n + 1):
+            for v in range(-n - 1, n + 1):
+                assert g.has_edge(u, v) == (edge_key(u, v) in edges), (u, v)
+
+
+def test_has_edge_on_a_large_star_read_from_json():
+    leaves = 100_000
+    star = from_json(to_json(star_graph(leaves)))[0]
+    edges = {(0, v) for v in range(1, leaves + 1)}
+    assert star.sorted_edges() == sorted(edges) and star.m == leaves
+    probes = [(u, v) for x in range(-3, 4) for y in (0, 1, leaves, leaves + 1, -leaves) for u, v in ((x, y), (y, x))]
+    for u, v in probes + [(0, v) for v in range(-leaves - 1, leaves + 2)]:
+        assert star.has_edge(u, v) == (edge_key(u, v) in edges), (u, v)
 
 
 def _planar_k4_doc():
@@ -498,31 +553,62 @@ def _mutated(doc, rng):
     return doc
 
 
+def _laid_out(doc, rng):
+    """The JSON text of ``doc`` with its top-level members in a random order
+    and random whitespace around and between its tokens."""
+    keys = list(doc)
+    rng.shuffle(keys)
+    separators = rng.choice([(",", ":"), (", ", ": "), (" ,\n", "\t: ")])
+    text = json.dumps({key: doc[key] for key in keys}, indent=rng.choice([None, 0, 2]), separators=separators)
+    return rng.choice(["", " ", "\n\t "]) + text + rng.choice(["", "\n", " \r\n"])
+
+
+def _broken(doc, text, rng):
+    """``text`` cut short, followed by more data, with one comma dropped, or
+    with one of ``doc``'s top-level members written twice."""
+    commas = [i for i, c in enumerate(text) if c == ","]
+    fault = rng.choice(["truncated", "extra data"] + ["dropped comma"] * bool(commas) + ["repeated key"] * bool(doc))
+    if fault == "truncated":
+        return text[: rng.randrange(len(text))]
+    if fault == "extra data":
+        return text + rng.choice(["}", " 1", "{}", "x"])
+    if fault == "dropped comma":
+        i = rng.choice(commas)
+        return text[:i] + text[i + 1 :]
+    key = rng.choice(list(doc))
+    return text.replace("{", "{" + json.dumps({key: doc[key]})[1:-1] + ",", 1)
+
+
 def _outcome(read, text):
     try:
         return read(text)
-    except ValidationError as exc:
-        return str(exc)
+    except (ValidationError, json.JSONDecodeError) as exc:
+        return type(exc).__name__, str(exc)
 
 
 def test_from_json_reads_and_refuses_as_the_reference_reader():
     # Every check, in the same order and with the same message, also on
-    # files with several faults; read_stage_file reads the whole document
-    # first and each entry one at a time.
+    # files with several faults, in any layout, and with a syntax fault
+    # anywhere; read_stage_file parses the whole document with json.loads
+    # first and then checks each entry one at a time.
     edges = [(0, 1), (1, 2), (2, 3), (0, 3), (0, 2), (4, 5)]
     g = Graph([Vertex(i, [ORIGINAL, PORT, GATE][i % 3], f"v{i}") for i in range(6)], edges)
     doc = json.loads(to_json(g, shuffled_rotation(g, random.Random(3)), {"p": 1}, 4))
     rng = random.Random(21)
     for _ in range(3000):
-        text = json.dumps(_mutated(doc, rng))
-        assert _outcome(from_json, text) == _outcome(read_stage_file, text), text
+        mutated = _mutated(doc, rng)
+        text = _laid_out(mutated, rng)
+        for read in (text, _broken(mutated, text, rng)):
+            assert _outcome(from_json, read) == _outcome(read_stage_file, read), read
 
 
 @pytest.mark.parametrize("enabled", [True, False])
 def test_from_json_pauses_the_collector_and_restores_it(monkeypatch, enabled):
+    # The reader decodes one top-level member per `raw_decode` call: five
+    # here, then two for the refused file.
     text = json.dumps(_planar_k4_doc())
-    loads, seen = json.loads, []
-    monkeypatch.setattr(json, "loads", lambda s, **kw: seen.append(gc.isenabled()) or loads(s, **kw))
+    decode, seen = json.JSONDecoder.raw_decode, []
+    monkeypatch.setattr(json.JSONDecoder, "raw_decode", lambda *a: seen.append(gc.isenabled()) or decode(*a))
     was = gc.isenabled()
     (gc.enable if enabled else gc.disable)()
     try:
@@ -533,5 +619,5 @@ def test_from_json_pauses_the_collector_and_restores_it(monkeypatch, enabled):
         after_raise = gc.isenabled()
     finally:
         (gc.enable if was else gc.disable)()
-    assert seen == [False, False]
+    assert seen == [False] * 7
     assert after_return is after_raise is enabled

@@ -14,7 +14,7 @@ from planar_l21.colouring import (
     verify_coloured_orientation,
 )
 from planar_l21.errors import CapacityError, ValidationError
-from planar_l21.graphs import RotationSystem, check_regular, edge_key, from_json, verify_planar
+from planar_l21.graphs import GraphBuilder, RotationSystem, check_regular, edge_key, from_json, verify_planar
 from planar_l21.labelling import Labelling, _LabelSearch, verify_labelling
 from planar_l21.nae3sat import Nae3SatFormula, check_nae
 from planar_l21.pipeline import (
@@ -37,7 +37,7 @@ from planar_l21.pipeline import (
 
 from conftest import complete_graph, make_graph
 from test_acceptance import CORPUS
-from oracles import oriented_component_structure, swap_colours
+from oracles import oriented_component_structure, rows_are_simple, swap_colours
 
 XXX = Nae3SatFormula(1, ((1, 1, 1),))
 XYZ = Nae3SatFormula(3, ((1, 2, 3),))
@@ -89,7 +89,7 @@ def test_planarize_without_crossings_keeps_the_graph():
     planar = planarize(stage)
     assert planar.crossing_count == 0
     assert planar.graph.n == stage.graph.n
-    assert planar.graph.edges == stage.graph.edges
+    assert planar.graph.sorted_edges() == stage.graph.sorted_edges()
     assert verify_planar(planar.graph, planar.rot)
 
 
@@ -234,21 +234,41 @@ def test_stages_of_planar_cubic_graphs_pass_the_euler_oracle(name):
         assert verify_planar(inst.graph, inst.rot)
 
 
+def _spliced(trace, stage):
+    """The aux or instance stage of ``trace``, and the rest of the arguments
+    of the `check_splice` call that certified it."""
+    if stage == "aux":
+        return trace.aux, (trace.planar.rot, trace.aux.aux_records, ("cu", "cv"), {})
+    inst = trace.instance
+    return inst, (trace.aux.rot, inst.gadget_records, ("a_u", "a_v"), inst.pendant_map)
+
+
 @pytest.mark.parametrize("stage", ["aux", "instance"])
 def test_a_swapped_host_row_is_refused_by_the_splice_check_and_the_euler_oracle(reduced, stage):
-    trace = reduced(CROSSY, 4)
-    if stage == "aux":
-        built, splice = trace.aux, (trace.planar.rot, trace.aux.aux_records, ("cu", "cv"), {})
-    else:
-        inst = built = trace.instance
-        splice = (trace.aux.rot, inst.gadget_records, ("a_u", "a_v"), inst.pendant_map)
-    check_splice(built.graph, built.rot, *splice)
+    built, splice = _spliced(reduced(CROSSY, 4), stage)
+    check_splice(built.rot, *splice)
     rows = dict(built.rot.rotation)
     a, b, c = rows[0]  # a vertex of the planar stage, a host in both
     swapped = RotationSystem({**rows, 0: (b, a, c)})
     with pytest.raises(AssertionError, match="rotation at vertex 0 is not its spliced row"):
-        check_splice(built.graph, swapped, *splice)
+        check_splice(swapped, *splice)
     assert not verify_planar(built.graph, swapped)
+
+
+@pytest.mark.parametrize("fault", ["missing reverse", "repeated entry"])
+@pytest.mark.parametrize("stage", ["aux", "instance"])
+def test_a_malformed_host_row_is_refused_by_the_splice_check_and_verify_planar(reduced, stage, fault):
+    # frozen as the stage builders freeze, so the graph is the faulty rows sorted
+    built, splice = _spliced(reduced(CROSSY, 4), stage)
+    rows = {v: list(ns) for v, ns in built.rot.rotation.items()}
+    rows[0] = rows[0][1:] if fault == "missing reverse" else rows[0] + rows[0][:1]
+    builder = GraphBuilder(built.graph.vertices)
+    builder.rotation = rows
+    graph, rot = builder.freeze_with_rotation()
+    assert not rows_are_simple(rot)
+    with pytest.raises(AssertionError, match="rotation at vertex 0 is not its spliced row"):
+        check_splice(rot, *splice)
+    assert verify_planar(graph, rot) is False
 
 
 @pytest.mark.parametrize("index", range(len(CORPUS)))
@@ -482,6 +502,28 @@ def test_run_reduction_pauses_the_collector_and_restores_it(monkeypatch, enabled
 
 
 @pytest.mark.parametrize("enabled", [True, False])
+def test_stage_builders_pause_the_collector_and_restore_it(monkeypatch, reduced, enabled):
+    trace = reduced(XYZ, 4)
+    splice, seen = pipeline.check_splice, []
+    monkeypatch.setattr(pipeline, "check_splice", lambda *a: seen.append(gc.isenabled()) or splice(*a))
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        build_instance(build_auxiliary(trace.planar), 4)
+        after_return = gc.isenabled()
+        with pytest.raises(ValidationError, match="expects a cubic graph"):
+            build_auxiliary(planar_stage_from_graph(make_graph(2, [(0, 1)])))
+        after_aux_raise = gc.isenabled()
+        with pytest.raises(ValidationError, match="needs k >= 4"):
+            build_instance(trace.aux, 3)
+        after_instance_raise = gc.isenabled()
+    finally:
+        (gc.enable if was else gc.disable)()
+    assert seen == [False, False]
+    assert after_return is after_aux_raise is after_instance_raise is enabled
+
+
+@pytest.mark.parametrize("enabled", [True, False])
 def test_write_trace_pauses_the_collector_and_restores_it(tmp_path, monkeypatch, reduced, enabled):
     trace = reduced(XYZ, 4)
     dump, seen = pipeline.to_json, []
@@ -549,7 +591,7 @@ def test_translators_validate_their_input(forward_chain, step):
     arcs = dict(orientation.orientation)
     arcs[edge_key(m["in"], m["cin"])] = "F" if m["cin"] < m["in"] else "B"
     not_good = ColouredOrientation(colours, arcs)
-    u, v = min(trace.instance.graph.edges)
+    u, v = trace.instance.graph.sorted_edges()[0]
     clashing = Labelling(4, {**labelling.labels, u: labelling.labels[v]})
     call, message = {
         "assignment_to_matching": (lambda: assignment_to_matching(trace, {1: True, 2: False}), "unset"),
