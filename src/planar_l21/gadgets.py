@@ -12,10 +12,10 @@ and shared by the stage builders, the witness translators and the certifiers,
 so it must not be mutated.  The certifiers look their builder up by module
 name at call time, machine-check the gadget lemmas and report observed vs
 expected behaviour.  Every table is enumerated exhaustively, except the
-span-k edge gadget G_k for k >= 6, which is decided once, from the H' lemma's
-(L(c), L(d)) pairs that `certify_Hprime` certifies: after a structure check of
-the built graph, its certifier reads the composed table, and
-`edge_gadget_fills` fills G_k from it.
+span-k edge gadget G_k for k >= 6, decided from the H' lemma's (L(c), L(d))
+pairs that `certify_Hprime` certifies: after a structure check of the built
+graph, its certifier reads the composed table.  `edge_gadget_fills` fills G_k
+from it and from the witnesses of the walks that certify H' and G_5.
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ from .graphs import (
     rotation_from_coordinates,
     verify_planar,
 )
-from .labelling import _LabelSearch, enumerate_boundary_behaviour, solve_labelling
+from .labelling import Labelling, _LabelSearch, enumerate_boundary_behaviour
 
 F = Fraction
 
@@ -517,17 +517,23 @@ def hprime_lemma_pairs(k: int) -> Set[Tuple[int, int]]:
     return {(0, k), (1, k), (k - 1, 0), (k, 0)}
 
 
+def _hprime_walk(k: int) -> Tuple[GadgetInstance, _LabelSearch, Dict[Tuple[int, int], Labelling]]:
+    """H' at span k, a search over it, and its (L(c), L(d)) pairs that extend, with their witnesses."""
+    inst = build_Hprime(k)
+    search, every = _LabelSearch(inst.graph, k), range(k + 1)
+    return inst, search, search.extensions([inst.ports["c"], inst.ports["d"]], [every, every])
+
+
 def certify_Hprime(k: int) -> CertReport:
     """Feasible (L(c), L(d)) pairs match the lemma's four exactly, g takes
     k - L(d) and every fan f<j> a label in [2, k-2].  The pair table and
     every forcing check are `_LabelSearch.extensions` walks of one search over
     H', so its root fixpoint is propagated once."""
     check_capacity("certify_Hprime", k)
-    inst = build_Hprime(k)
-    graph, ids, every = inst.graph, _names(inst), range(k + 1)
+    inst, search, witnesses = _hprime_walk(k)
+    ids, every = _names(inst), range(k + 1)
     c, d = inst.ports["c"], inst.ports["d"]
-    search = _LabelSearch(graph, k)
-    pairs = sorted(search.extensions([c, d], [every, every]))
+    pairs = sorted(witnesses)
     expected_pairs = sorted(hprime_lemma_pairs(k))
 
     # witness-side forcings, checked by refuting every alternative
@@ -610,22 +616,25 @@ def _composed_edge_table(k: int, pairs: Set[Tuple[int, int]]) -> Dict[Tuple[int,
     return table
 
 
+def _edge_gadget_walk(k: int) -> Tuple[GadgetInstance, Dict[Tuple[int, int, int, int], Labelling]]:
+    """G_4 or G_5 and its table tuples, ends in {0, k}, that extend, with their witnesses."""
+    inst, ends, inner = build_edge_gadget(k), (0, k), range(k + 1)
+    boundary = [inst.ports[name] for name in _TABLE_ORDER]
+    return inst, enumerate_boundary_behaviour(inst.graph, k, boundary, [ends, ends, inner, inner])
+
+
 def certify_edge_gadget(k: int) -> CertReport:
     """Boundary behaviour (L(u), L(v), L(a_u), L(a_v)) of G_k, with its ends
     u and v labelled 0 or k, matches the table.
 
-    k = 4, 5: one `_LabelSearch.extensions` walk of the boundary, through
-    `enumerate_boundary_behaviour`.  k >= 6: with no solve, composed
-    from the H' lemma's pairs, which `certify_Hprime` certifies, once the built
-    graph passes the structure check; a graph that fails it observes no tuple.
+    k = 4, 5: `_edge_gadget_walk`.  k >= 6: with no solve, composed from the
+    H' lemma's pairs, which `certify_Hprime` certifies, once the built graph
+    passes the structure check; a graph that fails it observes no tuple.
     """
     check_capacity("certify_edge_gadget", k)
-    inst = build_edge_gadget(k)
     if k <= 5:
-        boundary = [inst.ports[name] for name in _TABLE_ORDER]
-        ends, inner = (0, k), range(k + 1)
-        observed = enumerate_boundary_behaviour(inst.graph, k, boundary, [ends, ends, inner, inner])
-    elif _edge_gadget_structure_holds(inst, k):
+        observed = set(_edge_gadget_walk(k)[1])
+    elif _edge_gadget_structure_holds(build_edge_gadget(k), k):
         observed = set(_composed_edge_table(k, hprime_lemma_pairs(k)))
     else:
         observed = set()
@@ -634,19 +643,21 @@ def certify_edge_gadget(k: int) -> CertReport:
 
 @cache
 def edge_gadget_fills(k: int) -> Dict[Tuple[int, int, int, int], Dict[str, int]]:
-    """Labels of G_k by vertex name per tuple of its table: a pinned solve over
-    G_5, else the tuple's composed extension from the H' lemma's pairs, with
-    one H' solve per pair."""
-    def solved(inst: GadgetInstance, pins: Dict[str, int]) -> Dict[str, int]:  # its witness by name
-        result = solve_labelling(inst.graph, k, {inst.ports[name]: x for name, x in pins.items()})
-        if not result.is_sat:
-            raise AssertionError(f"{inst.kind} pins {pins} must extend at k={k}")
-        return {v.name: result.labelling.labels[v.id] for v in inst.graph.vertices}
+    """Labels of G_k by vertex name per tuple of its table, with no solve: G_5
+    its walk's witness, else the composed extension, each H' hanger its pair's
+    witness in `_hprime_walk(k)`.  A tuple or pair with no witness raises."""
+    def witness(inst: GadgetInstance, walked: Dict[tuple, Labelling], labels: tuple) -> Dict[str, int]:
+        if labels not in walked:
+            raise AssertionError(f"{inst.kind} boundary {labels} has no witness at k={k}")
+        return {v.name: walked[labels].labels[v.id] for v in inst.graph.vertices}
 
     if k == 5:
-        return {t: solved(build_edge_gadget(5), dict(zip(_TABLE_ORDER, t))) for t in edge_gadget_expected_table(k)}
-    pairs = hprime_lemma_pairs(k)
-    hanger = {pair: solved(build_Hprime(k), dict(zip("cd", pair))) for pair in pairs if k >= 6}
+        inst, walked = _edge_gadget_walk(5)
+        return {t: witness(inst, walked, t) for t in edge_gadget_expected_table(k)}
+    pairs, hanger = hprime_lemma_pairs(k), {}
+    if k >= 6:
+        inst, _, walked = _hprime_walk(k)
+        hanger = {pair: witness(inst, walked, pair) for pair in pairs}
     fills = {}
     for t, middles in _composed_edge_table(k, pairs).items():
         fill = fills[t] = dict(zip(_TABLE_ORDER, t))

@@ -13,7 +13,7 @@ import functools
 import json
 from dataclasses import dataclass
 from itertools import chain
-from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import CapacityError, ValidationError, quote
 from .graphs import JSON_SHAPE_ERRORS, Graph, collector_paused, json_object, require_type, vertex_keys
@@ -150,28 +150,22 @@ class _LabelSearch:
     mask, a singleton's label is off its distance-two set) and that every set
     S of them around one hub meets Hall's condition |union of D(S)| >= |S|;
     each caller starts at a fixpoint (the root seeds every vertex, a decision
-    its vertex, a pinned solve its pins).  So a narrowed vertex is queued
+    or a walk's pin its vertex).  So a narrowed vertex is queued
     again only when it becomes a singleton or its gap mask changes, since its
     constraints on others read nothing else.  And a hub is Hall-checked only
     when a seeded or narrowed neighbour is left with fewer than deg(w) labels:
     at any other hub, a set S holding such a neighbour keeps at least
     deg(w) >= |S| labels, and a set without one meets the condition already.
 
-    Pinned solves share one set-up: the constructor propagates the unpinned
-    domains to the root fixpoint, and ``solve`` narrows the pins on a copy of
-    it and propagates from them only.  Narrowing is monotone, so that reaches
-    the fixpoint a fresh solve reaches from the initial domains and pins (a
-    wipeout or failed Hall check at the root persists under any pins), and a
-    hub none of whose neighbours the pins narrow passed its Hall check at the
-    root on the same domains: outcome, node count and witness are a fresh
-    solve's.  ``extensions`` reaches the same leaves by pinning one boundary
-    vertex at a time.  Narrowing is monotone and its fixpoint unique, so a
-    label that a prefix's propagation removed cannot extend that prefix, and
-    at a full tuple the domains are the fixpoint ``solve(pins)`` reaches from
-    the root.  Each pinned step starts at a fixpoint and seeds its vertex, as
-    a decision does, so the Hall invariant above covers it; a Hall failure
-    at a prefix persists under any narrowing of it.  So each leaf's outcome,
-    node count and witness are those of a fresh solve.
+    One walk reaches every leaf: from a copy of the root fixpoint, which the
+    constructor propagates once, ``_walk`` narrows one boundary vertex at a
+    time to each label of its domain, as a decision does (so the Hall
+    invariant above covers it), and ``_leaf`` searches each full tuple;
+    ``solve`` walks its pins as one-label domains.  Narrowing is monotone and
+    its fixpoint unique, so a wipeout or Hall failure at a prefix (the root
+    included) persists under any narrowing of it, and a leaf's domains are the
+    one fixpoint of its pins, whatever their order and whatever was walked
+    before: each leaf's outcome, node count and witness are a fresh solve's.
 
     The lookup tables live for the process, not the search: ``gap`` is the
     span's ``_gap_table(k)``, the Hall verdicts are ``_HALL_VERDICTS``.  Each
@@ -336,8 +330,8 @@ class _LabelSearch:
             self.nodes = nodes
 
     def solve(self, pins: Dict[int, int], budget: Optional[int]) -> SolveResult:
-        """One pinned solve from a copy of the root fixpoint; the pins name
-        vertices of the graph and labels in [0, k]."""
+        """One pinned solve: the walk over the pins, each a one-label domain;
+        the pins name vertices of the graph and labels in [0, k]."""
         items = sorted(pins.items())
         for i, (u, xu) in enumerate(items):
             for v, xv in items[i + 1 :]:
@@ -350,15 +344,8 @@ class _LabelSearch:
         for v, x in pins.items():
             if not self.initial[v] >> x & 1:
                 return SolveResult(UNSAT, reason=f"pin {x} at vertex {v} conflicts with its degree")
-        if self.root is None:
-            return SolveResult(UNSAT)
-        self.domains = domains = self.root.copy()
-        self.trail.clear()
-        for v, x in pins.items():
-            domains[v] &= 1 << x
-        if not all(domains[v] for v in pins) or not self.propagate(list(pins)):
-            return SolveResult(UNSAT)
-        return self._leaf(budget)
+        walked = self._walk([v for v, _ in items], [[x] for _, x in items], budget)
+        return next(iter(walked.values()), SolveResult(UNSAT))
 
     def _leaf(self, budget: Optional[int]) -> SolveResult:
         """Search on from the current fixpoint, counting nodes from 0; a SAT
@@ -374,17 +361,10 @@ class _LabelSearch:
 
     def extensions(
         self, boundary: Sequence[int], domains: Sequence[Iterable[int]]
-    ) -> Set[Tuple[int, ...]]:
+    ) -> Dict[Tuple[int, ...], Labelling]:
         """The label tuples on ``boundary`` that extend to a span-k labelling,
-        out of the product of ``domains`` (one per boundary vertex).
-
-        One walk over the boundary vertices, in order, from a copy of the
-        root fixpoint: each label of a vertex's domain that its current
-        domain still holds is narrowed to and propagated from, so a wipeout
-        or failed Hall check prunes every tuple with that prefix, and each
-        full tuple is searched by ``_leaf`` as ``solve`` searches it (see the
-        class docstring for why each leaf decides as a fresh solve).
-        """
+        out of the product of ``domains`` (one per boundary vertex), each with
+        its verified witness, a fresh solve's: the SAT leaves of ``_walk``."""
         if len(set(boundary)) != len(boundary):
             raise ValidationError("boundary vertices must be distinct")
         domains = [tuple(labels) for labels in domains]
@@ -393,33 +373,42 @@ class _LabelSearch:
                 f"expected one label domain per boundary vertex ({len(boundary)}), got {len(domains)}"
             )
         _check_pins(self.graph, self.k, [(v, x) for v, labels in zip(boundary, domains) for x in labels])
-        found: Set[Tuple[int, ...]] = set()
+        return {t: leaf.labelling for t, leaf in self._walk(boundary, domains, None).items() if leaf.is_sat}
+
+    def _walk(
+        self, boundary: Sequence[int], domains: Sequence[Sequence[int]], budget: Optional[int]
+    ) -> Dict[Tuple[int, ...], SolveResult]:
+        """Each tuple of the product of ``domains`` on ``boundary`` that no
+        prefix's propagation prunes, with the ``_leaf`` result that decides it.
+        Iterative, with an explicit stack, so a boundary may be a whole graph."""
+        walked: Dict[Tuple[int, ...], SolveResult] = {}
         if self.root is None:
-            return found
+            return walked
         self.domains = live = self.root.copy()
         self.trail.clear()
         trail, propagate, undo_to = self.trail, self.propagate, self.undo_to
-        prefix: List[int] = []
-
-        def walk(i: int) -> None:
-            if i == len(boundary):
-                if self._leaf(None).is_sat:
-                    found.add(tuple(prefix))
-                return
-            v = boundary[i]
-            for x in domains[i]:
-                if live[v] >> x & 1:
-                    mark = len(trail)
-                    trail.append((v, live[v]))
-                    live[v] = 1 << x
-                    if propagate([v]):
-                        prefix.append(x)
-                        walk(i + 1)
-                        prefix.pop()
-                    undo_to(mark)
-
-        walk(0)
-        return found
+        domains = [*domains, ()]  # and one for the leaf level, which pins nothing
+        levels = [(0, iter(domains[0]))]  # per level reached: the trail mark before its pin, its labels left
+        while levels:
+            i = len(levels) - 1
+            if i < len(boundary):
+                v = boundary[i]
+                for x in levels[i][1]:
+                    if live[v] >> x & 1:
+                        mark = len(trail)
+                        trail.append((v, live[v]))
+                        live[v] = 1 << x
+                        if propagate([v]):
+                            levels.append((mark, iter(domains[i + 1])))
+                            break
+                        undo_to(mark)
+                else:  # no label left here: back to the pin above
+                    undo_to(levels.pop()[0])
+                continue
+            labels = tuple(live[v].bit_length() - 1 for v in boundary)
+            walked[labels] = self._leaf(budget)
+            undo_to(levels.pop()[0])
+        return walked
 
 
 def _check_pins(graph: Graph, k: int, pins: Iterable[Tuple[int, int]]) -> None:
@@ -451,8 +440,8 @@ def solve_labelling(
 
 def enumerate_boundary_behaviour(
     gadget: Graph, k: int, boundary: Sequence[int], domains: Sequence[Iterable[int]]
-) -> Set[Tuple[int, ...]]:
-    """``_LabelSearch.extensions`` on a search set up for this call."""
+) -> Dict[Tuple[int, ...], Labelling]:
+    """``_LabelSearch.extensions`` on a new search: each extending tuple with its witness."""
     return _LabelSearch(gadget, k).extensions(boundary, domains)
 
 

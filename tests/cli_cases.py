@@ -177,6 +177,8 @@ CASES = [
     ],
     # roundtrip
     Case("test_roundtrip_satisfiable", "roundtrip --formula f.cnf --k 4", 0, out='"ok":true', err="verified"),
+    # span 5 is the one G_k whose interior is read off its own certifying walk (G_5's)
+    Case("test_cli_contract[roundtrip span 5]", "roundtrip --formula f.cnf --k 5", 0, out='"ok":true'),
     Case("test_cli_contract[roundtrip span 16]", "roundtrip --formula f.cnf --k 16", 0, out='"ok":true', timeout=120),
     Case("test_roundtrip_unsatisfiable", "roundtrip --formula unsat.cnf --k 4 --budget 20000", 0,
          files={"unsat.cnf": UNSAT}, out='"satisfiable":false'),

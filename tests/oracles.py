@@ -4,7 +4,8 @@ Each one works straight from a definition, by exhaustive enumeration where it
 decides something, and uses only public library names, so it shares no code
 with the solver or verifier it checks.  The one exception is
 `pinned_extensions`, the reference for how `_LabelSearch.extensions` walks a
-boundary: it runs that search's own pinned `solve` once per tuple.
+boundary: it runs that search's own pinned `solve` (a walk of one tuple) once
+per tuple.
 """
 
 import json
@@ -127,24 +128,24 @@ def solve_labelling_bruteforce(
 
 def boundary_table(
     graph: Graph, k: int, boundary: List[int], domains: List[Collection[int]], solve=solve_labelling
-) -> Set[Tuple[int, ...]]:
+) -> Dict[Tuple[int, ...], Labelling]:
     """The tuples of the product of ``domains`` that extend to a span-k
-    labelling of ``graph`` with ``boundary`` pinned to them: one fresh
-    ``solve`` per tuple, in the product's order, sharing no search set-up
-    with `_LabelSearch.extensions`."""
-    return {
-        labels
-        for labels in product(*domains)
-        if solve(graph, k, dict(zip(boundary, labels))).outcome == SAT
-    }
+    labelling of ``graph`` with ``boundary`` pinned to them, each with its
+    witness: one fresh ``solve`` per tuple, in the product's order, sharing
+    no search set-up with `_LabelSearch.extensions`."""
+    results = {labels: solve(graph, k, dict(zip(boundary, labels))) for labels in product(*domains)}
+    return {labels: result.labelling for labels, result in results.items() if result.outcome == SAT}
 
 
-def pinned_extensions(search, boundary: List[int], domains: List[Collection[int]]) -> Set[Tuple[int, ...]]:
+def pinned_extensions(
+    search, boundary: List[int], domains: List[Collection[int]]
+) -> Dict[Tuple[int, ...], Labelling]:
     """`_LabelSearch.extensions` by one pinned ``search.solve`` per tuple of
-    the product of ``domains``, in the product's order: the reference for
-    its walk over the boundary, which shares a prefix's propagation among
-    the tuples that extend it."""
-    return {labels for labels in product(*domains) if search.solve(dict(zip(boundary, labels)), None).is_sat}
+    the product of ``domains``, in the product's order, each extending tuple
+    with its witness: the reference for the walk over the boundary, which
+    shares a prefix's propagation among the tuples that extend it."""
+    results = {labels: search.solve(dict(zip(boundary, labels)), None) for labels in product(*domains)}
+    return {labels: result.labelling for labels, result in results.items() if result.is_sat}
 
 
 def edge_gadget_table(k: int) -> Set[Tuple[int, int, int, int]]:
@@ -154,7 +155,7 @@ def edge_gadget_table(k: int) -> Set[Tuple[int, int, int, int]]:
     inst = build_edge_gadget(k)
     boundary = [inst.ports[name] for name in ("u", "v", "a_u", "a_v")]
     ends, inner = (0, k), range(k + 1)
-    return boundary_table(inst.graph, k, boundary, [ends, ends, inner, inner])
+    return set(boundary_table(inst.graph, k, boundary, [ends, ends, inner, inner]))
 
 
 def propagate_to_fixpoint(graph: Graph, k: int, domains: List[int]) -> Optional[List[int]]:

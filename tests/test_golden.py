@@ -195,9 +195,10 @@ def test_trace_files_golden(index, k, tmp_path):
 #
 # `_LabelSearch.extensions` walks a boundary instead of making one pinned
 # solve per tuple, so these logs are replayed: each extensions call is checked
-# against `pinned_extensions`, the per-tuple reference, whose solves are
-# logged in its place.  CERTIFY_LEAF_* pins the leaf searches the walk itself
-# makes for `l21 certify --k 4..8`, and the command's stdout is pinned too.
+# against `pinned_extensions`, the per-tuple reference, tuples and witnesses
+# alike, and the reference's solves are logged in its place.  CERTIFY_LEAF_*
+# pins the leaf searches the walk itself makes for `l21 certify --k 4..8`,
+# and the command's stdout is pinned too.
 # ---------------------------------------------------------------------------
 
 SOLVER_CALLS = 1490
@@ -243,7 +244,8 @@ def logged_solves():
 def replayed_extensions():
     """Check every `_LabelSearch.extensions` call against `pinned_extensions`
     on a fresh search of the same graph and span, which is run right after
-    it (so inside `logged_solves` its solves are logged in the call's place).
+    it (so inside `logged_solves` its solves are logged in the call's place):
+    the same tuples, each with the same witness.
 
     Yields ``(leaves, replayed)``: the leaf searches (`_LabelSearch._leaf`)
     the library's walks make, as (k, boundary labels, outcome, nodes, sorted
@@ -338,6 +340,18 @@ def test_certify_stdout_golden(certify_run):
     code, stdout, *_ = certify_run
     assert code == 0
     assert _sha256(stdout) == CERTIFY_STDOUT_HASH
+
+
+# `edge_gadget_fills(k)` for k = 4..20, each table sorted, taken when G_5 and
+# the H' hangers were filled by one pinned solve per tuple or pair; they are
+# now read off the walks that certify those gadgets.
+FILLS_HASH = "10a3c91dab458e32ce3b635372809c075a1c6e93654c9ff0b118561ea4d0b208"
+
+
+def test_edge_gadget_fills_golden():
+    fills = map(gadgets.edge_gadget_fills, range(4, 21))
+    tables = [sorted([list(t), sorted(fill.items())] for t, fill in table.items()) for table in fills]
+    assert _calls_digest(tables) == FILLS_HASH
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@ import gc
 import itertools
 import json
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -141,7 +142,7 @@ def test_boundary_behaviour_g4():
     inst = build_edge_gadget(4)
     boundary = [inst.ports[name] for name in ("u", "v", "a_u", "a_v")]
     observed = enumerate_boundary_behaviour(inst.graph, 4, boundary, [(0, 4), (0, 4), range(5), range(5)])
-    assert observed == {
+    assert observed.keys() == {
         (0, 0, 2, 4),
         (0, 0, 4, 2),
         (4, 4, 0, 2),
@@ -212,8 +213,8 @@ def test_boundary_enumeration_matches_fresh_solves_on_random_graphs():
         domains = [rng.sample(range(k + 1), rng.randint(0, k + 1)) for _ in boundary]
         observed = enumerate_boundary_behaviour(g, k, boundary, domains)
         assert observed == boundary_table(g, k, boundary, domains)
-        if g.n <= 7:  # and against the brute-force oracle, which shares no solver code
-            assert observed == boundary_table(g, k, boundary, domains, solve_labelling_bruteforce)
+        if g.n <= 7:  # and, tuples only, against the brute-force oracle, which shares no solver code
+            assert observed.keys() == boundary_table(g, k, boundary, domains, solve_labelling_bruteforce).keys()
         sat_tuples += len(observed)
     assert sat_tuples > 1000
 
@@ -261,7 +262,8 @@ def _extension_case(rng, kind):
 )
 def test_boundary_walk_matches_pinned_solves(kind):
     # the walk against one pinned solve per tuple of the product, on a fresh
-    # search and on the walk's own, and against fresh solve_labelling calls
+    # search and on the walk's own, and against fresh solve_labelling calls,
+    # witnesses included
     rng = random.Random(f"walk {kind}")
     sat = 0
     for _ in range(60):
@@ -275,11 +277,28 @@ def test_boundary_walk_matches_pinned_solves(kind):
     assert sat > 0 or kind in ("an empty domain", "a vertex of degree >= k")
 
 
+def test_a_walk_and_a_solve_over_every_vertex_of_a_long_path_need_no_recursion():
+    # 5,000 boundary vertices, each with a one-label domain, and the same
+    # 5,000 pins: the walk keeps its levels on an explicit stack, so both
+    # finish under the default recursion limit
+    path = path_graph(5000)
+    pins = {v: (0, 2, 4)[v % 3] for v in range(path.n)}
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        walked = enumerate_boundary_behaviour(path, 4, list(pins), [[x] for x in pins.values()])
+        result = solve_labelling(path, 4, pins)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert list(walked) == [tuple(pins.values())] and walked[tuple(pins.values())].labels == pins
+    assert result.is_sat and result.labelling.labels == pins
+
+
 def test_boundary_walk_checks_every_witness(monkeypatch):
     import planar_l21.labelling as labelling
 
     search = _LabelSearch(path_graph(3), 4)
-    assert search.extensions([0], [[0]]) == {(0,)}
+    assert search.extensions([0], [[0]]).keys() == {(0,)}
     monkeypatch.setattr(labelling, "verify_labelling", lambda graph, labelling: False)
     with pytest.raises(AssertionError, match="invalid witness"):
         search.extensions([0], [[0]])
@@ -287,7 +306,8 @@ def test_boundary_walk_checks_every_witness(monkeypatch):
 
 def assert_shared_search_matches_fresh_solves(graph, k, queries):
     """Run every (boundary, domains) query, in order, as an enumeration on
-    one search; each must give the table of fresh per-tuple solves.  Then
+    one search; each must give the table of fresh per-tuple solves,
+    witnesses included.  Then
     the first query's tuples, solved once more on that used search, must
     give a fresh solve's outcome, node count, witness and reason."""
     search = _LabelSearch(graph, k)
@@ -327,7 +347,7 @@ def test_shared_search_enumerations_match_fresh_solves_on_random_graphs():
         tables = assert_shared_search_matches_fresh_solves(g, k, [many, none, many])
         if len(tables[0]) < 4:
             continue
-        assert tables[1] == set() and tables[2] == tables[0]
+        assert tables[1] == {} and tables[2] == tables[0]
         cases += 1
 
 
@@ -341,8 +361,8 @@ def test_shared_search_enumerations_match_fresh_solves_on_hprime(k):
     none = ([c, d, g], [[0], [k], range(1, k + 1)])  # L(g) = k - L(d) is forced
     pairs = ([c, d], [every, every])
     tables = assert_shared_search_matches_fresh_solves(inst.graph, k, [many, none, many, pairs])
-    assert len(tables[0]) >= 4 and tables[1] == set() and tables[2] == tables[0]
-    assert tables[3] == {(0, k), (1, k), (k - 1, 0), (k, 0)}
+    assert len(tables[0]) >= 4 and tables[1] == {} and tables[2] == tables[0]
+    assert tables[3].keys() == {(0, k), (1, k), (k - 1, 0), (k, 0)}
 
 
 @pytest.mark.parametrize(
@@ -782,6 +802,6 @@ def test_verdicts_do_not_depend_on_table_state(monkeypatch):
     warm = run(reversed(range(len(jobs))), cold=False)
     assert warm == cold
     results = [r for _, solves in cold.values() for r in solves]
-    assert sum(len(solves) for returned, solves in cold.values() if isinstance(returned, set)) > 0  # walk leaves
+    assert sum(len(solves) for returned, solves in cold.values() if isinstance(returned, dict)) > 0  # walk leaves
     assert {(r.outcome, r.reason is None) for r in results} == {(SAT, True), (UNSAT, True), (UNSAT, False)}
     assert sum(r.nodes for r in results) > 1000 and _HALL_VERDICTS

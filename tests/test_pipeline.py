@@ -173,9 +173,10 @@ def test_forward_chain_and_intermediate_verifiers(reduced):
     assert verify_labelling(trace.instance.graph, labelling)
 
 
-@pytest.mark.parametrize("k", range(4, 21))
+@pytest.mark.parametrize("k", range(4, gadgets.CERTIFY_CAPACITY + 1))
 def test_every_table_tuple_gets_a_fill_that_labels_the_gadget(k):
-    # G_5 is solved; every other span reads the composed extension of the tuple
+    # G_5 reads its certifying walk's witnesses; every other span reads the
+    # composed extension of the tuple
     inst = gadgets.build_edge_gadget(k)
     fills = gadgets.edge_gadget_fills(k)
     assert set(fills) == gadgets.edge_gadget_expected_table(k)
@@ -187,23 +188,47 @@ def test_every_table_tuple_gets_a_fill_that_labels_the_gadget(k):
 
 @pytest.mark.parametrize("k", [4, 5, 6, 7])
 def test_forward_labelling_solves_over_hprime_only(reduced, monkeypatch, k):
-    # As tests/test_golden.py::logged_solves does, but logging the size of each
-    # searched graph: outside G_5, no solve is over G_k, only over H' (k + 3
-    # vertices), once per H' lemma pair.
+    # The fills make no pinned solve.  Logging the size of each walked graph:
+    # one walk per span, the one that certifies the gadget it fills from, none
+    # at k = 4, G_5's (14 vertices) at k = 5, and H''s (k + 3) at k >= 6.
     trace = reduced(XYZ, k)
     orientation = matching_to_good_orientation(trace, assignment_to_matching(trace, all_satisfying(XYZ)[0]))
-    original, sizes = _LabelSearch.solve, []
+    walk, solve, walks, solves = _LabelSearch._walk, _LabelSearch.solve, [], []
 
-    def logged(search, pins, budget):
-        sizes.append(search.graph.n)
-        return original(search, pins, budget)
+    def logged_walk(search, boundary, domains, budget):
+        walks.append(search.graph.n)
+        return walk(search, boundary, domains, budget)
 
-    monkeypatch.setattr(_LabelSearch, "solve", logged)
+    def logged_solve(search, pins, budget):
+        solves.append(search.graph.n)
+        return solve(search, pins, budget)
+
+    monkeypatch.setattr(_LabelSearch, "_walk", logged_walk)
+    monkeypatch.setattr(_LabelSearch, "solve", logged_solve)
     gadgets.edge_gadget_fills.cache_clear()
     labelling = orientation_to_labelling(trace, orientation, k)
     assert verify_labelling(trace.instance.graph, labelling)
-    expected = {4: [], 5: [14] * 10, 6: [9] * 4, 7: [10] * 4}[k]
-    assert sizes == expected
+    assert solves == []
+    assert walks == {4: [], 5: [14], 6: [9], 7: [10]}[k]
+
+
+def test_a_lemma_pair_with_no_witness_fails_the_fill_by_name(monkeypatch, tmp_path, capsys):
+    # H' refutes (2, 2), so its walk holds no witness for it: the fill names
+    # the gadget, the pair and the span, and `l21 roundtrip` reports that
+    # message as a broken witness chain (exit 1), never as a bare KeyError
+    pairs = gadgets.hprime_lemma_pairs
+    monkeypatch.setattr(gadgets, "hprime_lemma_pairs", lambda k: pairs(k) | {(2, 2)})
+    gadgets.edge_gadget_fills.cache_clear()
+    try:
+        with pytest.raises(AssertionError, match=r"^Hprime boundary \(2, 2\) has no witness at k=7$"):
+            gadgets.edge_gadget_fills(7)
+        (tmp_path / "f.cnf").write_text("p cnf 3 1\n1 2 3 0\n")
+        assert cli.main(["roundtrip", "--formula", str(tmp_path / "f.cnf"), "--k", "7"]) == 1
+        captured = capsys.readouterr()
+        assert '"error":"Hprime boundary (2, 2) has no witness at k=7","ok":false' in captured.out
+        assert captured.err == "roundtrip: witness chain broke: Hprime boundary (2, 2) has no witness at k=7\n"
+    finally:
+        gadgets.edge_gadget_fills.cache_clear()
 
 
 def prism(n):
