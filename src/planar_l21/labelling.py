@@ -331,13 +331,16 @@ class _LabelSearch:
 
     def solve(self, pins: Dict[int, int], budget: Optional[int]) -> SolveResult:
         """One pinned solve: the walk over the pins, each a one-label domain;
-        the pins name vertices of the graph and labels in [0, k]."""
+        the pins name vertices of the graph and labels in [0, k].  The first
+        conflicting pair u < v is found from each pin u by its pinned v > u
+        that are adjacent or at distance two (never both), in id order."""
         items = sorted(pins.items())
-        for i, (u, xu) in enumerate(items):
-            for v, xv in items[i + 1 :]:
+        for u, xu in items:
+            for v in sorted(v for v in chain(self.adj[u], self.d2[u]) if v > u and v in pins):
+                xv = pins[v]
                 if abs(xu - xv) < 2 and v in self.adj[u]:
                     return SolveResult(UNSAT, reason=f"pins {u}={xu}, {v}={xv} violate the adjacency gap")
-                if xu == xv and v in self.d2[u]:
+                if xu == xv:  # so v is at distance two: were it adjacent, the gap would have failed
                     return SolveResult(UNSAT, reason=f"pins {u}={xu}, {v}={xv} collide at distance two")
         if self.initial is None:
             return SolveResult(UNSAT, reason=f"a vertex of degree >= {max(self.k, 1)} cannot be labelled")

@@ -6,9 +6,10 @@ uncrossing gadget) -> auxiliary graph (every edge replaced by the four-cycle
 gadget) -> labelling instance (pendants to degree k-1, every former edge
 replaced by the span-k edge gadget, hub pendants under each out-vertex).
 
-Each fact is checked once, by the layer that owns it.  `planarize` runs the
-one Euler check, and `check_splice` certifies the aux and instance stages
-planar from their construction, a gadget per edge.  The witness translators
+Each fact is checked once, by the layer that owns it.  A planar stage exists
+only certified: its constructors run the one Euler check and refuse a rotation
+that fails it.  `check_splice` certifies the aux and instance stages planar
+from it and their construction, a gadget per edge.  The witness translators
 execute the constructive arguments in both directions; each validates its
 input, raising `ValidationError`, and leaves its output to the input check of
 the step that consumes it.  Output assertions remain only for lemma facts
@@ -104,12 +105,17 @@ class CubicStage:
 
 @dataclass
 class PlanarStage:
+    """A graph with a rotation that passed the Euler check: both constructors,
+    `planarize` and `planar_stage_from_graph`, refuse one that fails it."""
+
     graph: Graph
     rot: RotationSystem
     identifying_edges: List[Edge]
-    crossing_count: int
     uncross_maps: List[Dict[str, int]]  # per inserted gadget: figure name -> id
-    certified_planar: bool  # rot passed the Euler check
+
+    @property
+    def crossing_count(self) -> int:
+        return len(self.uncross_maps)  # one uncrossing gadget per crossing pair
 
 
 @dataclass
@@ -263,14 +269,7 @@ def planarize(stage: CubicStage) -> PlanarStage:
         raise AssertionError("planarization must preserve 3-regularity")
     if not verify_planar(graph, rot):
         raise AssertionError("planarized graph failed the Euler check")
-    return PlanarStage(
-        graph=graph,
-        rot=rot,
-        identifying_edges=sorted(identifying),
-        crossing_count=len(pairs),
-        uncross_maps=uncross_maps,
-        certified_planar=True,
-    )
+    return PlanarStage(graph=graph, rot=rot, identifying_edges=sorted(identifying), uncross_maps=uncross_maps)
 
 
 # ---------------------------------------------------------------------------
@@ -281,19 +280,15 @@ def planarize(stage: CubicStage) -> PlanarStage:
 def planar_stage_from_graph(graph: Graph, rot: Optional[RotationSystem] = None) -> PlanarStage:
     """Wrap a bare cubic graph so the later stages can run on it directly.
 
-    The Euler check runs here, once; a graph that fails it (K3,3, say) is
-    carried as uncertified, and so are the stages built from it.
+    The Euler check runs here, once (``rot`` defaults to the id-order
+    rotation), and a rotation that fails it is refused with `ValidationError`:
+    no rotation of K3,3 passes, nor K4's id-order one, which has genus one.
     """
     if rot is None:
         rot = RotationSystem({v: list(graph.neighbours(v)) for v in range(graph.n)})
-    return PlanarStage(
-        graph=graph,
-        rot=rot,
-        identifying_edges=[],
-        crossing_count=0,
-        uncross_maps=[],
-        certified_planar=verify_planar(graph, rot),
-    )
+    if not verify_planar(graph, rot):
+        raise ValidationError("the rotation fails the Euler check, so the graph is not certified planar")
+    return PlanarStage(graph=graph, rot=rot, identifying_edges=[], uncross_maps=[])
 
 
 def check_splice(rot: RotationSystem, before: RotationSystem, records: Dict[Edge, Dict[str, int]],
@@ -304,15 +299,17 @@ def check_splice(rot: RotationSystem, before: RotationSystem, records: Dict[Edge
     replaced by the copy's ``ends[0]`` (``ends[1]`` at y), then x's leaves; a
     leaf's row is its parent, then its own leaves.
 
-    This certifies the rows, and so the graph whose adjacency they are
-    (`GraphBuilder.freeze_with_rotation`).  A copy's rows are its
-    Euler-checked gadget's, mapped through `embed`'s injective slot map, so
-    they are symmetric and repeat no entry, and a glued pendant's entry names
-    the host.  The pinned rows are the certified rows of ``before`` with each
-    y replaced by a vertex of its own copy, then new leaves: no entry repeats,
-    and each is answered by the copy's row or the leaf's.  The gadget's glued
-    pendants share a face (`gadgets._spliceable`), so the faces beside the
-    edge take in one arc of it each; V - E + F is kept, as by a leaf."""
+    Given a certified ``before`` (a `PlanarStage` is Euler-checked when built,
+    an `AuxStage` spliced), this certifies the rows, and so the graph whose
+    adjacency they are (`GraphBuilder.freeze_with_rotation`).  A copy's rows
+    are its Euler-checked gadget's, mapped through `embed`'s injective slot
+    map, so they are symmetric and repeat no entry, and a glued pendant's
+    entry names the host.  The pinned rows are the certified rows of
+    ``before`` with each y replaced by a vertex of its own copy, then new
+    leaves: no entry repeats, and each is answered by the copy's row or the
+    leaf's.  The gadget's glued pendants share a face (`gadgets._spliceable`),
+    so the faces beside the edge take in one arc of it each; V - E + F is
+    kept, as by a leaf."""
     step = {}
     for (x, y), m in records.items():
         step[x, y], step[y, x] = m[ends[0]], m[ends[1]]

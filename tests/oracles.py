@@ -126,6 +126,21 @@ def solve_labelling_bruteforce(
     return SolveResult(SAT, labelling=labelling)
 
 
+def pin_conflict(graph: Graph, pins: Dict[int, int]) -> Optional[str]:
+    """The reason `solve_labelling` gives for the first pair of pins u < v,
+    in sorted order, that no span-k labelling can hold, or None: every pair
+    of pins compared, the reference for the solver's neighbourhood scan."""
+    items = sorted(pins.items())
+    far = distance2_pairs(graph)
+    for i, (u, xu) in enumerate(items):
+        for v, xv in items[i + 1 :]:
+            if abs(xu - xv) < 2 and graph.has_edge(u, v):
+                return f"pins {u}={xu}, {v}={xv} violate the adjacency gap"
+            if xu == xv and (u, v) in far:
+                return f"pins {u}={xu}, {v}={xv} collide at distance two"
+    return None
+
+
 def boundary_table(
     graph: Graph, k: int, boundary: List[int], domains: List[Collection[int]], solve=solve_labelling
 ) -> Dict[Tuple[int, ...], Labelling]:

@@ -1,8 +1,12 @@
 import gc
 import itertools
 import json
+import os
 import random
+import subprocess
 import sys
+from collections import Counter
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -37,6 +41,7 @@ from conftest import (
 from oracles import (
     boundary_table,
     distance2_pairs,
+    pin_conflict,
     pinned_extensions,
     propagate_to_fixpoint,
     solve_labelling_bruteforce,
@@ -106,6 +111,40 @@ def test_inconsistent_pins_unsat_with_reason():
     d2 = path_graph(3)
     result = solve_labelling(d2, 4, {0: 3, 2: 3})
     assert result.outcome == UNSAT and "distance two" in result.reason
+
+
+def test_pin_conflicts_match_the_all_pairs_reference_on_random_graphs():
+    # the solver looks at each pin's pinned neighbours and distance-two
+    # vertices only; the reference compares every pair of pins
+    rng = random.Random(20261022)
+    found = Counter()
+    for _ in range(400):
+        k = rng.randint(3, 8)
+        graph = random_graph(rng, rng.randint(2, 24), rng.uniform(0.05, 0.3))
+        pins = {v: rng.randint(0, k) for v in rng.sample(range(graph.n), rng.randint(0, graph.n))}
+        reason = solve_labelling(graph, k, pins, budget=0).reason
+        observed = reason if reason and reason.startswith("pins ") else None
+        expected = pin_conflict(graph, pins)
+        assert observed == expected, (k, graph.sorted_edges(), pins)
+        found[None if expected is None else expected.split()[-1]] += 1
+    assert min(found[None], found["gap"], found["two"]) >= 40, found
+
+
+def test_a_solve_with_40000_pins_takes_linear_time():
+    # comparing every pair of pins, as `pin_conflict` does, takes about a
+    # minute at 40,000 pins on a 2-core host; the solver's scan of each pin's
+    # neighbourhood takes under a second
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = (
+        "from planar_l21.labelling import solve_labelling\n"
+        "from conftest import path_graph\n"
+        "path = path_graph(40000)\n"
+        "pins = {v: (0, 2, 4)[v % 3] for v in range(path.n)}\n"
+        "result = solve_labelling(path, 4, pins)\n"
+        "assert result.is_sat and result.labelling.labels == pins\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), str(Path(__file__).parent)]))
+    subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=20)
 
 
 def test_degree_reason_at_span_zero():

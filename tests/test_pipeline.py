@@ -18,6 +18,7 @@ from planar_l21.graphs import GraphBuilder, RotationSystem, check_regular, edge_
 from planar_l21.labelling import Labelling, _LabelSearch, verify_labelling
 from planar_l21.nae3sat import Nae3SatFormula, check_nae
 from planar_l21.pipeline import (
+    PlanarStage,
     assignment_to_matching,
     build_auxiliary,
     build_instance,
@@ -35,7 +36,7 @@ from planar_l21.pipeline import (
     write_trace,
 )
 
-from conftest import complete_graph, make_graph
+from conftest import any_rotation, complete_graph, make_graph
 from test_acceptance import CORPUS
 from oracles import oriented_component_structure, rows_are_simple, swap_colours
 
@@ -105,20 +106,27 @@ def test_planarize_inserts_one_gadget_per_crossing():
     assert len(planar.identifying_edges) == len(stage.identifying_edges) + 2 * 6
 
 
+def test_a_rotation_that_fails_the_euler_check_is_refused():
+    # no rotation of K3,3 passes; K4's id-order rotation traces two faces
+    # (genus one), while its drawing as a wheel passes
+    for graph in (k33(), complete_graph(4)):
+        with pytest.raises(ValidationError, match="Euler check"):
+            planar_stage_from_graph(graph)
+    assert planar_stage_from_graph(*wheel_k4()).crossing_count == 0
+
+
 def test_auxiliary_counts_on_k4():
-    stage = planar_stage_from_graph(complete_graph(4), None)
-    # the id-order rotation of K4 traces two faces (genus one), so the stage
-    # is carried as uncertified
-    aux = build_auxiliary(stage)
-    assert not stage.certified_planar
+    aux = build_auxiliary(planar_stage_from_graph(*wheel_k4()))
     assert aux.graph.n == 40
     assert aux.graph.m == 48  # eight edges per replaced edge
     assert len(aux.out_vertices()) == 6
 
 
 def test_auxiliary_counts_on_k33():
-    stage = planar_stage_from_graph(k33())
-    assert not stage.certified_planar  # no rotation of K3,3 passes the Euler check
+    # built directly, since planar_stage_from_graph refuses K3,3: the
+    # builders' census reads the graph and its rotation, not their planarity
+    graph = k33()
+    stage = PlanarStage(graph, any_rotation(graph), identifying_edges=[], uncross_maps=[])
     aux = build_auxiliary(stage)
     assert aux.graph.n == 60
     assert aux.graph.m == 72
@@ -127,7 +135,7 @@ def test_auxiliary_counts_on_k33():
     for record in aux.aux_records.values():
         assert aux.graph.degree(record["in"]) == 1
         assert aux.graph.degree(record["out"]) == 1
-    # the uncertified stage still builds: 2 gadget interiors per aux edge,
+    # the instance builds from it too: 2 gadget interiors per aux edge,
     # 2 leaves per in/out pendant, and k-2 leaves under each hub pendant
     inst = build_instance(aux, 4)
     assert inst.graph.n == 60 + 2 * 72 + 2 * 18 + 2 * 9
@@ -139,7 +147,7 @@ def test_auxiliary_rejects_noncubic():
 
 
 def test_instance_census_k4_from_k4():
-    aux = build_auxiliary(planar_stage_from_graph(complete_graph(4)))
+    aux = build_auxiliary(planar_stage_from_graph(*wheel_k4()))
     inst = build_instance(aux, 4)
     # 40 former vertices + 2 gadget interiors per 48 edges + 24 in/out
     # pendants + 12 hub leaves
@@ -250,9 +258,7 @@ def wheel_k4():
 @pytest.mark.parametrize("name", ["K4", "prism3", "prism4", "prism5", "prism6"])
 def test_stages_of_planar_cubic_graphs_pass_the_euler_oracle(name):
     graph, rot = wheel_k4() if name == "K4" else prism(int(name[-1]))
-    planar = planar_stage_from_graph(graph, rot)
-    assert planar.certified_planar
-    aux = build_auxiliary(planar)
+    aux = build_auxiliary(planar_stage_from_graph(graph, rot))  # returning, it certifies the rotation
     assert verify_planar(aux.graph, aux.rot)
     for k in range(4, 9):
         inst = build_instance(aux, k)
